@@ -16,8 +16,7 @@ Run:  python examples/quantization_workflow.py
 
 import numpy as np
 
-from repro.core import profile_counters
-from repro.core.cpu import Cpu
+from repro.core import Cpu, RegionCounters
 from repro.kernels import ConvConfig, ConvKernel
 from repro.qnn import (
     ConvGeometry,
@@ -52,7 +51,7 @@ thresholds = thresholds_from_accumulators(acc, BITS)
 geometry = ConvGeometry(H, W, CI, CO, 3, 3, 1, 1)
 kernel = ConvKernel(ConvConfig(geometry=geometry, bits=BITS, quant="hw"))
 cpu = Cpu(isa="xpulpnn")
-cpu.collect_mnemonics = True
+cpu.regions = RegionCounters(program=kernel.program)
 run = kernel.run(w_q, x_q, thresholds=thresholds, cpu=cpu)
 
 golden_levels = thresholds.quantize(acc, channel_axis=-1)
@@ -78,5 +77,5 @@ print(f"mean relative error vs float reference: {100 * rel_err:.1f}% "
       f"(4-bit staircase)")
 
 # -- profile where the cycles went -----------------------------------------
-print("\nexecution profile:")
-print(profile_counters(cpu, top=5).render())
+print()
+print(cpu.regions.render(title="execution profile (per kernel region)"))

@@ -2,10 +2,10 @@
 """Trace and profile one quantized convolution layer.
 
 Runs the paper's 4-bit convolution (hardware `pv.qnt` requantization) on
-the ISS twice: once under a `MetricsTracer` for the per-region cycle
-table — the Fig. 6 quantization-share measurement — and once under an
-`EventTracer` to export a Perfetto timeline of the marked kernel phases
-(`im2col`, `dotprod`, `quant`).
+the ISS twice: once with a `RegionCounters` profile attached for the
+per-region cycle table — the Fig. 6 quantization-share measurement — and
+once under an `EventTracer` to export a Perfetto timeline of the marked
+kernel phases (`im2col`, `dotprod`, `quant`).
 
 Run:  python examples/trace_conv.py
 Then open conv4_trace.json at https://ui.perfetto.dev
@@ -22,7 +22,7 @@ from repro.qnn import (
     thresholds_from_accumulators,
 )
 from repro.target import build_machine
-from repro.trace import EventTracer, MetricsTracer, write_chrome_trace
+from repro.trace import EventTracer, RegionCounters, write_chrome_trace
 
 BITS = 4
 GEOMETRY = ConvGeometry(in_h=8, in_w=8, in_ch=32, out_ch=16,
@@ -50,15 +50,15 @@ def fresh_cpu():
 # --- pass 1: per-region metrics -----------------------------------------
 
 cpu = fresh_cpu()
-cpu.tracer = MetricsTracer(program=kernel.program)
+cpu.regions = RegionCounters(program=kernel.program)
 run = kernel.run(weights, acts, thresholds=thresholds, cpu=cpu)
 expected = thresholds.quantize(acc, channel_axis=-1)
 assert np.array_equal(run.output, expected), "kernel must match golden model"
 
 print(f"4-bit conv, {GEOMETRY.describe()}")
 print(f"{run.cycles:,} cycles, {run.instructions:,} instructions\n")
-print(cpu.tracer.registry.render(title="Per-region attribution"))
-quant_share = cpu.tracer.registry.share("quant")
+print(cpu.regions.render(title="Per-region attribution"))
+quant_share = cpu.regions.share("quant")
 print(f"\npv.qnt requantization share: {quant_share:.1%} "
       "(the Fig. 6 measurement)")
 

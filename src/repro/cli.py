@@ -93,19 +93,18 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_and_run(args: argparse.Namespace, tracer_factory=None):
+def _load_and_run(args: argparse.Namespace, attach=None):
     """Assemble ``args.input``, execute it, return ``(program, cpu, perf)``.
 
-    *tracer_factory* receives the assembled program (so region maps can
-    be derived) and returns the tracer to attach, or ``None``.
+    *attach(program, cpu)* may hook a tracer or a region profile onto the
+    core before it runs (the program gives it the region map).
     """
     source = open(args.input).read()
     isa = _isa_config(args.isa)
     program = Assembler(isa=isa, base=args.base).assemble(source)
     cpu = Cpu(isa=isa)
-    tracer = tracer_factory(program) if tracer_factory is not None else None
-    if tracer is not None:
-        cpu.tracer = tracer
+    if attach is not None:
+        attach(program, cpu)
     cpu.load_program(program)
     for binding in getattr(args, "reg", None) or ():
         name, _, value = binding.partition("=")
@@ -117,13 +116,13 @@ def _load_and_run(args: argparse.Namespace, tracer_factory=None):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    tracer_factory = None
+    attach = None
     if args.trace:
         from .trace import TextTracer
 
-        def tracer_factory(program):
-            return TextTracer()
-    _, cpu, perf = _load_and_run(args, tracer_factory)
+        def attach(program, cpu):
+            cpu.tracer = TextTracer()
+    _, cpu, perf = _load_and_run(args, attach)
     print(f"halted: {cpu.halted}")
     print(f"cycles={perf.cycles} instructions={perf.instructions} "
           f"ipc={perf.ipc:.3f} stalls={perf.total_stalls}")
@@ -159,11 +158,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if not args.input:
             raise ReproError("pass a source file or --kernel NAME")
 
-        def factory(program):
-            return EventTracer(program=program, detail=args.detail,
-                               default_region="code")
+        def attach(program, cpu):
+            cpu.tracer = EventTracer(program=program, detail=args.detail,
+                                     default_region="code")
 
-        _, cpu, _ = _load_and_run(args, factory)
+        _, cpu, _ = _load_and_run(args, attach)
         tracer = cpu.tracer
         title = os.path.basename(args.input)
     payload = write_chrome_trace(tracer, args.out, title=title)
@@ -196,13 +195,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 0
     if not args.input:
         raise ReproError("pass a source file or --kernel NAME")
-    from .trace import MetricsTracer
+    from .core import RegionCounters
 
-    def factory(program):
-        return MetricsTracer(program=program, default_region="code")
+    def attach(program, cpu):
+        cpu.regions = RegionCounters(program=program, default_region="code")
 
-    _, cpu, perf = _load_and_run(args, factory)
-    tracer = cpu.tracer
+    _, cpu, perf = _load_and_run(args, attach)
     if args.json:
         import json
 
@@ -211,13 +209,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "cycles": perf.cycles,
             "instructions": perf.instructions,
             "ipc": perf.ipc,
-            "regions": tracer.registry.to_dict(),
+            "regions": cpu.regions.to_dict(),
         }
         print(json.dumps(_jsonify(payload), indent=2))
     else:
         print(f"{args.input}: cycles {perf.cycles:,}  "
               f"instructions {perf.instructions:,}  ipc {perf.ipc:.3f}")
-        print(tracer.registry.render())
+        print(cpu.regions.render())
     return 0
 
 

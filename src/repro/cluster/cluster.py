@@ -316,6 +316,20 @@ class Cluster:
             cpu._mem_tracer = None  # TCDM ports report with bank info
         return tracer
 
+    @property
+    def regions(self):
+        """The region profile shared by every core (None when detached).
+
+        Each core charges its own retires; :meth:`run` charges parked
+        barrier time to the ``barrier`` region.
+        """
+        return self.cores[0].regions
+
+    @regions.setter
+    def regions(self, table) -> None:
+        for cpu in self.cores:
+            cpu.regions = table
+
     # ------------------------------------------------------------------
 
     def load_program(self, program) -> None:
@@ -378,14 +392,24 @@ class Cluster:
                     release = eu.release_time
                     released = eu.release()
                     for core_id, when in released.items():
-                        perf = cores[core_id].perf
+                        core = cores[core_id]
+                        perf = core.perf
+                        # Parked time belongs to the barrier, not to the
+                        # region the core arrived from.
+                        core._close_region()
                         perf.idle_cycles += release - when
                         perf.cycles = release
+                        if core.regions is not None:
+                            barrier = core.regions.counters_for("barrier")
+                            barrier.cycles += release - when
+                            barrier.idle_cycles += release - when
                     if self.tracer is not None:
                         for core_id, when in sorted(released.items()):
                             self.tracer.on_barrier(core_id, when, release)
                     parked.clear()
 
+        for cpu in cores:
+            cpu._close_region()
         if self.tracer is not None:
             for cpu in cores:
                 self.tracer.on_halt(cpu)

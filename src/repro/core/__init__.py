@@ -3,6 +3,7 @@
 * :class:`repro.core.Cpu` — the instruction-set simulator.
 * :class:`repro.core.TimingParams` — pipeline timing knobs.
 * :class:`repro.core.PerfCounters` — cycle/instruction/stall accounting.
+* :class:`repro.core.RegionCounters` — per-region counters (the profiler).
 * :class:`repro.core.units.DotpUnit` / :class:`repro.core.units.QuantUnit`
   — microarchitectural models of the XpulpNN hardware blocks.
 """
@@ -10,7 +11,7 @@
 from .cpu import Cpu
 from .hwloop import HwLoopController
 from .perf import PerfCounters
-from .profile import ProfileReport, profile_counters, profile_program
+from .regions import RegionCounters
 from .timing import StepTiming, TimingModel, TimingParams
 from .units import DotpUnit, QuantUnit
 
@@ -19,11 +20,9 @@ __all__ = [
     "DotpUnit",
     "HwLoopController",
     "PerfCounters",
-    "ProfileReport",
     "QuantUnit",
+    "RegionCounters",
     "StepTiming",
     "TimingModel",
     "TimingParams",
-    "profile_counters",
-    "profile_program",
 ]

@@ -16,7 +16,7 @@ data lives in the attached :class:`~repro.soc.memory.Memory`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..engine.config import resolve_mode
 from ..errors import SimError, TrapError
@@ -25,9 +25,10 @@ from ..isa.registry import Isa, build_isa
 from ..soc.memory import Memory
 from ..soc.memmap import L2_SIZE
 from ..target.names import XPULPNN
-from ..trace.tracer import CallableTracer, Tracer
+from ..trace.tracer import Tracer
 from .hwloop import HwLoopController
 from .perf import PerfCounters
+from .regions import RegionCounters
 from .timing import TimingModel, TimingParams
 
 #: Default standalone data/instruction memory size (PULPissimo's L2).
@@ -42,7 +43,6 @@ class Cpu:
         isa: str | Isa = XPULPNN,
         mem: Optional[Memory] = None,
         timing: Optional[TimingParams] = None,
-        trace: Optional[Callable] = None,
         hart_id: int = 0,
         engine: Optional[str] = None,
     ) -> None:
@@ -56,8 +56,6 @@ class Cpu:
         self.timing = TimingModel(timing)
         self._tracer: Optional[Tracer] = None
         self._mem_tracer: Optional[Tracer] = None
-        self.trace = trace
-        self.collect_mnemonics = False
 
         #: Execution engine for :meth:`run` — "interp" steps every
         #: instruction; "block" runs translated basic blocks
@@ -75,13 +73,13 @@ class Cpu:
         self._tcdm_stalls = 0
         self._csrs: dict = {}
 
-        #: Optional list of (lo, hi) address spans; cycles spent executing
-        #: instructions inside any span accumulate in profiled_cycles
-        #: (used to attribute e.g. quantization-epilogue cost, Fig 6).
-        #: Assigning rebuilds the per-address membership set consulted on
-        #: the hot path (see the profile_spans property below).
-        self.profile_spans = None
-        self.profiled_cycles = 0
+        #: Region profile (:class:`~repro.core.regions.RegionCounters`)
+        #: charged by every run while attached; None keeps the hot path
+        #: to one check per retired instruction.
+        self.regions: Optional[RegionCounters] = None
+        self._region: Optional[str] = None
+        self._region_acc: Optional[PerfCounters] = None
+        self._region_mark: Optional[PerfCounters] = None
 
     # ------------------------------------------------------------------
     # Tracing
@@ -105,55 +103,24 @@ class Cpu:
             tracer if tracer is not None and tracer.trace_memory else None
         )
 
-    @property
-    def trace(self):
-        """Legacy per-retire callback ``f(pc, ins)`` (None when unset).
-
-        Kept for backward compatibility: assigning a plain callable wraps
-        it in a :class:`~repro.trace.tracer.CallableTracer`; assigning a
-        :class:`~repro.trace.tracer.Tracer` attaches it directly.
-        """
-        tracer = self._tracer
-        if isinstance(tracer, CallableTracer):
-            return tracer.fn
-        return tracer
-
-    @trace.setter
-    def trace(self, value) -> None:
-        if value is None or isinstance(value, Tracer):
-            self.tracer = value
-        else:
-            self.tracer = CallableTracer(value)
-
     # ------------------------------------------------------------------
-    # Profiled spans
+    # Region profile
     # ------------------------------------------------------------------
 
-    @property
-    def profile_spans(self):
-        """Optional list of ``(lo, hi)`` address spans whose execution
-        cycles accumulate in ``profiled_cycles``.
+    def _enter_region(self, name: str) -> None:
+        """Close the open region and open *name*: the next instruction
+        to retire is charged to it."""
+        self._close_region()
+        self._region = name
+        self._region_acc = self.regions.counters_for(name)
+        self._region_mark = self.perf.copy()
 
-        Membership is resolved once per assignment (and per program
-        load) into a set of in-span instruction addresses, so the
-        per-retire cost is a single set lookup instead of a linear scan
-        over the span list."""
-        return self._profile_spans
-
-    @profile_spans.setter
-    def profile_spans(self, spans) -> None:
-        self._profile_spans = spans
-        self._rebuild_span_addrs()
-
-    def _rebuild_span_addrs(self) -> None:
-        spans = self._profile_spans
-        if spans is None:
-            self._span_addrs = None
-        else:
-            self._span_addrs = frozenset(
-                addr for addr in self._imem
-                if any(lo <= addr < hi for lo, hi in spans)
-            )
+    def _close_region(self) -> None:
+        """Charge the open region with the counters accrued since it
+        was entered."""
+        if self._region is not None:
+            self._region_acc.merge(self.perf.delta_since(self._region_mark))
+            self._region = None
 
     # ------------------------------------------------------------------
     # Program loading
@@ -178,7 +145,6 @@ class Cpu:
         self._loaded_program = program
         self._block_digest = None
         self._imem_version += 1
-        self._rebuild_span_addrs()
 
     def materialize(self, program) -> None:
         """Write the program's encoded bytes into data memory."""
@@ -203,7 +169,6 @@ class Cpu:
         self._loaded_program = None
         self._block_digest = None
         self._imem_version += 1
-        self._rebuild_span_addrs()
 
     # ------------------------------------------------------------------
     # Memory interface used by instruction semantics
@@ -304,12 +269,18 @@ class Cpu:
         self._extra_stalls = 0
         self._tcdm_stalls = 0
         self._csrs.clear()
+        self._region = None
 
     def step(self) -> None:
         """Execute one instruction and account its cycles."""
         ins = self._imem.get(self.pc)
         if ins is None:
             raise TrapError("instruction fetch fault", self.pc)
+        regions = self.regions
+        if regions is not None:
+            name = regions.map.get(self.pc, regions.default_region)
+            if name != self._region:
+                self._enter_region(name)
 
         self._misaligned = 0
         self._extra_stalls = 0
@@ -330,9 +301,6 @@ class Cpu:
 
         timing = self.timing.step(ins, taken, self._misaligned)
         step_extra = self._extra_stalls + self._tcdm_stalls
-        span_addrs = self._span_addrs
-        if span_addrs is not None and self.pc in span_addrs:
-            self.profiled_cycles += timing.total + step_extra
         perf = self.perf
         perf.cycles += timing.total + step_extra
         perf.instructions += 1
@@ -342,8 +310,6 @@ class Cpu:
         perf.stall_jump += timing.jump_stall
         perf.stall_misaligned += timing.misaligned_stall + self._extra_stalls
         perf.stall_tcdm_contention += self._tcdm_stalls
-        if self.collect_mnemonics:
-            perf.by_mnemonic[ins.mnemonic] += 1
         if self._tracer is not None:
             self._tracer.on_retire(self, self.pc, ins, timing)
         self.pc = next_pc
@@ -362,32 +328,37 @@ class Cpu:
         block-translation engine (:mod:`repro.engine`) — bit- and
         cycle-identical to interpreting, but only engaged when nothing
         can observe intermediate state: a tracer or a contended cluster
-        memory port falls back to the interpreter automatically.
+        memory port falls back to the interpreter automatically.  An
+        attached region profile does not; both paths charge it, and it
+        is complete when the run returns.
         """
         if entry is not None:
             self.pc = entry
         self._halted = None
-        if (
-            self.engine == "block"
-            and self._tracer is None
-            and type(self.mem) is Memory
-        ):
-            from ..engine.engine import BlockEngine
+        try:
+            if (
+                self.engine == "block"
+                and self._tracer is None
+                and type(self.mem) is Memory
+            ):
+                from ..engine.engine import BlockEngine
 
-            if self._block_engine is None:
-                self._block_engine = BlockEngine(self)
-            return self._block_engine.run(max_instructions)
-        step = self.step
-        for _ in range(max_instructions):
-            step()
-            if self._halted is not None:
-                if self._tracer is not None:
-                    self._tracer.on_halt(self)
-                return self.perf
-        raise SimError(
-            f"program did not halt within {max_instructions} instructions "
-            f"(pc={self.pc:#010x})"
-        )
+                if self._block_engine is None:
+                    self._block_engine = BlockEngine(self)
+                return self._block_engine.run(max_instructions)
+            step = self.step
+            for _ in range(max_instructions):
+                step()
+                if self._halted is not None:
+                    if self._tracer is not None:
+                        self._tracer.on_halt(self)
+                    return self.perf
+            raise SimError(
+                f"program did not halt within {max_instructions} "
+                f"instructions (pc={self.pc:#010x})"
+            )
+        finally:
+            self._close_region()
 
     def run_program(self, program, **kwargs) -> PerfCounters:
         """Convenience: load, reset perf, and run a linked program."""

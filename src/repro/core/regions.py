@@ -1,25 +1,48 @@
-"""Per-region metrics: events rolled into :class:`PerfCounters` deltas.
+"""Per-region performance counters: the simulator's one profiler.
 
-:class:`MetricsTracer` accumulates one :class:`~repro.core.perf.PerfCounters`
-per marked region, mirroring :meth:`Cpu.step`'s accounting exactly — so
-the per-region counters sum to the core's own end-of-run counters and the
-usual derived metrics (IPC, stall shares) are available per phase.
+A :class:`RegionCounters` table pairs a program's pc -> region-name map
+with one :class:`~repro.core.perf.PerfCounters` per region.  Attach it
+to a core (``cpu.regions = RegionCounters(program=...)``) or a cluster
+(``cluster.regions = ...``) and every run charges each region with the
+core's own counter deltas taken as execution moves between regions, so
+the per-region counters sum exactly to the core's end-of-run counters.
+The block engine keeps running: while a table is attached no translated
+block or fused loop body crosses a region boundary.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.perf import PerfCounters
-from .tracer import Tracer
+from .perf import PerfCounters
 
 
-class MetricsRegistry:
-    """Named :class:`PerfCounters` accumulators (one per region)."""
+class RegionCounters:
+    """Named :class:`PerfCounters` accumulators, one per region.
 
-    def __init__(self) -> None:
+    *region_map* (address -> name) defaults to the *program*'s
+    :meth:`~repro.asm.program.Program.region_map`; unmarked addresses
+    land in *default_region*.  On a cluster, parked barrier time is
+    charged to a ``barrier`` region.
+    """
+
+    def __init__(
+        self,
+        program=None,
+        region_map: Optional[Dict[int, str]] = None,
+        default_region: str = "other",
+    ) -> None:
+        if region_map is None:
+            region_map = program.region_map() if program is not None else {}
+        self.map: Dict[int, str] = dict(region_map)
+        self.default_region = default_region
+        #: Identifies the address partition (translated-block cache key).
+        self.key = (default_region, frozenset(self.map.items()))
         self._counters: Dict[str, PerfCounters] = {}
         self._order: List[str] = []
+
+    def region_of(self, addr: int) -> str:
+        return self.map.get(addr, self.default_region)
 
     def counters_for(self, name: str) -> PerfCounters:
         """The accumulator for *name*, created on first use."""
@@ -30,7 +53,7 @@ class MetricsRegistry:
 
     @property
     def regions(self) -> List[str]:
-        """Region names in first-seen order."""
+        """Region names in first-entered order."""
         return list(self._order)
 
     def __contains__(self, name: str) -> bool:
@@ -106,43 +129,3 @@ class MetricsRegistry:
         headers = ("region", "cycles", "share", "instrs", "ipc",
                    "ld-use", "ctrl", "unit", "tcdm", "idle")
         return format_table(headers, rows, title=title)
-
-
-class MetricsTracer(Tracer):
-    """Rolls retire events into per-region counters as the run executes."""
-
-    def __init__(
-        self,
-        program=None,
-        region_map: Optional[Dict[int, str]] = None,
-        default_region: str = "other",
-    ) -> None:
-        self.default_region = default_region
-        if region_map is not None:
-            self._map = dict(region_map)
-        elif program is not None:
-            self._map = program.region_map()
-        else:
-            self._map = {}
-        self.registry = MetricsRegistry()
-
-    def on_retire(self, cpu, pc: int, ins, timing) -> None:
-        perf = self.registry.counters_for(
-            self._map.get(pc, self.default_region))
-        unit = cpu._extra_stalls
-        tcdm = cpu._tcdm_stalls
-        # Mirror Cpu.step()'s accounting so regions sum to the core totals.
-        perf.cycles += timing.total + unit + tcdm
-        perf.instructions += 1
-        perf.by_class[ins.spec.timing] += 1
-        perf.stall_load_use += timing.load_use_stall
-        perf.stall_branch += timing.branch_stall
-        perf.stall_jump += timing.jump_stall
-        perf.stall_misaligned += timing.misaligned_stall + unit
-        perf.stall_tcdm_contention += tcdm
-
-    def on_barrier(self, core: int, arrive: int, release: int) -> None:
-        perf = self.registry.counters_for("barrier")
-        parked = release - arrive
-        perf.cycles += parked
-        perf.idle_cycles += parked

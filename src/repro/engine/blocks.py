@@ -14,8 +14,9 @@ and :mod:`repro.engine.fusion` never touch a dict-per-instruction fetch
 or allocate a :class:`~repro.core.timing.StepTiming` again.
 
 Translated blocks are cached process-wide keyed on
-``(program digest, ISA name, timing-parameter signature)`` plus the
-block's start address, so repeated runs of the same program (the serve
+``(program digest, ISA name, timing-parameter signature)`` — plus the
+region partition when a region profile is attached — and the block's
+start address, so repeated runs of the same program (the serve
 pool, sweeps, trajectory regeneration) skip discovery entirely.
 """
 
@@ -40,7 +41,7 @@ class Block:
     __slots__ = (
         "addr", "n", "instrs", "execs", "addrs", "fts", "ft_index",
         "addr_index", "srcs", "base", "lu", "static", "prefix",
-        "lu_prefix", "pending", "cls_prefix", "mn_prefix", "fused",
+        "lu_prefix", "pending", "cls_prefix", "fused",
     )
 
     def __init__(self, instrs: list, params) -> None:
@@ -79,8 +80,6 @@ class Block:
         self.lu_prefix = lu_prefix
         self.cls_prefix = _prefix_counts(
             [ins.spec.timing for ins in instrs])
-        self.mn_prefix = _prefix_counts(
-            [ins.mnemonic for ins in instrs])
         #: Fused-plan cache: loop-end fall-through address -> FusedPlan,
         #: or a side-exit reason string when fusion was statically
         #: declined (so the analysis never reruns per dispatch).
@@ -104,14 +103,20 @@ def _prefix_counts(labels: List[str]) -> Dict[str, List[int]]:
     return out
 
 
-def discover(imem: dict, addr: int, params) -> Optional[Block]:
+def discover(imem: dict, addr: int, params,
+             regions=None) -> Optional[Block]:
     """Decode the block starting at *addr*, or ``None`` when the first
-    instruction is absent (fetch fault) or interpreter-only."""
+    instruction is absent (fetch fault) or interpreter-only.  With a
+    region profile (:class:`~repro.core.regions.RegionCounters`) the
+    block also ends where the next instruction lies in another region."""
+    region = regions.region_of(addr) if regions is not None else None
     instrs = []
     a = addr
     while len(instrs) < MAX_BLOCK_INSTRUCTIONS:
         ins = imem.get(a)
         if ins is None or ins.spec.timing in TERMINATOR_CLASSES:
+            break
+        if regions is not None and regions.region_of(a) != region:
             break
         instrs.append(ins)
         a += ins.spec.size

@@ -20,9 +20,14 @@ granularity:
 
 The engine is only engaged when nothing can observe intermediate state:
 no tracer attached and a plain (uncontended) memory — cluster cores with
-TCDM ports keep the interpreter.  Statistics are plain integers during
-the run and are published to the telemetry registry
-(``engine.*`` counters) when the run ends.
+TCDM ports keep the interpreter.  A region profile
+(:class:`~repro.core.regions.RegionCounters`) keeps the engine on: blocks
+are then translated so that none crosses a region boundary (a fused body
+is a block prefix, so neither does it), and the core's counters are
+charged to a region whenever dispatch enters another one.
+
+Statistics are plain integers during the run and are published to the
+telemetry registry (``engine.*`` counters) when the run ends.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Dict, Optional
 
 from ..errors import SimError
 from .blocks import GLOBAL_CACHE, Block, discover
-from .fastblock import SpanInfo, run_block
+from .fastblock import run_block
 
 _MISSING = object()
 
@@ -90,15 +95,13 @@ class BlockEngine:
         self.stats = EngineStats()
         # Fallback block map for load_from_memory images (no digest).
         self._local_map: Dict[int, Optional[Block]] = {}
-        self._local_version = -1
-        # Profiled-span attribution, invalidated with cpu._span_addrs.
-        self._spans: Dict[Block, Optional[SpanInfo]] = {}
-        self._span_for: Optional[object] = None
+        self._local_key: Optional[tuple] = None
 
     # ------------------------------------------------------------------
 
-    def _block_map(self) -> Dict[int, Optional[Block]]:
+    def _block_map(self, regions) -> Dict[int, Optional[Block]]:
         cpu = self.cpu
+        partition = regions.key if regions is not None else None
         program = cpu._loaded_program
         if program is not None:
             digest = cpu._block_digest
@@ -106,28 +109,21 @@ class BlockEngine:
                 digest = cpu._block_digest = program.digest()
             params = cpu.timing.params
             key = (digest, cpu.isa.name, params.signature())
+            if partition is not None:
+                key += (partition,)
             return GLOBAL_CACHE.map_for(key)
-        if self._local_version != cpu._imem_version:
+        local_key = (cpu._imem_version, partition)
+        if self._local_key != local_key:
             self._local_map = {}
-            self._local_version = cpu._imem_version
+            self._local_key = local_key
         return self._local_map
-
-    def _span_info(self, block: Block) -> Optional[SpanInfo]:
-        span = self._spans.get(block, _MISSING)
-        if span is _MISSING:
-            info = SpanInfo(block, self.cpu._span_addrs)
-            span = self._spans[block] = info if info.any else None
-        return span
 
     # ------------------------------------------------------------------
 
     def run(self, max_instructions: int):
         cpu = self.cpu
-        blocks = self._block_map()
-        span_addrs = cpu._span_addrs
-        if span_addrs is not self._span_for:
-            self._spans = {}
-            self._span_for = span_addrs
+        regions = cpu.regions
+        blocks = self._block_map(regions)
         stats = self.stats
         hw = cpu.hwloops
         count = hw.count
@@ -146,7 +142,7 @@ class BlockEngine:
                 pc = cpu.pc
                 block = blocks.get(pc, _MISSING)
                 if block is _MISSING:
-                    block = discover(imem, pc, params)
+                    block = discover(imem, pc, params, regions)
                     blocks[pc] = block
                     if block is not None:
                         stats.blocks_translated += 1
@@ -158,6 +154,10 @@ class BlockEngine:
                     executed += 1
                     stats.interp_steps += 1
                     continue
+                if regions is not None:
+                    name = regions.region_of(pc)
+                    if name != cpu._region:
+                        cpu._enter_region(name)
                 budget = max_instructions - executed
                 if count[0] > 0 and pc == start[0]:
                     done = self._try_fused(block, 0, budget)
@@ -168,9 +168,7 @@ class BlockEngine:
                 if done:
                     executed += done
                     continue
-                span = self._span_info(block) \
-                    if span_addrs is not None else None
-                executed += run_block(cpu, block, budget, span)
+                executed += run_block(cpu, block, budget)
             return cpu.perf
         finally:
             stats.publish()
@@ -219,11 +217,8 @@ class BlockEngine:
         if isinstance(plan, str):
             stats.side_exit(plan)
             return 0
-        span = self._span_info(block) \
-            if cpu._span_addrs is not None else None
-        span_mask = span.mask if span is not None else None
         try:
-            retired = execute_plan(cpu, plan, level, span_mask)
+            retired = execute_plan(cpu, plan, level)
         except Unfusable as declined:
             stats.side_exit(declined.reason)
             return 0

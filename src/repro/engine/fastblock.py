@@ -8,9 +8,9 @@ allocation, no per-retire counter writes.  Cycle and stall accounting
 is flushed per *segment* from the block's precomputed prefix sums and
 is bit-identical to interpreting the same instructions — including
 load-use hazards across segment and block boundaries, misaligned-access
-penalties, quantization-FSM stalls, profiled-span attribution and trap
-behaviour (a fault flushes the already-retired prefix, leaves ``pc`` on
-the faulting instruction, and re-raises).
+penalties, quantization-FSM stalls and trap behaviour (a fault flushes
+the already-retired prefix, leaves ``pc`` on the faulting instruction,
+and re-raises).
 
 A *segment* ends where a hardware-loop back-edge can fire: loop counts
 only change at a loop-end fall-through, so every interior instruction
@@ -19,30 +19,8 @@ is provably straight-line and needs no redirect check.
 
 from __future__ import annotations
 
-from typing import Optional
 
-
-class SpanInfo:
-    """Profiled-span attribution for one block (``Cpu.profile_spans``)."""
-
-    __slots__ = ("mask", "prefix")
-
-    def __init__(self, block, span_addrs) -> None:
-        self.mask = [addr in span_addrs for addr in block.addrs]
-        prefix = [0] * (block.n + 1)
-        total = 0
-        for i, inside in enumerate(self.mask):
-            if inside:
-                total += block.static[i]
-            prefix[i + 1] = total
-        self.prefix = prefix
-
-    @property
-    def any(self) -> bool:
-        return self.prefix[-1] > 0 or any(self.mask)
-
-
-def run_block(cpu, block, limit: int, span: Optional[SpanInfo]) -> int:
+def run_block(cpu, block, limit: int) -> int:
     """Execute *block* from its first instruction; returns the number of
     instructions retired (at most *limit*).  ``cpu.pc`` is left exactly
     where the interpreter would leave it."""
@@ -69,7 +47,7 @@ def run_block(cpu, block, limit: int, span: Optional[SpanInfo]) -> int:
             if stop == idx:
                 cpu.pc = block.addrs[idx]
                 return executed
-        _exec_segment(cpu, block, idx, stop, span)
+        _exec_segment(cpu, block, idx, stop)
         executed += stop - idx
         if not at_boundary:
             cpu.pc = block.addrs[stop] if stop < n else block.fts[n - 1]
@@ -90,8 +68,7 @@ def run_block(cpu, block, limit: int, span: Optional[SpanInfo]) -> int:
         idx = j
 
 
-def _exec_segment(cpu, block, lo: int, hi: int,
-                  span: Optional[SpanInfo]) -> None:
+def _exec_segment(cpu, block, lo: int, hi: int) -> None:
     params = cpu.timing.params
     mis_pen = params.misaligned_penalty
     pend = cpu.timing._pending_load_rd
@@ -103,13 +80,11 @@ def _exec_segment(cpu, block, lo: int, hi: int,
     execs = block.execs
     instrs = block.instrs
     addrs = block.addrs
-    mask = span.mask if span is not None else None
     cpu._misaligned = 0
     cpu._extra_stalls = 0
     cpu._tcdm_stalls = 0
     dyn_mis = 0
     dyn_tcdm = 0
-    dyn_profiled = 0
     i = lo
     try:
         while i < hi:
@@ -120,8 +95,6 @@ def _exec_segment(cpu, block, lo: int, hi: int,
                 tcdm = cpu._tcdm_stalls
                 dyn_mis += mis
                 dyn_tcdm += tcdm
-                if mask is not None and mask[i]:
-                    dyn_profiled += mis + tcdm
                 cpu._misaligned = 0
                 cpu._extra_stalls = 0
                 cpu._tcdm_stalls = 0
@@ -131,16 +104,13 @@ def _exec_segment(cpu, block, lo: int, hi: int,
         # the fault (the faulting one is charged nothing, exactly like
         # Cpu.step aborting before its timing update) and re-raise with
         # pc parked on the faulting instruction.
-        _flush(cpu, block, lo, i, entry_lu, dyn_mis, dyn_tcdm,
-               dyn_profiled, span)
+        _flush(cpu, block, lo, i, entry_lu, dyn_mis, dyn_tcdm)
         raise
-    _flush(cpu, block, lo, hi, entry_lu, dyn_mis, dyn_tcdm,
-           dyn_profiled, span)
+    _flush(cpu, block, lo, hi, entry_lu, dyn_mis, dyn_tcdm)
 
 
 def _flush(cpu, block, lo: int, hi: int, entry_lu: int, dyn_mis: int,
-           dyn_tcdm: int, dyn_profiled: int,
-           span: Optional[SpanInfo]) -> None:
+           dyn_tcdm: int) -> None:
     if hi == lo:
         return
     perf = cpu.perf
@@ -159,15 +129,4 @@ def _flush(cpu, block, lo: int, hi: int, entry_lu: int, dyn_mis: int,
         block.lu_prefix[hi] - block.lu_prefix[lo] - lu0 + entry_lu)
     perf.stall_misaligned += dyn_mis
     perf.stall_tcdm_contention += dyn_tcdm
-    if cpu.collect_mnemonics:
-        by_mn = perf.by_mnemonic
-        for mn, pref in block.mn_prefix.items():
-            delta = pref[hi] - pref[lo]
-            if delta:
-                by_mn[mn] += delta
-    if span is not None:
-        profiled = span.prefix[hi] - span.prefix[lo] + dyn_profiled
-        if span.mask[lo]:
-            profiled += entry_lu - lu0
-        cpu.profiled_cycles += profiled
     cpu.timing._pending_load_rd = block.pending[hi - 1]

@@ -508,9 +508,8 @@ class FusedPlan:
 
     __slots__ = (
         "body_len", "handlers", "invariants", "inductions", "acc_regs",
-        "committed_regs", "srcs0", "lu0_steady", "steady_static",
-        "steady_sum", "lu_per_iter", "cls_counts", "mn_counts",
-        "pending_after", "mis_pen", "lu_pen",
+        "committed_regs", "srcs0", "lu0_steady", "steady_sum",
+        "lu_per_iter", "cls_counts", "pending_after", "mis_pen", "lu_pen",
     )
 
     def __init__(self, block, body_len: int, params) -> None:
@@ -540,20 +539,15 @@ class FusedPlan:
             if pending_last is not None and pending_last != 0
             and pending_last in self.srcs0 else 0
         )
-        self.steady_static = [
+        self.steady_sum = sum(
             block.base[i] + (self.lu0_steady if i == 0 else block.lu[i])
             for i in range(body_len)
-        ]
-        self.steady_sum = sum(self.steady_static)
+        )
         self.lu_per_iter = self.lu0_steady + sum(
             block.lu[i] for i in range(1, body_len))
         self.cls_counts = {
             cls: pref[body_len]
             for cls, pref in block.cls_prefix.items() if pref[body_len]
-        }
-        self.mn_counts = {
-            mn: pref[body_len]
-            for mn, pref in block.mn_prefix.items() if pref[body_len]
         }
         self.pending_after = pending_last
 
@@ -564,7 +558,7 @@ def compile_plan(block, body_len: int, params) -> FusedPlan:
     return FusedPlan(block, body_len, params)
 
 
-def execute_plan(cpu, plan: FusedPlan, level: int, span_mask) -> int:
+def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
     """Run all remaining iterations of the active loop *level* under
     *plan*; returns instructions retired.  Raises :class:`Unfusable`
     (with no state mutated) when a dynamic precondition fails."""
@@ -639,19 +633,6 @@ def execute_plan(cpu, plan: FusedPlan, level: int, span_mask) -> int:
     perf.stall_misaligned += mis_cycles
     for cls, count in plan.cls_counts.items():
         perf.by_class[cls] += count * n
-    if cpu.collect_mnemonics:
-        for mn, count in plan.mn_counts.items():
-            perf.by_mnemonic[mn] += count * n
-    if span_mask is not None:
-        profiled = sum(
-            cycles * n for i, cycles in enumerate(plan.steady_static)
-            if span_mask[i]
-        )
-        if span_mask[0]:
-            profiled += first_iter_extra
-        profiled += sum(
-            m * plan.mis_pen for i, m in enumerate(ctx.mis) if span_mask[i])
-        cpu.profiled_cycles += profiled
     timing._pending_load_rd = plan.pending_after
     hw.count[level] = 0
     cpu.pc = hw.end[level]

@@ -40,6 +40,7 @@ import numpy as np
 
 from ..asm.builder import KernelBuilder
 from ..core.cpu import Cpu
+from ..core.regions import RegionCounters
 from ..errors import KernelError
 from ..qnn import ThresholdTable, pack, tree_stride, unpack
 from ..qnn.layers import ConvGeometry
@@ -161,11 +162,6 @@ class ConvKernel:
         b = KernelBuilder(isa=config.isa, base=base)
         self._emit(b)
         self.program = b.build()
-        #: Address spans of the requantization code, for cycle attribution
-        #: (paper Fig 6's stacked quantization share).  Derived from the
-        #: builder's "quant" region markers — the same spans the tracing
-        #: layer attributes (see :mod:`repro.trace`).
-        self.quant_spans = list(self.program.regions.get("quant", []))
 
         self.layout = plan_layout(
             self.program.size, self._layout_spec(), base=base,
@@ -451,8 +447,7 @@ class ConvKernel:
         cpu.reset()
         cpu.load_program(self.program)
         if profile_quant:
-            cpu.profile_spans = list(self.quant_spans)
-            cpu.profiled_cycles = 0
+            cpu.regions = RegionCounters(program=self.program)
         cpu.regs[10] = lay.addr("weights")   # a0
         cpu.regs[11] = lay.addr("im2col0")   # a1
         cpu.regs[12] = lay.addr("im2col1")   # a2
@@ -476,6 +471,7 @@ class ConvKernel:
         output = flat.reshape(g.out_h, g.out_w, g.out_ch)
         detail = {}
         if profile_quant:
-            detail["quant_cycles"] = cpu.profiled_cycles
-            cpu.profile_spans = None
+            regions, cpu.regions = cpu.regions, None
+            detail["quant_cycles"] = (
+                regions["quant"].cycles if "quant" in regions else 0)
         return KernelRun(output=output, perf=perf.copy(), layout=lay, detail=detail)

@@ -3,7 +3,7 @@
 This is the *service-level* metrics registry — host-side observability
 for the serving/eval stack (cache hit rates, queue wait, worker crashes,
 DMA-hidden fractions), as opposed to the *device-level* per-region
-:class:`repro.trace.metrics.MetricsRegistry`, which counts simulated
+:class:`repro.core.regions.RegionCounters`, which counts simulated
 cycles inside one run.
 
 Design constraints, in order:

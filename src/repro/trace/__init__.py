@@ -3,16 +3,18 @@
 The core and cluster models accept a :class:`Tracer` (``cpu.tracer = ...``
 or ``cluster.attach_tracer(...)``) and call its hooks as instructions
 retire, memory ports grant, barriers release and DMA descriptors launch.
-Three tracers cover the common uses:
+Two tracers cover the common uses:
 
 * :class:`TextTracer` — the human-readable instruction log behind
   ``repro run --trace``;
 * :class:`EventTracer` — typed event record (region spans, stalls,
   barriers, DMA) feeding the Perfetto exporter in
-  :mod:`repro.trace.perfetto`;
-* :class:`MetricsTracer` — rolls events straight into per-region
-  :class:`~repro.core.perf.PerfCounters` via a
-  :class:`MetricsRegistry` (the ``repro profile`` table).
+  :mod:`repro.trace.perfetto`.
+
+Per-region counters need no tracer: attach a :class:`RegionCounters`
+(``cpu.regions = ...`` or ``cluster.regions = ...``; re-exported here
+from :mod:`repro.core.regions`) and the core charges it directly, on the
+block engine too.  That table is the ``repro profile`` output.
 
 The kernel catalog behind ``repro profile --kernel`` lives in
 :mod:`repro.trace.profile`; it is imported lazily (not here) because it
@@ -29,25 +31,23 @@ from .events import (
     RetireEvent,
     StallEvent,
 )
-from .metrics import MetricsRegistry, MetricsTracer
+from ..core.regions import RegionCounters
 from .perfetto import (
     chrome_trace,
     validate_chrome_trace,
     validate_chrome_trace_file,
     write_chrome_trace,
 )
-from .tracer import CallableTracer, EventTracer, TextTracer, Tracer
+from .tracer import EventTracer, TextTracer, Tracer
 
 __all__ = [
     "STALL_CAUSES",
     "BarrierSpan",
-    "CallableTracer",
     "DmaEvent",
     "EventTracer",
     "HwloopEvent",
     "MemAccessEvent",
-    "MetricsRegistry",
-    "MetricsTracer",
+    "RegionCounters",
     "RegionSpan",
     "RetireEvent",
     "StallEvent",

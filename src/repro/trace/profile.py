@@ -2,11 +2,11 @@
 
 Builds a named built-in kernel (the configurations of the paper's Fig 6
 sweep plus the standalone / cluster-parallel MatMuls), runs it on
-deterministic tensors with a tracer attached, and returns the per-region
-metrics or the event trace.  Single-core kernels run at the benchmark
-geometry (``REPRO_FULL=1`` switches to the paper's exact layer), so the
-reported quantization share is the number Fig 6 plots; cluster traces use
-the scaling experiment's MatMul tile.
+deterministic tensors with a region profile or a tracer attached, and
+returns the per-region metrics or the event trace.  Single-core kernels
+run at the benchmark geometry (``REPRO_FULL=1`` switches to the paper's
+exact layer), so the reported quantization share is the number Fig 6
+plots; cluster traces use the scaling experiment's MatMul tile.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..core.cpu import Cpu
+from ..core.regions import RegionCounters
 from ..errors import TraceError
 from ..target.names import RI5CY, XPULPNN
-from .metrics import MetricsRegistry, MetricsTracer
 from .tracer import EventTracer
 
 _SEED = 2020  # DATE 2020 (matches the benchmark suite's data)
@@ -111,7 +112,17 @@ def _matmul_workload(bits: int, out_ch: int, reduction: int):
     return w, x0, x1, thresholds
 
 
-def _run_conv(name, spec, tracer_factory, geometry=None):
+def _observe(sim, observer) -> None:
+    """Attach a region profile or a tracer to a core or a cluster."""
+    if isinstance(observer, RegionCounters):
+        sim.regions = observer
+    elif isinstance(sim, Cpu):
+        sim.tracer = observer
+    else:
+        sim.attach_tracer(observer)
+
+
+def _run_conv(name, spec, observer_factory, geometry=None):
     from ..eval.workloads import benchmark_geometry
     from ..kernels import ConvConfig, ConvKernel
 
@@ -119,42 +130,38 @@ def _run_conv(name, spec, tracer_factory, geometry=None):
     geometry = geometry or benchmark_geometry()
     kernel = ConvKernel(ConvConfig(geometry=geometry, bits=bits, isa=isa,
                                    quant=quant))
-    tracer = tracer_factory(kernel.program)
+    observer = observer_factory(kernel.program)
     weights, acts, thresholds = _conv_workload(geometry, bits)
-    from ..core.cpu import Cpu
-    from ..soc.memory import Memory
-
     from ..soc.memmap import L2_SIZE
+    from ..soc.memory import Memory
 
     needed = kernel.layout.end + 4096
     cpu = Cpu(isa=isa, mem=Memory(max(needed, L2_SIZE)))
-    cpu.tracer = tracer
+    _observe(cpu, observer)
     if bits == 8:
         run = kernel.run(weights, acts, shift=8, cpu=cpu)
     else:
         run = kernel.run(weights, acts, thresholds=thresholds, cpu=cpu)
-    return kernel, run, tracer
+    return kernel, run, observer
 
 
-def _run_matmul(name, spec, tracer_factory):
+def _run_matmul(name, spec, observer_factory):
     from ..kernels import MatmulConfig, MatmulKernel
 
     bits, isa, quant = spec
     kernel = MatmulKernel(MatmulConfig(
         reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
         isa=isa, quant=quant))
-    tracer = tracer_factory(kernel.program)
+    observer = observer_factory(kernel.program)
     w, x0, x1, thresholds = _matmul_workload(
         bits, MATMUL_OUT_CH, MATMUL_REDUCTION)
-    from ..core.cpu import Cpu
-
     cpu = Cpu(isa=isa)
-    cpu.tracer = tracer
+    _observe(cpu, observer)
     if quant == "shift":
         run = kernel.run(w, x0, x1, shift=8, cpu=cpu)
     else:
         run = kernel.run(w, x0, x1, thresholds=thresholds, cpu=cpu)
-    return kernel, run, tracer
+    return kernel, run, observer
 
 
 def _retarget(kind, spec, target):
@@ -178,7 +185,7 @@ def _retarget(kind, spec, target):
     return (bits, tspec.isa, quant), tspec
 
 
-def _run_cluster_conv(name, spec, tracer_factory, cores: int,
+def _run_cluster_conv(name, spec, observer_factory, cores: int,
                       geometry=None):
     from ..cluster import Cluster
     from ..eval.workloads import benchmark_geometry
@@ -189,19 +196,19 @@ def _run_cluster_conv(name, spec, tracer_factory, cores: int,
     kernel = ParallelConvKernel(ParallelConvConfig(
         geometry=geometry, bits=bits, isa=isa, quant=quant,
         num_cores=cores))
-    tracer = tracer_factory(kernel.program)
+    observer = observer_factory(kernel.program)
     weights, acts, thresholds = _conv_workload(geometry, bits)
     cluster = Cluster(num_cores=cores, isa=isa)
-    cluster.attach_tracer(tracer)
+    _observe(cluster, observer)
     if bits == 8:
         run = kernel.run(weights, acts, shift=8, cluster=cluster)
     else:
         run = kernel.run(weights, acts, thresholds=thresholds,
                          cluster=cluster)
-    return kernel, run, tracer
+    return kernel, run, observer
 
 
-def _run_cluster_matmul(name, spec, tracer_factory, cores: int):
+def _run_cluster_matmul(name, spec, observer_factory, cores: int):
     from ..cluster import Cluster
     from ..kernels import ParallelMatmulConfig, ParallelMatmulKernel
 
@@ -209,16 +216,16 @@ def _run_cluster_matmul(name, spec, tracer_factory, cores: int):
     kernel = ParallelMatmulKernel(ParallelMatmulConfig(
         reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
         num_cores=cores, isa=isa, quant=quant))
-    tracer = tracer_factory(kernel.program)
+    observer = observer_factory(kernel.program)
     w, x0, x1, thresholds = _matmul_workload(
         bits, MATMUL_OUT_CH, MATMUL_REDUCTION)
     cluster = Cluster(num_cores=cores, isa=isa)
-    cluster.attach_tracer(tracer)
+    _observe(cluster, observer)
     if quant == "shift":
         run = kernel.run(w, x0, x1, shift=8, cluster=cluster)
     else:
         run = kernel.run(w, x0, x1, thresholds=thresholds, cluster=cluster)
-    return kernel, run, tracer
+    return kernel, run, observer
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +240,7 @@ class KernelProfile:
     description: str
     cycles: int
     instructions: int
-    registry: MetricsRegistry
+    registry: RegionCounters
     cores: int = 1
     detail: Dict[str, int] = field(default_factory=dict)
 
@@ -268,7 +275,8 @@ class KernelProfile:
 
 def profile_kernel(name: str, cores: int = 1, geometry=None,
                    target=None) -> KernelProfile:
-    """Run the named built-in kernel under a :class:`MetricsTracer`.
+    """Run the named built-in kernel with a :class:`RegionCounters`
+    profile attached (single-core runs stay on the configured engine).
 
     *target* retargets the catalog entry to a registered target name
     (``repro targets``): the ISA, core count, and quantization capability
@@ -282,16 +290,14 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
         if tspec.cluster:
             cores = tspec.cores
 
-    def factory(program):
-        return MetricsTracer(program=program)
-
+    factory = RegionCounters
     detail: Dict[str, int] = {}
     if cores > 1:
         if kind == "conv":
-            _, run, tracer = _run_cluster_conv(
+            _, run, regions = _run_cluster_conv(
                 name, spec, factory, cores, geometry=geometry)
         else:
-            _, run, tracer = _run_cluster_matmul(name, spec, factory, cores)
+            _, run, regions = _run_cluster_matmul(name, spec, factory, cores)
         cycles = run.cycles
         instructions = run.run.aggregate.instructions
         detail = {
@@ -300,16 +306,16 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
             "dma_out_cycles": run.dma_out_cycles,
         }
     elif kind == "conv":
-        _, run, tracer = _run_conv(name, spec, factory, geometry=geometry)
+        _, run, regions = _run_conv(name, spec, factory, geometry=geometry)
         cycles = run.perf.cycles
         instructions = run.perf.instructions
     else:
-        _, run, tracer = _run_matmul(name, spec, factory)
+        _, run, regions = _run_matmul(name, spec, factory)
         cycles = run.perf.cycles
         instructions = run.perf.instructions
     return KernelProfile(
         name=name, description=description, cycles=cycles,
-        instructions=instructions, registry=tracer.registry,
+        instructions=instructions, registry=regions,
         cores=cores, detail=detail)
 
 

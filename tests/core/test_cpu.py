@@ -3,7 +3,9 @@
 import pytest
 
 from repro.asm import assemble
+from repro.core import RegionCounters
 from repro.errors import SimError
+from repro.trace import Tracer
 from tests.conftest import run_asm
 
 
@@ -43,13 +45,19 @@ class TestExecution:
         assert cpu.perf.instructions == 4
 
     def test_by_mnemonic_optional(self, cpu):
-        cpu.collect_mnemonics = True
+        # The core never fills the per-mnemonic table; only counters
+        # rebuilt from payloads (PerfCounters.from_dict) carry one.
         run_asm(cpu, "nop\nnop\nebreak")
-        assert cpu.perf.by_mnemonic["addi"] == 2
+        assert not cpu.perf.by_mnemonic
 
     def test_trace_hook(self, cpu):
         seen = []
-        cpu.trace = lambda pc, ins: seen.append((pc, ins.mnemonic))
+
+        class Recorder(Tracer):
+            def on_retire(self, cpu, pc, ins, timing):
+                seen.append((pc, ins.mnemonic))
+
+        cpu.tracer = Recorder()
         run_asm(cpu, "addi a0, zero, 1\nebreak")
         assert seen[0] == (0, "addi")
         assert seen[-1][1] == "ebreak"
@@ -62,13 +70,15 @@ class TestProfiling:
             isa=cpu.isa.name,
         )
         cpu.load_program(program)
-        cpu.profile_spans = [(4, 8)]  # second instruction only
+        cpu.regions = RegionCounters(region_map={4: "span"})  # 2nd only
         cpu.run()
-        assert cpu.profiled_cycles == 1
+        assert cpu.regions["span"].cycles == 1
+        assert cpu.regions["span"].instructions == 1
+        assert cpu.regions.total().cycles == cpu.perf.cycles
 
     def test_profile_disabled_by_default(self, cpu):
         run_asm(cpu, "nop\nebreak")
-        assert cpu.profiled_cycles == 0
+        assert cpu.regions is None
 
 
 class TestMaterialize:

@@ -1,74 +1,8 @@
-"""Profiling helper tests."""
+"""PerfCounters aggregation and serialization (what profiles are made of)."""
 
 import json
 
-
-from repro.asm import assemble
-from repro.core import Cpu, profile_counters, profile_program
 from repro.core.perf import PerfCounters
-
-
-SOURCE = """
-    li t0, 10
-    li a1, 0x1000
-    lp.setup 0, t0, end
-    p.lw a2, 4(a1!)
-    pv.sdotusp.b a0, a2, a2
-end:
-    ebreak
-"""
-
-
-class TestProfileProgram:
-    def test_basic_report(self):
-        report = profile_program(assemble(SOURCE, isa="xpulpnn"))
-        assert report.instructions == 10 * 2 + 4
-        assert report.class_cycles["load"] == 10
-        assert report.class_cycles["mul"] == 10
-
-    def test_class_share(self):
-        report = profile_program(assemble(SOURCE, isa="xpulpnn"))
-        assert 0.25 < report.class_share("load") < 0.6
-        assert report.class_share("nonexistent") == 0.0
-
-    def test_top_mnemonics(self):
-        report = profile_program(assemble(SOURCE, isa="xpulpnn"))
-        names = dict(report.top_mnemonics)
-        assert names["p.lw"] == 10
-        assert names["pv.sdotusp.b"] == 10
-
-    def test_setup_hook(self):
-        source = "lw a0, 0(a1)\nebreak"
-        report = profile_program(
-            assemble(source, isa="xpulpnn"),
-            setup=lambda cpu: (cpu.mem.store(0x40, 4, 9),
-                               cpu.regs.__setitem__(11, 0x40)),
-        )
-        assert report.class_cycles["load"] == 1
-
-    def test_render(self):
-        report = profile_program(assemble(SOURCE, isa="xpulpnn"))
-        text = report.render()
-        assert "IPC" in text and "hottest" in text and "stalls" in text
-
-    def test_multicycle_weighting(self):
-        source = "pv.qnt.n a0, a1, a2\nebreak"
-        report = profile_program(
-            assemble(source, isa="xpulpnn"),
-            setup=lambda cpu: cpu.mem.write_i16(0x4000, [0] * 16) or
-                              cpu.regs.__setitem__(12, 0x4000),
-        )
-        assert report.class_cycles["qnt_n"] == 9
-
-
-class TestProfileCounters:
-    def test_from_existing_cpu(self):
-        cpu = Cpu(isa="xpulpnn")
-        cpu.collect_mnemonics = True
-        cpu.run_program(assemble("nop\nnop\nebreak", isa="xpulpnn"))
-        report = profile_counters(cpu)
-        assert report.instructions == 3
-        assert dict(report.top_mnemonics)["addi"] == 2
 
 
 def _counters(**kwargs) -> PerfCounters:

@@ -169,43 +169,63 @@ def test_conv_kernel_parity(bits, isa, quant):
 
 @pytest.mark.parametrize("kernel", ["conv_4bit", "matmul_4bit"])
 def test_profile_kernel_parity(kernel):
-    """The profiler's full region/stall breakdown is engine-invariant.
+    """The profiler's full region/stall breakdown is engine-invariant,
+    and the block side really runs on the engine (fused loop bodies
+    included) with the profile attached.
 
     CI repeats this over the whole catalog (the engine-parity job);
     tier-1 pins one conv and one matmul.
     """
+    from repro.telemetry import MetricsRegistry, use_registry
     from repro.trace.profile import profile_kernel
 
     results = {}
     for mode in ("interp", "block"):
         set_default_mode(mode)
-        results[mode] = profile_kernel(kernel).to_dict()
+        with use_registry(MetricsRegistry()) as registry:
+            results[mode] = profile_kernel(kernel).to_dict()
+        fused = registry.counter_total("engine.fused_dispatches")
+        assert (fused > 0) == (mode == "block"), (mode, fused)
     set_default_mode(None)
     assert results["interp"] == results["block"]
 
 
-def test_profiled_span_attribution_parity():
-    """profile_spans attribution survives fused execution (the span mask
-    splits a fused body's closed-form cycles exactly)."""
-    from repro.asm import assemble
-
-    source = """
-        addi s0, zero, 0x40
+def test_region_attribution_parity():
+    """Region profiles survive block and fused execution: a fused hwloop
+    body with misaligned loads, a load-use stall at a region (and so
+    segment) entry, one loop ending right at a region boundary and one
+    whose body straddles two regions."""
+    interp, block = run_both("""
+    .region setup
+        addi s0, zero, 0x41
+        addi s1, zero, 0x80
+        lw   a3, 0(s1)
+    .endregion
+    .region body
+        add  a4, a3, a3
         lp.setupi 0, 12, end0
         p.lw a0, 4(s0!)
-        add a1, a1, a0
+        pv.sdotsp.b a1, a0, a0
     end0:
+    .endregion
+    .region tail
+        lw   a2, 1(s1)
         addi a2, a2, 1
+        lp.setupi 1, 8, end1
+        addi a5, a5, 1
+    .endregion
+    .region split
+        addi a6, a6, 2
+    end1:
+    .endregion
         ebreak
-    """
-    states = []
-    for mode in ("interp", "block"):
-        program = assemble(source, isa="xpulpnn")
-        cpu = Cpu(isa="xpulpnn", engine=mode)
-        base = program.base
-        cpu.load_program(program)
-        cpu.profile_spans = [(base + 8, base + 16)]
-        cpu.run()
-        states.append((cpu.profiled_cycles, state_of(cpu)))
-    assert states[0][0] > 0
-    assert states[0] == states[1]
+    """)
+    assert block.engine_stats["fused_dispatches"] > 0
+    regions = interp.regions
+    assert regions.regions == ["setup", "body", "tail", "split", "other"]
+    assert regions["body"].stall_load_use > 0
+    assert regions["body"].stall_misaligned > 0
+    assert regions["tail"].stall_misaligned > 0
+    assert regions["body"].by_class["load"] == 12
+    assert regions["split"].instructions == 8
+    assert regions.total().cycles == interp.perf.cycles

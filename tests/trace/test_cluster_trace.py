@@ -3,7 +3,12 @@
 from repro.asm import assemble
 from repro.cluster import Cluster
 from repro.soc.memmap import EU_BARRIER_WAIT, TCDM_BASE
-from repro.trace import EventTracer, MetricsTracer, chrome_trace, validate_chrome_trace
+from repro.trace import (
+    EventTracer,
+    RegionCounters,
+    chrome_trace,
+    validate_chrome_trace,
+)
 
 BARRIER_PROG = f"""
 .region work
@@ -92,18 +97,26 @@ class TestClusterEventTrace:
         assert traced.aggregate.instructions == bare.aggregate.instructions
 
 
+def _profiled_run(cores=4):
+    program = assemble(BARRIER_PROG, isa="xpulpnn", base=TCDM_BASE)
+    cluster = Cluster(num_cores=cores, isa="xpulpnn")
+    cluster.regions = RegionCounters(program=program)
+    run = cluster.run_program(program)
+    return cluster.regions, run
+
+
 class TestClusterMetrics:
     def test_barrier_region_accumulates_parked_time(self):
-        tracer = MetricsTracer()
-        _, run = _traced_run(tracer, cores=4)
-        reg = tracer.registry
+        reg, run = _profiled_run(cores=4)
         assert "barrier" in reg
         assert reg["barrier"].idle_cycles == run.aggregate.idle_cycles
+        assert reg["barrier"].cycles == run.aggregate.idle_cycles
 
     def test_totals_match_aggregate(self):
-        tracer = MetricsTracer()
-        _, run = _traced_run(tracer, cores=4)
-        total = tracer.registry.total()
+        reg, run = _profiled_run(cores=4)
+        total = reg.total()
         agg = run.aggregate
         assert total.cycles == agg.cycles
         assert total.instructions == agg.instructions
+        assert total.by_class == agg.by_class
+        assert total.total_stalls == agg.total_stalls

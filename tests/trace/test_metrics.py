@@ -1,8 +1,9 @@
-"""Per-region metrics: registry accounting and conservation laws."""
+"""Per-region metrics: the region profile's accounting and conservation
+laws, and the per-region registry table behind ``repro profile``."""
 
 from repro.asm import assemble
 from repro.core import Cpu
-from repro.trace import MetricsRegistry, MetricsTracer
+from repro.trace import RegionCounters
 
 SOURCE = """
 .region fill
@@ -23,28 +24,26 @@ fill:
 """
 
 
-def _run(tracer=None, **tracer_kw):
+def _run(**regions_kw):
     program = assemble(SOURCE, isa="xpulpnn")
-    if tracer is None:
-        tracer = MetricsTracer(program=program, **tracer_kw)
     cpu = Cpu(isa="xpulpnn")
-    cpu.tracer = tracer
+    cpu.regions = RegionCounters(program=program, **regions_kw)
     cpu.load_program(program)
-    return cpu.run(), tracer
+    return cpu.run(), cpu.regions
 
 
-class TestMetricsTracer:
+class TestRegionProfile:
     def test_regions_sum_to_core_counters(self):
-        perf, tracer = _run()
-        total = tracer.registry.total()
+        perf, reg = _run()
+        total = reg.total()
         assert total.cycles == perf.cycles
         assert total.instructions == perf.instructions
         assert total.total_stalls == perf.total_stalls
         assert total.by_class == perf.by_class
+        assert total.hwloop_backedges == perf.hwloop_backedges
 
     def test_attribution_lands_in_the_marked_region(self):
-        _, tracer = _run()
-        reg = tracer.registry
+        _, reg = _run()
         assert "fill" in reg and "drain" in reg
         assert reg["fill"].by_class["store"] == 8
         assert reg["drain"].by_class["load"] == 1
@@ -52,14 +51,24 @@ class TestMetricsTracer:
         assert reg["drain"].stall_load_use > 0
 
     def test_unmarked_instructions_use_default_region(self):
-        _, tracer = _run(default_region="epilogue")
-        assert "epilogue" in tracer.registry
-        assert tracer.registry["epilogue"].by_class["system"] == 1
+        _, reg = _run(default_region="epilogue")
+        assert "epilogue" in reg
+        assert reg["epilogue"].by_class["system"] == 1
+
+    def test_profile_is_closed_when_the_run_returns(self):
+        program = assemble(SOURCE, isa="xpulpnn")
+        cpu = Cpu(isa="xpulpnn")
+        cpu.regions = RegionCounters(program=program)
+        cpu.run_program(program)
+        first = cpu.regions.total().snapshot()
+        # A second run keeps charging the same table, from a fresh mark.
+        cpu.run_program(program)
+        assert cpu.regions.total().cycles == 2 * first["cycles"]
 
 
 class TestMetricsRegistry:
     def test_share_and_rows_ordering(self):
-        reg = MetricsRegistry()
+        reg = RegionCounters()
         reg.counters_for("hot").cycles = 90
         reg.counters_for("cold").cycles = 10
         assert reg.share("hot") == 0.9
@@ -67,15 +76,15 @@ class TestMetricsRegistry:
         assert [name for name, _, _ in reg.rows()] == ["hot", "cold"]
 
     def test_empty_registry(self):
-        reg = MetricsRegistry()
+        reg = RegionCounters()
         assert reg.regions == []
         assert reg.total().cycles == 0
         assert reg.share("anything") == 0.0
         assert reg.to_dict() == {}
 
     def test_to_dict_shape(self):
-        _, tracer = _run()
-        payload = tracer.registry.to_dict()
+        _, reg = _run()
+        payload = reg.to_dict()
         fill = payload["fill"]
         assert set(fill) == {"cycles", "share", "instructions", "ipc",
                              "stalls", "idle_cycles"}
@@ -84,8 +93,8 @@ class TestMetricsRegistry:
         assert abs(sum(r["share"] for r in payload.values()) - 1.0) < 1e-9
 
     def test_render_has_total_row(self):
-        _, tracer = _run()
-        text = tracer.registry.render()
+        _, reg = _run()
+        text = reg.render()
         assert "TOTAL" in text
         assert "100.0%" in text
         assert "fill" in text

@@ -1,11 +1,10 @@
-"""Tracer protocol: hooks, span folding, and the legacy trace shim."""
+"""Tracer protocol: hooks and span folding."""
 
 import pytest
 
 from repro.asm import KernelBuilder, assemble
 from repro.core import Cpu
 from repro.trace import (
-    CallableTracer,
     EventTracer,
     TextTracer,
     Tracer,
@@ -34,40 +33,6 @@ def _run(source, tracer=None, isa="xpulpnn"):
     cpu.load_program(program)
     perf = cpu.run()
     return cpu, perf, program
-
-
-class TestLegacyShim:
-    def test_callable_assignment_still_works(self):
-        seen = []
-        program = assemble("nop\nnop\nebreak", isa="xpulpnn")
-        cpu = Cpu(isa="xpulpnn")
-        cpu.trace = lambda pc, ins: seen.append((pc, ins.mnemonic))
-        cpu.load_program(program)
-        cpu.run()
-        assert [m for _, m in seen] == ["addi", "addi", "ebreak"]
-        assert [pc for pc, _ in seen] == [0, 4, 8]
-
-    def test_trace_getter_returns_the_callable(self):
-        cpu = Cpu(isa="xpulpnn")
-
-        def fn(pc, ins):
-            return None
-
-        cpu.trace = fn
-        assert cpu.trace is fn
-        assert isinstance(cpu.tracer, CallableTracer)
-
-    def test_trace_accepts_tracer_instances(self):
-        cpu = Cpu(isa="xpulpnn")
-        tracer = EventTracer()
-        cpu.trace = tracer
-        assert cpu.tracer is tracer
-
-    def test_clearing_trace(self):
-        cpu = Cpu(isa="xpulpnn")
-        cpu.trace = lambda pc, ins: None
-        cpu.trace = None
-        assert cpu.tracer is None
 
 
 class TestTextTracer:
