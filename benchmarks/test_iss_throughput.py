@@ -24,7 +24,7 @@ def _loop_program(body_ops, iterations):
 
 def test_benchmark_alu_throughput(benchmark):
     program = _loop_program(lambda b: b.emit("add", "a3", "a4", "a5"), 2000)
-    cpu = Cpu(isa="xpulpnn")
+    cpu = Cpu(isa="xpulpnn", engine="interp")
 
     perf = benchmark(lambda: cpu.run_program(program))
     assert perf.instructions > 2000
@@ -35,7 +35,7 @@ def test_benchmark_simd_throughput(benchmark):
         b.emit("pv.sdotusp.n", "a3", "a4", "a5")
 
     program = _loop_program(body, 2000)
-    cpu = Cpu(isa="xpulpnn")
+    cpu = Cpu(isa="xpulpnn", engine="interp")
     perf = benchmark(lambda: cpu.run_program(program))
     assert perf.by_class["mul"] >= 2000
 
@@ -48,13 +48,13 @@ def test_benchmark_memory_throughput(benchmark):
         b.emit("addi", "a2", "a2", -4)
 
     program = _loop_program(body, 1000)
-    cpu = Cpu(isa="xpulpnn")
+    cpu = Cpu(isa="xpulpnn", engine="interp")
     perf = benchmark(lambda: cpu.run_program(program))
     assert perf.by_class["load"] >= 1000
 
 
 def test_benchmark_qnt_throughput(benchmark):
-    cpu = Cpu(isa="xpulpnn")
+    cpu = Cpu(isa="xpulpnn", engine="interp")
     cpu.mem.write_i16(0x3000, list(range(16)))
 
     def body(b):
@@ -79,7 +79,7 @@ def test_benchmark_alu_throughput_tracer_disabled(benchmark):
     within noise of each other (the acceptance bar is <2% overhead).
     """
     program = _loop_program(lambda b: b.emit("add", "a3", "a4", "a5"), 2000)
-    cpu = Cpu(isa="xpulpnn")
+    cpu = Cpu(isa="xpulpnn", engine="interp")
     assert cpu.tracer is None
     perf = benchmark(lambda: cpu.run_program(program))
     assert perf.instructions > 2000
@@ -90,7 +90,7 @@ def test_benchmark_alu_throughput_span_tracer(benchmark):
     from repro.trace import EventTracer
 
     program = _loop_program(lambda b: b.emit("add", "a3", "a4", "a5"), 2000)
-    cpu = Cpu(isa="xpulpnn")
+    cpu = Cpu(isa="xpulpnn", engine="interp")
 
     def run():
         cpu.tracer = EventTracer(program=program)
@@ -125,8 +125,8 @@ def test_tracer_disabled_overhead_within_bound():
             best = min(best, time.perf_counter() - start)
         return best, perf
 
-    bare_cpu = Cpu(isa="xpulpnn")
-    traced_cpu = Cpu(isa="xpulpnn")
+    bare_cpu = Cpu(isa="xpulpnn", engine="interp")
+    traced_cpu = Cpu(isa="xpulpnn", engine="interp")
     traced_cpu.tracer = EventTracer(program=program)
     traced_cpu.run_program(program)
     traced_cpu.tracer = None
@@ -155,7 +155,7 @@ def test_tracer_disabled_overhead_within_bound():
 
 
 def _parity_run(program, benchmark):
-    reference = Cpu(isa="xpulpnn").run_program(program)
+    reference = Cpu(isa="xpulpnn", engine="interp").run_program(program)
     cpu = Cpu(isa="xpulpnn", engine="block")
     perf = benchmark(lambda: cpu.run_program(program))
     assert perf.snapshot() == reference.snapshot()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..errors import DecodeError
 from ..isa.instruction import Instruction
 from ..isa.registers import register_name
 from ..isa.registry import Isa, build_isa
@@ -78,6 +79,25 @@ def disassemble_program(program) -> str:
     return "\n".join(lines)
 
 
+def instruction_size(first_byte: int) -> int:
+    """Byte length of the instruction whose encoding starts with
+    *first_byte*: 4 when its low two bits are ``11``, else 2 (RVC)."""
+    return 4 if first_byte & 3 == 3 else 2
+
+
+def decode_at(blob: bytes, offset: int, isa: Isa) -> Instruction:
+    """Decode the instruction at *offset* of *blob*; raise
+    :class:`DecodeError` if it is illegal or cut off by the image end."""
+    size = instruction_size(blob[offset])
+    if offset + size > len(blob):
+        raise DecodeError(
+            f"truncated {8 * size}-bit instruction at offset {offset:#x}")
+    word = int.from_bytes(blob[offset:offset + size], "little")
+    if size == 4:
+        return isa.decoder.decode(word)
+    return rv32c.decode_c(word)
+
+
 def disassemble_bytes(
     blob: bytes, isa: str | Isa = XPULPNN, base: int = 0
 ) -> List[Instruction]:
@@ -86,12 +106,7 @@ def disassemble_bytes(
     out: List[Instruction] = []
     offset = 0
     while offset < len(blob):
-        half = int.from_bytes(blob[offset:offset + 2], "little")
-        if half & 3 == 3:
-            word = int.from_bytes(blob[offset:offset + 4], "little")
-            ins = isa_obj.decoder.decode(word)
-        else:
-            ins = rv32c.decode_c(half)
+        ins = decode_at(blob, offset, isa_obj)
         ins.addr = base + offset
         out.append(ins)
         offset += ins.size

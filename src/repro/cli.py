@@ -954,14 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def engine_flag(p):
-        p.add_argument("--engine", choices=("interp", "block"),
-                       default=None,
-                       help="execution engine: 'block' enables the "
-                            "basic-block translation engine (bit- and "
-                            "cycle-identical, ~10-25x faster); default "
-                            "is the interpreter (or $REPRO_ENGINE)")
-
     asm = sub.add_parser("asm", help="assemble a source file to a binary")
     asm.add_argument("input")
     asm.add_argument("-o", "--output")
@@ -984,7 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="preload a register, e.g. --reg a0=0x1000")
     run.add_argument("--trace", action="store_true")
     run.add_argument("--max-instructions", type=int, default=50_000_000)
-    engine_flag(run)
     run.set_defaults(func=_cmd_run)
 
     trace = sub.add_parser(
@@ -1028,7 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--base", type=lambda v: int(v, 0), default=0)
     profile.add_argument("--reg", action="append", metavar="NAME=VALUE")
     profile.add_argument("--max-instructions", type=int, default=50_000_000)
-    engine_flag(profile)
     profile.set_defaults(func=_cmd_profile)
 
     isa = sub.add_parser("isa", help="print the instruction-set reference")
@@ -1048,7 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write a benchmark-trajectory JSON "
                              "summary (cycle counts per figure/kernel); "
                              "requires --json")
-    engine_flag(report)
     report.set_defaults(func=_cmd_report)
 
     compile_ = sub.add_parser(
@@ -1075,7 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "cross-check the static cost ranking")
     compile_.add_argument("--json", action="store_true",
                           help="emit machine-readable results")
-    engine_flag(compile_)
     compile_.set_defaults(func=_cmd_compile)
 
     lint = sub.add_parser(
@@ -1137,7 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
     cost.set_defaults(func=_cmd_cost)
 
     def serve_flags(p):
-        engine_flag(p)
         p.add_argument("--workers", type=int, default=0,
                        help="worker processes (0 = inline, no isolation)")
         p.add_argument("--timeout", type=float, default=None,
@@ -1293,14 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    engine_mode = getattr(args, "engine", None)
-    if engine_mode:
-        from .engine import set_default_mode
-
-        # Default every Cpu this process builds; the environment variable
-        # carries the mode into serve-pool worker processes.
-        set_default_mode(engine_mode)
-        os.environ["REPRO_ENGINE"] = engine_mode
     try:
         return args.func(args)
     except ReproError as exc:

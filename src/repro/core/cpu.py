@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..engine.config import resolve_mode
-from ..errors import SimError, TrapError
+from ..errors import DecodeError, SimError, TrapError
 from ..isa.registers import RegisterFile
 from ..isa.registry import Isa, build_isa
 from ..soc.memory import Memory
@@ -34,6 +33,10 @@ from .timing import TimingModel, TimingParams
 #: Default standalone data/instruction memory size (PULPissimo's L2).
 DEFAULT_MEM_SIZE = L2_SIZE
 
+#: The engine of a core built without ``engine=``; ``"interp"`` is the
+#: interpreter the block-translation engine is checked against.
+DEFAULT_ENGINE = "block"
+
 
 class Cpu:
     """Cycle-approximate functional model of the (extended) RI5CY core."""
@@ -46,6 +49,9 @@ class Cpu:
         hart_id: int = 0,
         engine: Optional[str] = None,
     ) -> None:
+        engine = DEFAULT_ENGINE if engine is None else engine
+        if engine not in ("block", "interp"):
+            raise SimError(f"unknown engine {engine!r}; choose block or interp")
         self.isa = build_isa(isa) if isinstance(isa, str) else isa
         self.mem = mem if mem is not None else Memory(DEFAULT_MEM_SIZE, base=0)
         self.hart_id = hart_id
@@ -57,16 +63,17 @@ class Cpu:
         self._tracer: Optional[Tracer] = None
         self._mem_tracer: Optional[Tracer] = None
 
-        #: Execution engine for :meth:`run` — "interp" steps every
-        #: instruction; "block" runs translated basic blocks
-        #: (:mod:`repro.engine`) when nothing observable prevents it.
-        self.engine = resolve_mode(engine)
+        #: Execution engine for :meth:`run` — "block" runs translated
+        #: basic blocks (:mod:`repro.engine`) when nothing observable
+        #: prevents it; "interp" steps every instruction.
+        self.engine = engine
         self._block_engine = None
         self._loaded_program = None
         self._block_digest: Optional[str] = None
         self._imem_version = 0
 
         self._imem: dict = {}
+        self._illegal: frozenset = frozenset()
         self._halted: Optional[str] = None
         self._misaligned = 0
         self._extra_stalls = 0
@@ -141,6 +148,7 @@ class Cpu:
                 )
             imem[ins.addr] = ins
         self._imem = imem
+        self._illegal = frozenset()
         self.pc = program.entry
         self._loaded_program = program
         self._block_digest = None
@@ -156,15 +164,28 @@ class Cpu:
         This is the fetch-from-encoded-image path: the binary placed in
         memory (e.g. by :meth:`materialize` or a loader) is decoded with
         the core's own decoder, closing the encode -> store -> decode ->
-        execute loop end to end.
+        execute loop end to end.  A word that does not decode (data
+        placed after the code, or a truncated tail) is left out, and
+        fetching it traps as an illegal instruction.
         """
-        from ..asm.disassembler import disassemble_bytes
+        from ..asm.disassembler import decode_at, instruction_size
 
         blob = self.mem.read_bytes(base, size)
         imem = {}
-        for ins in disassemble_bytes(blob, isa=self.isa, base=base):
+        illegal = set()
+        offset = 0
+        while offset < size:
+            try:
+                ins = decode_at(blob, offset, self.isa)
+            except DecodeError:
+                illegal.add(base + offset)
+                offset += instruction_size(blob[offset])
+                continue
+            ins.addr = base + offset
             imem[ins.addr] = ins
+            offset += ins.size
         self._imem = imem
+        self._illegal = frozenset(illegal)
         self.pc = entry if entry is not None else base
         self._loaded_program = None
         self._block_digest = None
@@ -275,6 +296,8 @@ class Cpu:
         """Execute one instruction and account its cycles."""
         ins = self._imem.get(self.pc)
         if ins is None:
+            if self.pc in self._illegal:
+                raise TrapError("illegal instruction", self.pc)
             raise TrapError("instruction fetch fault", self.pc)
         regions = self.regions
         if regions is not None:
@@ -324,11 +347,11 @@ class Cpu:
         Returns the performance counters.  Raises :class:`SimError` if the
         instruction budget is exhausted (runaway loop guard).
 
-        With ``engine="block"`` the run is dispatched through the
-        block-translation engine (:mod:`repro.engine`) — bit- and
-        cycle-identical to interpreting, but only engaged when nothing
-        can observe intermediate state: a tracer or a contended cluster
-        memory port falls back to the interpreter automatically.  An
+        The run is dispatched through the block-translation engine
+        (:mod:`repro.engine`) — bit- and cycle-identical to interpreting,
+        but only engaged when nothing can observe intermediate state: a
+        tracer or a contended cluster memory port falls back to the
+        interpreter automatically, as does ``engine="interp"``.  An
         attached region profile does not; both paths charge it, and it
         is complete when the run returns.
         """

@@ -19,15 +19,7 @@ arbitration, CSR reads of live counters, attached tracers, quantization
 FSM stalls — side-exits back to the interpreter, which remains the
 reference semantics.  Parity is the contract: identical register and
 memory state and identical :class:`~repro.core.perf.PerfCounters` for
-any program.  See ``docs/ENGINE.md``.
+any program.  Every single-core :meth:`~repro.core.cpu.Cpu.run` goes
+through this engine; ``Cpu(engine="interp")`` keeps the interpreter as
+the test oracle.  See ``docs/ENGINE.md``.
 """
-
-from .config import (
-    EngineConfigError,
-    default_mode,
-    resolve_mode,
-    set_default_mode,
-)
-
-__all__ = ["EngineConfigError", "default_mode", "resolve_mode",
-           "set_default_mode"]

@@ -276,7 +276,7 @@ class KernelProfile:
 def profile_kernel(name: str, cores: int = 1, geometry=None,
                    target=None) -> KernelProfile:
     """Run the named built-in kernel with a :class:`RegionCounters`
-    profile attached (single-core runs stay on the configured engine).
+    profile attached (single-core runs stay on the block engine).
 
     *target* retargets the catalog entry to a registered target name
     (``repro targets``): the ISA, core count, and quantization capability

@@ -56,3 +56,13 @@ def test_disassemble_bytes_mixed_widths():
     decoded = disassemble_bytes(blob)
     assert [i.mnemonic for i in decoded] == ["c.nop", "addi", "ebreak"]
     assert decoded[1].addr == 2
+
+
+def test_disassemble_bytes_rejects_a_truncated_word():
+    """A 32-bit-length word cut off by the image end is an error, not a
+    word whose missing bytes read as zero."""
+    from repro.errors import DecodeError
+
+    blob = assemble("ebreak").encode() + bytes([0x13, 0x00])
+    with pytest.raises(DecodeError, match="offset 0x4"):
+        disassemble_bytes(blob)

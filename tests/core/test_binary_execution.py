@@ -1,9 +1,11 @@
 """Encode -> memory -> decode -> execute: the binary path end to end."""
 
 import numpy as np
+import pytest
 
 from repro.asm import assemble
 from repro.core import Cpu
+from repro.errors import TrapError
 
 
 SOURCE = """
@@ -69,3 +71,20 @@ def test_materialize_then_reload():
     cpu.load_from_memory(0x200, program.size)
     cpu.run()
     assert cpu.regs[10] == 9
+
+
+@pytest.mark.parametrize("tail", [b"\xff\xff\xff\xff", b"\x13\x00"],
+                         ids=["illegal-word", "truncated-word"])
+@pytest.mark.parametrize("engine", ["interp", "block"])
+def test_undecodable_data_after_the_code(engine, tail):
+    """Data after the code does not fail the load: a program that never
+    reaches it runs normally, and fetching it traps."""
+    image = assemble("addi a0, zero, 7\nebreak", isa="xpulpnn").encode()
+    cpu = Cpu(isa="xpulpnn", engine=engine)
+    cpu.mem.write_bytes(0, image + tail)
+    cpu.load_from_memory(0, len(image + tail))
+    cpu.run()
+    assert cpu.halted and cpu.regs[10] == 7
+    with pytest.raises(TrapError) as trap:
+        cpu.run(entry=len(image))
+    assert (trap.value.cause, trap.value.pc) == ("illegal instruction", 8)

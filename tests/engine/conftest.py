@@ -12,18 +12,15 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import Cpu, RegionCounters
-from repro.engine import set_default_mode
 from repro.engine.blocks import GLOBAL_CACHE
 from repro.isa.registers import parse_register
 
 
 @pytest.fixture(autouse=True)
-def _fresh_engine_state():
-    """Isolate the process-wide engine default and translated-block cache."""
-    set_default_mode(None)
+def _fresh_block_cache():
+    """Isolate the process-wide translated-block cache."""
     GLOBAL_CACHE.clear()
     yield
-    set_default_mode(None)
     GLOBAL_CACHE.clear()
 
 
@@ -55,10 +52,10 @@ def region_map(program):
 
 
 def _run_one(program, mode, *, isa, regs, mem, max_instructions,
-             profiled=True):
+             profile=None):
     cpu = Cpu(isa=isa, engine=mode)
-    if profiled:
-        cpu.regions = RegionCounters(region_map=region_map(program))
+    if profile is not None:
+        cpu.regions = profile(program)
     for addr, data in (mem or {}).items():
         cpu.mem.write_bytes(addr, data)
     cpu.load_program(program)
@@ -73,9 +70,10 @@ def _run_one(program, mode, *, isa, regs, mem, max_instructions,
 
 
 def run_both(source, *, isa="xpulpnn", regs=None, mem=None,
-             max_instructions=200_000):
+             max_instructions=200_000, profile=None):
     """Run *source* on a fresh interpreter core and a fresh block-engine
-    core, both region-profiled (see :func:`region_map`); assert bit- and
+    core, both region-profiled (*profile* builds the table from the
+    program, by default over :func:`region_map`); assert bit- and
     cycle-identical outcomes (including identical exceptions and region
     tables) and return ``(interp_cpu, block_cpu)``.  A third, unprofiled
     block-engine run must match too (its translated blocks are not split
@@ -83,9 +81,11 @@ def run_both(source, *, isa="xpulpnn", regs=None, mem=None,
     program = assemble(source, isa=isa)
     kw = dict(isa=isa, regs=regs, mem=mem,
               max_instructions=max_instructions)
-    interp, interp_err = _run_one(program, "interp", **kw)
-    block, block_err = _run_one(program, "block", **kw)
-    plain, plain_err = _run_one(program, "block", profiled=False, **kw)
+    profile = profile or (
+        lambda program: RegionCounters(region_map=region_map(program)))
+    interp, interp_err = _run_one(program, "interp", profile=profile, **kw)
+    block, block_err = _run_one(program, "block", profile=profile, **kw)
+    plain, plain_err = _run_one(program, "block", **kw)
     istate = state_of(interp)
     for name, cpu, err in (("block", block, block_err),
                            ("unprofiled block", plain, plain_err)):

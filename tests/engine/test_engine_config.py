@@ -1,63 +1,34 @@
-"""Engine-mode resolution: explicit arg > CLI default > env > interp."""
+"""Engine choice: the block engine by default, the interpreter on request."""
 
 import pytest
 
 from repro.core import Cpu
-from repro.engine import (
-    EngineConfigError,
-    default_mode,
-    resolve_mode,
-    set_default_mode,
-)
-from repro.engine.config import ENV_VAR
+from repro.errors import ReproError
 
 
-def test_interp_is_the_default(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert default_mode() == "interp"
-    assert Cpu(isa="xpulpnn").engine == "interp"
-
-
-def test_env_var_sets_default(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "block")
-    assert default_mode() == "block"
+def test_block_is_the_default():
     assert Cpu(isa="xpulpnn").engine == "block"
 
 
-def test_set_default_mode_beats_env(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "interp")
-    set_default_mode("block")
-    assert default_mode() == "block"
-    set_default_mode(None)
-    assert default_mode() == "interp"
-
-
-def test_explicit_argument_wins(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "block")
-    set_default_mode("block")
+def test_explicit_argument_wins():
     assert Cpu(isa="xpulpnn", engine="interp").engine == "interp"
-    assert resolve_mode("interp") == "interp"
 
 
 @pytest.mark.parametrize("bad", ["jit", "BLOCK", ""])
 def test_unknown_mode_rejected(bad):
-    with pytest.raises(EngineConfigError):
-        resolve_mode(bad)
+    with pytest.raises(ReproError, match="block or interp"):
+        Cpu(isa="xpulpnn", engine=bad)
 
 
-def test_bad_env_value_rejected(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "turbo")
-    with pytest.raises(EngineConfigError):
-        default_mode()
-
-
-def test_cli_flag_parses():
+def test_parsers_reject_engine_flag(capsys):
     from repro.cli import build_parser
 
     parser = build_parser()
     for command in (["run", "prog.s"], ["profile", "--kernel", "conv_4bit"],
-                    ["report"], ["compile", "--network", "mixed3"]):
-        args = parser.parse_args(command + ["--engine", "block"])
-        assert args.engine == "block"
-        args = parser.parse_args(command)
-        assert args.engine is None
+                    ["report"], ["compile", "--network", "mixed3"],
+                    ["serve", "jobs.json"], ["sweep", "scaling", "cores=1,2"],
+                    ["explore"]):
+        parser.parse_args(command)
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + ["--engine", "block"])
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err

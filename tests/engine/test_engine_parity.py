@@ -11,8 +11,8 @@ under both engines.
 import pytest
 
 from repro.core import Cpu
-from repro.engine import set_default_mode
 from repro.soc.memory import Memory
+from repro.trace.profile import kernel_catalog
 
 from tests.conftest import TINY_GEOMETRY
 from tests.engine.conftest import run_both, state_of
@@ -109,11 +109,15 @@ class TestEligibility:
         assert cpu.engine_stats is None
 
     def test_interp_mode_never_builds_engine(self):
+        """The default engages the engine; "interp" never builds it."""
         from repro.asm import assemble
 
-        cpu = Cpu(isa="xpulpnn")
-        cpu.run_program(assemble("ebreak", isa="xpulpnn"))
-        assert cpu.engine == "interp"
+        program = assemble("addi a0, a0, 1\nebreak", isa="xpulpnn")
+        default = Cpu(isa="xpulpnn")
+        default.run_program(program)
+        assert default.engine_stats["blocks_translated"] == 1
+        cpu = Cpu(isa="xpulpnn", engine="interp")
+        cpu.run_program(program)
         assert cpu.engine_stats is None
 
 
@@ -167,27 +171,51 @@ def test_conv_kernel_parity(bits, isa, quant):
         assert interp[1][key] == block[1][key], f"diverged on {key}"
 
 
-@pytest.mark.parametrize("kernel", ["conv_4bit", "matmul_4bit"])
-def test_profile_kernel_parity(kernel):
-    """The profiler's full region/stall breakdown is engine-invariant,
-    and the block side really runs on the engine (fused loop bodies
-    included) with the profile attached.
+#: Tier-1 pins these profiles; the rest of the single-core kernel catalog
+#: is marked slow (CI's engine-parity job runs it).
+PINNED_PROFILES = ("conv_4bit", "matmul_4bit")
 
-    CI repeats this over the whole catalog (the engine-parity job);
-    tier-1 pins one conv and one matmul.
-    """
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(name, marks=() if name in PINNED_PROFILES
+                 else pytest.mark.slow)
+    for name, _ in kernel_catalog()])
+def test_profile_kernel_parity(kernel, monkeypatch):
+    """The full region/stall profile is engine-invariant, and the default
+    side really runs (and on the pinned kernels fuses) on the engine; the
+    interpreter side swaps the module default ``profile_kernel`` uses."""
+    import repro.core.cpu
     from repro.telemetry import MetricsRegistry, use_registry
     from repro.trace.profile import profile_kernel
 
-    results = {}
-    for mode in ("interp", "block"):
-        set_default_mode(mode)
+    def profile():
         with use_registry(MetricsRegistry()) as registry:
-            results[mode] = profile_kernel(kernel).to_dict()
-        fused = registry.counter_total("engine.fused_dispatches")
-        assert (fused > 0) == (mode == "block"), (mode, fused)
-    set_default_mode(None)
-    assert results["interp"] == results["block"]
+            result = profile_kernel(kernel).to_dict()
+        return result, [registry.counter_total(f"engine.{name}") for name
+                        in ("blocks_translated", "fused_dispatches")]
+
+    block, (translated, fused) = profile()
+    assert translated > 0 and (fused > 0 or kernel not in PINNED_PROFILES)
+    monkeypatch.setattr(repro.core.cpu, "DEFAULT_ENGINE", "interp")
+    interp, engaged = profile()
+    assert engaged == [0, 0]
+    assert interp == block
+
+
+def test_example_listing_parity():
+    """``examples/nibble_dotp.s`` profiled as ``repro profile FILE`` does."""
+    from pathlib import Path
+
+    from repro.core import RegionCounters
+
+    example = Path(__file__).parents[2] / "examples" / "nibble_dotp.s"
+    _, block = run_both(
+        example.read_text(), profile=lambda program: RegionCounters(
+            program=program, default_region="code"),
+        regs={"a0": 0x1000, "a1": 0x1010, "a2": 0x1020},
+        mem={0x1000: bytes(range(7, 200, 3))})
+    assert block.regions.regions == ["code"]
+    assert block.engine_stats["fused_dispatches"] == 1
 
 
 def test_region_attribution_parity():
