@@ -1,10 +1,16 @@
 """The PULP cluster: N RI5CY+XpulpNN cores on a shared banked L1.
 
-Execution is a discrete-event interleaving of the per-core ISS models:
-each core keeps its own cycle clock (its ``perf.cycles``), and the
-scheduler always steps the runnable core with the smallest clock, so
-shared-resource arbitration (TCDM banks, the DMA port) sees accesses in
-global time order.  Three cluster-only effects feed back into the clocks:
+Execution is a conservative discrete-event interleaving of the per-core
+ISS models.  Each core keeps its own cycle clock (its ``perf.cycles``).
+Only loads, stores and ``pv.qnt`` (:data:`SHARED_TIMING_CLASSES`) reach
+the memory system; every other instruction touches its own core alone.
+The scheduler keeps a heap of ``(clock, core id)`` keys, steps the
+smallest one until it passes the next key, then lets that core run
+ahead through private instructions up to its next shared access.  Shared
+accesses therefore reach the arbiters (TCDM banks, event unit, DMA, L2)
+in global ``(clock, core id)`` order, exactly as if the core with the
+smallest clock were stepped one instruction at a time.  Three
+cluster-only effects feed back into the clocks:
 
 * **TCDM bank conflicts** — a load/store to a bank granted to an earlier
   access stalls until the bank frees (``stall_tcdm_contention``);
@@ -21,6 +27,7 @@ also backs host-side tensor staging and the DMA's functional copies.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -28,6 +35,7 @@ from ..core.cpu import Cpu
 from ..core.perf import PerfCounters
 from ..core.timing import TimingParams
 from ..errors import MemoryAccessError, SimError
+from ..isa.instruction import SHARED_TIMING_CLASSES
 from ..soc.memmap import (
     CLUSTER_PERIPH_BASE,
     CLUSTER_PERIPH_SIZE,
@@ -44,6 +52,9 @@ from ..target.names import XPULPNN
 from .dma import ClusterDma
 from .event_unit import EventUnit
 from .tcdm import Tcdm
+
+#: Heap-top clock seen by the last live core: it never has to yield.
+_NEVER = 1 << 62
 
 #: PULP's usual TCDM banking factor: banks = factor x cores.
 DEFAULT_BANKING_FACTOR = 2
@@ -354,60 +365,71 @@ class Cluster:
 
         *max_instructions* bounds the total retired across the cluster.
         Raises :class:`SimError` on barrier deadlock (all live cores
-        parked with the barrier incomplete) or budget exhaustion.
+        parked with the barrier incomplete) or budget exhaustion.  The
+        budget trips on the same retired count as a one-instruction-at-
+        a-time run would, but a run that raises may leave cores that ran
+        ahead further along than such a run would have.
+
+        While a region profile is attached, first entry into a region is
+        ordered like a shared access, so the table lists regions in the
+        same first-entered order as a one-instruction-at-a-time run.
         """
         cores = self.cores
         eu = self.event_unit
         if entry is not None:
             for cpu in cores:
                 cpu.pc = entry
+        heap = [(cpu.perf.cycles, i) for i, cpu in enumerate(cores)
+                if cpu.halted is None]
+        heapq.heapify(heap)
         parked: set = set()
         executed = 0
 
-        while True:
-            runnable = [
-                cpu for i, cpu in enumerate(cores)
-                if cpu.halted is None and i not in parked
-            ]
-            if not runnable:
-                if all(cpu.halted is not None for cpu in cores):
+        while heap:
+            _, i = heapq.heappop(heap)
+            cpu = cores[i]
+            perf = cpu.perf
+            step = cpu.step
+            imem = cpu._imem
+            regions = cpu.regions
+            top_cycles, top_id = heap[0] if heap else (_NEVER, 0)
+            while True:
+                step()
+                executed += 1
+                if executed > max_instructions:
+                    raise SimError(
+                        f"cluster exceeded {max_instructions} instructions "
+                        f"(likely a spin without progress)"
+                    )
+                if eu.pending_arrival is not None:
+                    eu.take_pending_arrival()
+                    parked.add(i)
+                    if eu.arrive(i, perf.cycles):
+                        for core_id in self._release_barrier():
+                            heapq.heappush(
+                                heap, (cores[core_id].perf.cycles, core_id))
+                        parked.clear()
                     break
-                raise SimError(
-                    f"cluster deadlock: cores {sorted(parked)} parked at a "
-                    f"barrier that can no longer complete"
-                )
-            cpu = min(runnable, key=lambda c: c.perf.cycles)
-            cpu.step()
-            executed += 1
-            if executed > max_instructions:
-                raise SimError(
-                    f"cluster exceeded {max_instructions} instructions "
-                    f"(likely a spin without progress)"
-                )
-            arrived = eu.take_pending_arrival()
-            if arrived is not None:
-                complete = eu.arrive(arrived, cores[arrived].perf.cycles)
-                parked.add(arrived)
-                if complete:
-                    release = eu.release_time
-                    released = eu.release()
-                    for core_id, when in released.items():
-                        core = cores[core_id]
-                        perf = core.perf
-                        # Parked time belongs to the barrier, not to the
-                        # region the core arrived from.
-                        core._close_region()
-                        perf.idle_cycles += release - when
-                        perf.cycles = release
-                        if core.regions is not None:
-                            barrier = core.regions.counters_for("barrier")
-                            barrier.cycles += release - when
-                            barrier.idle_cycles += release - when
-                    if self.tracer is not None:
-                        for core_id, when in sorted(released.items()):
-                            self.tracer.on_barrier(core_id, when, release)
-                    parked.clear()
+                if cpu._halted is not None:
+                    break
+                cycles = perf.cycles
+                if cycles < top_cycles or (cycles == top_cycles and i < top_id):
+                    continue
+                # Past the next core's clock: only private work may run on.
+                ins = imem.get(cpu.pc)
+                if (ins is not None
+                        and ins.spec.timing not in SHARED_TIMING_CLASSES
+                        and (regions is None
+                             or regions.region_of(cpu.pc) in regions)):
+                    continue
+                heapq.heappush(heap, (cycles, i))
+                break
 
+        if any(cpu.halted is None for cpu in cores):
+            raise SimError(
+                f"cluster deadlock: cores {sorted(parked)} parked at a "
+                f"barrier that can no longer complete"
+            )
         for cpu in cores:
             cpu._close_region()
         if self.tracer is not None:
@@ -423,6 +445,32 @@ class Cluster:
             dma_cycles=self.dma.total_cycles,
             dma_bytes=self.dma.bytes_moved,
         )
+
+    def _release_barrier(self) -> List[int]:
+        """Open the completed barrier: every waiter's clock jumps to the
+        release time (the last arrival) and the parked span is charged
+        as idle time to the ``barrier`` region.  Returns the released
+        core ids in ascending order."""
+        eu = self.event_unit
+        release = eu.release_time
+        released = eu.release()
+        for core_id, when in released.items():
+            core = self.cores[core_id]
+            perf = core.perf
+            # Parked time belongs to the barrier, not to the region the
+            # core arrived from.
+            core._close_region()
+            perf.idle_cycles += release - when
+            perf.cycles = release
+            if core.regions is not None:
+                barrier = core.regions.counters_for("barrier")
+                barrier.cycles += release - when
+                barrier.idle_cycles += release - when
+        order = sorted(released)
+        if self.tracer is not None:
+            for core_id in order:
+                self.tracer.on_barrier(core_id, released[core_id], release)
+        return order
 
     def run_program(self, program, **kwargs) -> ClusterRun:
         """Convenience: reset, load on all cores, run to completion."""

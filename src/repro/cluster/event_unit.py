@@ -30,7 +30,7 @@ class EventUnit:
         self._arrivals: Dict[int, int] = {}
         #: Set by a memory port during a load of EU_BARRIER_WAIT; the
         #: scheduler collects it right after the instruction retires.
-        self._pending_arrival: Optional[int] = None
+        self.pending_arrival: Optional[int] = None
         self.barriers_completed = 0
 
     # -- memory-port side ------------------------------------------------
@@ -38,13 +38,13 @@ class EventUnit:
     def signal_arrival(self, core_id: int) -> None:
         """Called by core *core_id*'s port while it executes the barrier
         load; the scheduler parks the core once the instruction retires."""
-        if self._pending_arrival is not None:
+        if self.pending_arrival is not None:
             raise SimError("two cores arrived within one scheduler step")
-        self._pending_arrival = core_id
+        self.pending_arrival = core_id
 
     def take_pending_arrival(self) -> Optional[int]:
-        core = self._pending_arrival
-        self._pending_arrival = None
+        core = self.pending_arrival
+        self.pending_arrival = None
         return core
 
     # -- scheduler side --------------------------------------------------

@@ -71,7 +71,8 @@ class Tcdm:
         granted to an earlier request, the access waits until the bank
         frees.  The caller charges *stall_cycles* to the requesting core.
         Accesses must be presented in non-decreasing *when* order per bank
-        (the cluster's min-clock scheduler guarantees this globally).
+        (the cluster's scheduler presents every shared access in global
+        ``(clock, core id)`` order).
         """
         bank = self.bank_of(addr)
         self.accesses += 1

@@ -14,7 +14,7 @@ semantic function; it is driven by ``InstrSpec.timing`` (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 #: Timing classes understood by the core timing model.
@@ -34,6 +34,12 @@ TIMING_CLASSES = frozenset(
         "csr",      # CSR access
     }
 )
+
+#: Timing classes whose instructions reach the memory system.  Every
+#: other class touches only its own core's registers, CSRs and hardware
+#: loops, which lets the cluster scheduler run those instructions ahead
+#: of the global clock order (see :mod:`repro.cluster.cluster`).
+SHARED_TIMING_CLASSES = frozenset({"load", "store", "qnt_n", "qnt_c"})
 
 
 @dataclass(frozen=True)
@@ -76,12 +82,23 @@ class InstrSpec:
     size: int = 4
     isa: str = "rv32i"
     fusion: Optional[Tuple] = None
+    #: Operand fields the instruction reads (a subset of ``rs1``, ``rs2``,
+    #: ``rd``), derived from *syntax* and *rd_is_src* once per spec.
+    source_fields: Tuple[str, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.timing not in TIMING_CLASSES:
             raise ValueError(
                 f"{self.mnemonic}: unknown timing class {self.timing!r}"
             )
+        sources = [
+            name for name in ("rs1", "rs2")
+            if any(name in part for part in self.syntax)
+        ]
+        if self.rd_is_src:
+            sources.append("rd")
+        object.__setattr__(self, "source_fields", tuple(sources))
 
     def __reduce__(self):
         # The ``execute`` closure is unpicklable, but every spec is a
@@ -135,15 +152,7 @@ class Instruction:
 
     def source_registers(self) -> Tuple[int, ...]:
         """Register indices read by this instruction (for hazard checks)."""
-        regs = []
-        syntax = self.spec.syntax
-        if any("rs1" in part for part in syntax):
-            regs.append(self.rs1)
-        if any("rs2" in part for part in syntax):
-            regs.append(self.rs2)
-        if self.spec.rd_is_src:
-            regs.append(self.rd)
-        return tuple(regs)
+        return tuple([getattr(self, name) for name in self.spec.source_fields])
 
     def writes_register(self) -> Optional[int]:
         """Destination register index, or ``None`` if none is written."""

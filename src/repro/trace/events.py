@@ -1,9 +1,11 @@
 """Typed execution-trace events.
 
 Every observable the tracing layer emits is one of these small
-dataclasses.  Times are core-local cycle counts (the cluster scheduler
-keeps them globally ordered, so they double as a global timeline);
-``core`` is the hart id (0 for a standalone core).
+dataclasses.  Times are core-local cycle counts; cluster cores all
+start at cycle 0, so they double as a global timeline.  ``core`` is the
+hart id (0 for a standalone core).  Each core's events arrive in its
+retire order, but the cores' streams interleave however the cluster
+scheduler ran them, so order by ``core`` before comparing traces.
 
 Event taxonomy (mirrors the hooks of :class:`repro.trace.tracer.Tracer`):
 

@@ -17,6 +17,7 @@ without a browser.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..errors import TraceError
@@ -39,21 +40,26 @@ def _meta(name: str, tid: Optional[int] = None):
 
 
 def chrome_trace(tracer: EventTracer, title: str = "repro") -> Dict:
-    """Build the Chrome trace-event payload for one traced run."""
+    """Build the Chrome trace-event payload for one traced run.
+
+    Region spans and stalls are emitted core by core, each core's in the
+    order it retired them, so the export does not depend on how the
+    cluster scheduler interleaved the cores.
+    """
     events: List[Dict] = [_meta(title)]
     for core in tracer.cores:
         events.append(_meta(f"core {core} regions", core * _LANES + 0))
         events.append(_meta(f"core {core} stalls", core * _LANES + 1))
         events.append(_meta(f"core {core} barrier", core * _LANES + 2))
 
-    for span in tracer.region_spans:
+    for span in sorted(tracer.region_spans, key=attrgetter("core")):
         events.append({
             "name": span.name, "cat": "region", "ph": "X",
             "ts": span.start, "dur": span.cycles,
             "pid": _PID, "tid": span.core * _LANES + 0,
             "args": {"core": span.core, "instructions": span.instructions},
         })
-    for stall in tracer.stalls:
+    for stall in sorted(tracer.stalls, key=attrgetter("core")):
         events.append({
             "name": stall.cause, "cat": "stall", "ph": "X",
             "ts": stall.cycle, "dur": stall.cycles,
