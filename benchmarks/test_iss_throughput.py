@@ -264,3 +264,53 @@ def test_block_engine_conv4bit_speedup_floor(results_dir):
            f"bar: >= 10x)")
     assert speedup >= 10.0, (
         f"block engine sustained only {speedup:.1f}x on conv_4bit")
+
+
+# ---------------------------------------------------------------------------
+# Cluster cores (docs/CLUSTER.md)
+#
+# Every cluster core retires through ``Cpu.step`` (the block engine never
+# runs there), so this is the interpreter's retire path at work under the
+# cluster scheduler and the TCDM ports.  Recorded beside the single-core
+# numbers as ``bench/cluster8_matmul_4bit/*``.
+# ---------------------------------------------------------------------------
+
+
+def test_cluster_matmul4bit_throughput(results_dir):
+    """Simulated instructions per second of the catalog's 4-bit matmul
+    tile sharded over 8 cores (best of ten runs)."""
+    import time
+
+    from repro.cluster import Cluster
+    from repro.eval.trajectory import write_trajectory
+    from repro.kernels import ParallelMatmulConfig, ParallelMatmulKernel
+    from repro.qnn import random_threshold_table
+    from repro.trace.profile import MATMUL_OUT_CH, MATMUL_REDUCTION
+
+    rng = np.random.default_rng(0xC105)
+    w = rng.integers(-8, 8, (MATMUL_OUT_CH, MATMUL_REDUCTION)).astype(np.int32)
+    x0 = rng.integers(0, 16, MATMUL_REDUCTION).astype(np.int32)
+    x1 = rng.integers(0, 16, MATMUL_REDUCTION).astype(np.int32)
+    table = random_threshold_table(MATMUL_OUT_CH, 4, spread=600, rng=rng)
+    kernel = ParallelMatmulKernel(ParallelMatmulConfig(
+        reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=4,
+        num_cores=8, quant="hw"))
+    cluster = Cluster(num_cores=8)
+
+    walls = []
+    for _ in range(10):
+        start = time.perf_counter()
+        result = kernel.run(w, x0, x1, thresholds=table, cluster=cluster)
+        walls.append(time.perf_counter() - start)
+    instructions = result.run.aggregate.instructions
+    sim_ips = instructions / min(walls)
+
+    write_trajectory(
+        {"bench": {"cluster8_matmul_4bit": {
+            "instructions": instructions,
+            "sim_ips": round(sim_ips),
+        }}},
+        str(results_dir / "iss_throughput.json"))
+    print(f"\n8-core matmul_4bit ({instructions:,} instructions): "
+          f"{sim_ips / 1e3:.0f} k ips")
+    assert result.run.barriers == 1

@@ -12,8 +12,8 @@ control flow, carrying three pieces of abstract state:
   repo's kernels they are either ``lp.setupi`` immediates or constants
   materialized with ``li`` — plus branch conditions and ``mhartid``;
 * the **pending load destination** of the previous instruction, which
-  decides load-use stalls exactly like
-  :meth:`~repro.core.timing.TimingModel.step` does;
+  decides load-use stalls exactly like the core's retire path
+  (:meth:`~repro.core.cpu.Cpu.step`) does;
 * the **hardware-loop fold**: a loop body is walked twice (entry
   iteration with the incoming facts, steady-state iteration with the
   body-written registers havoced) and charged ``first + (n-1) * steady``,

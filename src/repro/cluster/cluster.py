@@ -143,6 +143,11 @@ class CoreMemPort:
         self._cluster = cluster
         self._core_id = core_id
         self.cpu: Optional[Cpu] = None  # wired by the Cluster constructor
+        tcdm = cluster.tcdm
+        self._tcdm = tcdm
+        self._tcdm_base = tcdm.base
+        self._tcdm_size = tcdm.size
+        self._tcdm_bytes = tcdm.mem._data
 
     # -- timed accesses (instruction semantics) -------------------------
 
@@ -150,44 +155,47 @@ class CoreMemPort:
         return self.cpu.perf.cycles
 
     def load(self, addr: int, size: int, signed: bool = False) -> int:
-        cl = self._cluster
-        if cl.tcdm.contains(addr, size):
-            stall, _ = cl.tcdm.access(addr, self._now())
-            if stall:
-                self.cpu.add_tcdm_stall(stall)
-            if cl.access_trace is not None:
-                cl.access_trace.record(
-                    self._core_id, addr, size, "r",
-                    cl.event_unit.barriers_completed, pc=self.cpu.pc)
-            if cl.mem_tracer is not None:
-                cl.mem_tracer.on_mem(
-                    self._core_id, self._now(), addr, size, "r",
-                    cl.tcdm.bank_of(addr), stall)
-            return cl.tcdm.mem.load(addr, size, signed)
+        offset = addr - self._tcdm_base
+        if 0 <= offset <= self._tcdm_size - size:
+            self._tcdm_access(addr, offset, size, "r")
+            value = int.from_bytes(
+                self._tcdm_bytes[offset:offset + size], "little")
+            if signed and value >> (8 * size - 1):
+                value = (value - (1 << (8 * size))) & 0xFFFF_FFFF
+            return value
         if CLUSTER_PERIPH_BASE <= addr < CLUSTER_PERIPH_BASE + CLUSTER_PERIPH_SIZE:
             return self._periph_load(addr)
-        return cl.raw.load(addr, size, signed)
+        return self._cluster.raw.load(addr, size, signed)
 
     def store(self, addr: int, size: int, value: int) -> None:
-        cl = self._cluster
-        if cl.tcdm.contains(addr, size):
-            stall, _ = cl.tcdm.access(addr, self._now())
-            if stall:
-                self.cpu.add_tcdm_stall(stall)
-            if cl.access_trace is not None:
-                cl.access_trace.record(
-                    self._core_id, addr, size, "w",
-                    cl.event_unit.barriers_completed, pc=self.cpu.pc)
-            if cl.mem_tracer is not None:
-                cl.mem_tracer.on_mem(
-                    self._core_id, self._now(), addr, size, "w",
-                    cl.tcdm.bank_of(addr), stall)
-            cl.tcdm.mem.store(addr, size, value)
+        offset = addr - self._tcdm_base
+        if 0 <= offset <= self._tcdm_size - size:
+            self._tcdm_access(addr, offset, size, "w")
+            self._tcdm_bytes[offset:offset + size] = (
+                value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
             return
         if CLUSTER_PERIPH_BASE <= addr < CLUSTER_PERIPH_BASE + CLUSTER_PERIPH_SIZE:
             self._periph_store(addr, value)
             return
-        cl.raw.store(addr, size, value)
+        self._cluster.raw.store(addr, size, value)
+
+    def _tcdm_access(self, addr: int, offset: int, size: int,
+                     kind: str) -> None:
+        """Arbitrate for the bank at *offset*, charge the stall to the
+        core, and report the access to the race recorder and tracer."""
+        cpu = self.cpu
+        stall = self._tcdm.arbitrate(offset, cpu.perf.cycles)
+        if stall:
+            cpu.add_tcdm_stall(stall)
+        cl = self._cluster
+        if cl.access_trace is not None:
+            cl.access_trace.record(
+                self._core_id, addr, size, kind,
+                cl.event_unit.barriers_completed, pc=cpu.pc)
+        if cl.mem_tracer is not None:
+            cl.mem_tracer.on_mem(
+                self._core_id, cpu.perf.cycles, addr, size, kind,
+                self._tcdm.bank_of(addr), stall)
 
     def _periph_load(self, addr: int) -> int:
         cl = self._cluster
@@ -353,6 +361,7 @@ class Cluster:
             cpu.reset()
         self.tcdm.reset_timing()
         self.dma.reset_timing()
+        self.event_unit.reset()
         if self.access_trace is not None:
             self.access_trace.clear()
 

@@ -33,6 +33,13 @@ class EventUnit:
         self.pending_arrival: Optional[int] = None
         self.barriers_completed = 0
 
+    def reset(self) -> None:
+        """Forget every arrival and the completed-barrier count (a run
+        that raised may leave an open barrier behind)."""
+        self._arrivals = {}
+        self.pending_arrival = None
+        self.barriers_completed = 0
+
     # -- memory-port side ------------------------------------------------
 
     def signal_arrival(self, core_id: int) -> None:

@@ -74,17 +74,24 @@ class Tcdm:
         (the cluster's scheduler presents every shared access in global
         ``(clock, core id)`` order).
         """
-        bank = self.bank_of(addr)
+        stall = self.arbitrate(addr - self.mem.base, when)
+        return stall, when + stall
+
+    def arbitrate(self, offset: int, when: int) -> int:
+        """:meth:`access` by byte *offset* into the TCDM (the cores'
+        memory ports compute it once per access); returns the stall."""
+        bank = (offset >> 2) % self.num_banks
         self.accesses += 1
         busy = self._busy_until[bank]
-        stall = busy - when if busy > when else 0
-        grant = when + stall
-        self._busy_until[bank] = grant + 1
-        if stall:
+        if busy > when:
+            stall = busy - when
+            self._busy_until[bank] = busy + 1
             self.conflicts += 1
             self.conflict_cycles += stall
             self.conflicts_by_bank[bank] += 1
-        return stall, grant
+            return stall
+        self._busy_until[bank] = when + 1
+        return 0
 
     @property
     def conflict_rate(self) -> float:

@@ -28,7 +28,7 @@ from ..trace.tracer import Tracer
 from .hwloop import HwLoopController
 from .perf import PerfCounters
 from .regions import RegionCounters
-from .timing import TimingModel, TimingParams
+from .timing import StepTiming, TimingModel, TimingParams
 
 #: Default standalone data/instruction memory size (PULPissimo's L2).
 DEFAULT_MEM_SIZE = L2_SIZE
@@ -196,20 +196,24 @@ class Cpu:
     # ------------------------------------------------------------------
 
     def load(self, addr: int, size: int, signed: bool = False) -> int:
-        if size > 1 and addr % size:
-            self._misaligned += 1
-        if self._mem_tracer is not None:
-            self._mem_tracer.on_mem(
-                self.hart_id, self.perf.cycles, addr, size, "r", None, 0)
+        if addr & (size - 1) or self._mem_tracer is not None:
+            self._note_access(addr, size, "r")
         return self.mem.load(addr, size, signed)
 
     def store(self, addr: int, size: int, value: int) -> None:
-        if size > 1 and addr % size:
+        if addr & (size - 1) or self._mem_tracer is not None:
+            self._note_access(addr, size, "w")
+        self.mem.store(addr, size, value)
+
+    def _note_access(self, addr: int, size: int, kind: str) -> None:
+        """The slow side of a data access (*size* is 1, 2 or 4): count
+        a misaligned one as a split transaction and report the access
+        to a memory tracer."""
+        if addr & (size - 1):
             self._misaligned += 1
         if self._mem_tracer is not None:
             self._mem_tracer.on_mem(
-                self.hart_id, self.perf.cycles, addr, size, "w", None, 0)
-        self.mem.store(addr, size, value)
+                self.hart_id, self.perf.cycles, addr, size, kind, None, 0)
 
     def add_stall_cycles(self, cycles: int) -> None:
         """Charge extra stall cycles from a multicycle unit (e.g. the
@@ -293,48 +297,87 @@ class Cpu:
         self._region = None
 
     def step(self) -> None:
-        """Execute one instruction and account its cycles."""
-        ins = self._imem.get(self.pc)
+        """Execute one instruction and account its cycles.
+
+        The retire is priced in plain integers: the timing class's base
+        cycles, the taken-branch or jump penalty, a load-use stall when
+        the previous instruction loaded a register this one reads, the
+        misaligned-access penalty, and the multicycle-unit and TCDM
+        stalls the semantics charged.  A
+        :class:`~repro.core.timing.StepTiming` is built only as the
+        payload of an attached tracer's ``on_retire``.
+        """
+        pc = self.pc
+        ins = self._imem.get(pc)
         if ins is None:
-            if self.pc in self._illegal:
-                raise TrapError("illegal instruction", self.pc)
-            raise TrapError("instruction fetch fault", self.pc)
+            if pc in self._illegal:
+                raise TrapError("illegal instruction", pc)
+            raise TrapError("instruction fetch fault", pc)
         regions = self.regions
         if regions is not None:
-            name = regions.map.get(self.pc, regions.default_region)
+            name = regions.map.get(pc, regions.default_region)
             if name != self._region:
                 self._enter_region(name)
 
         self._misaligned = 0
         self._extra_stalls = 0
         self._tcdm_stalls = 0
-        next_pc = ins.spec.execute(self, ins)
-        taken = next_pc is not None
-
-        fall_through = self.pc + ins.spec.size
-        if next_pc is None:
-            redirect = self.hwloops.redirect(fall_through)
-            if redirect is not None:
-                next_pc = redirect
-                self.perf.hwloop_backedges += 1
-                if self._tracer is not None:
-                    self._tracer.on_hwloop(self, self.pc, redirect)
-            else:
-                next_pc = fall_through
-
-        timing = self.timing.step(ins, taken, self._misaligned)
-        step_extra = self._extra_stalls + self._tcdm_stalls
+        spec = ins.spec
+        next_pc = spec.execute(self, ins)
+        cls = spec.timing
+        timing = self.timing
+        params = timing.params
         perf = self.perf
-        perf.cycles += timing.total + step_extra
+        tracer = self._tracer
+
+        branch = jump = 0
+        if next_pc is None:
+            next_pc = pc + spec.size
+            hw = self.hwloops
+            count = hw.count
+            end = hw.end
+            if ((count[0] and end[0] == next_pc)
+                    or (count[1] and end[1] == next_pc)):
+                redirect = hw.redirect(next_pc)
+                if redirect is not None:
+                    perf.hwloop_backedges += 1
+                    if tracer is not None:
+                        tracer.on_hwloop(self, pc, redirect)
+                    next_pc = redirect
+        elif cls == "branch":
+            branch = params.branch_taken_penalty
+        if cls == "jump":
+            jump = params.jump_penalty
+
+        load_use = 0
+        pending = timing._pending_load_rd
+        if pending:
+            for source in spec.source_fields:
+                if getattr(ins, source) == pending:
+                    load_use = params.load_use_penalty
+                    break
+        timing._pending_load_rd = ins.rd if cls == "load" else None
+
+        base = params.class_cycles[cls]
+        misaligned = self._misaligned * params.misaligned_penalty
+        extra = self._extra_stalls
+        tcdm = self._tcdm_stalls
+        perf.cycles += base + branch + jump + load_use + misaligned + extra + tcdm
         perf.instructions += 1
-        perf.by_class[ins.spec.timing] += 1
-        perf.stall_load_use += timing.load_use_stall
-        perf.stall_branch += timing.branch_stall
-        perf.stall_jump += timing.jump_stall
-        perf.stall_misaligned += timing.misaligned_stall + self._extra_stalls
-        perf.stall_tcdm_contention += self._tcdm_stalls
-        if self._tracer is not None:
-            self._tracer.on_retire(self, self.pc, ins, timing)
+        perf.by_class[cls] += 1
+        if load_use:
+            perf.stall_load_use += load_use
+        if branch:
+            perf.stall_branch += branch
+        if jump:
+            perf.stall_jump += jump
+        if misaligned or extra:
+            perf.stall_misaligned += misaligned + extra
+        if tcdm:
+            perf.stall_tcdm_contention += tcdm
+        if tracer is not None:
+            tracer.on_retire(self, pc, ins, StepTiming(
+                base, branch, jump, load_use, misaligned))
         self.pc = next_pc
 
     def run(

@@ -14,14 +14,17 @@ exactly those, with every parameter documented and overridable:
 * ``pv.qnt.n`` / ``pv.qnt.c``: 9 / 5 cycles total for two activations, the
   pipelined quantization-FSM latency of §III-B2;
 * misaligned data accesses split into two transactions (+1).
+
+The rules are applied per retire by :meth:`repro.core.cpu.Cpu.step`, in
+plain integers; :class:`StepTiming` is only the breakdown handed to an
+attached tracer's ``on_retire``.  The block engine
+(:mod:`repro.engine`) precomputes the same rules per translated block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-from ..isa.instruction import Instruction
 
 
 def _default_class_cycles() -> Dict[str, int]:
@@ -67,7 +70,8 @@ class TimingParams:
 
 @dataclass
 class StepTiming:
-    """Cycle breakdown of one retired instruction."""
+    """Cycle breakdown of one retired instruction: the payload of a
+    tracer's ``on_retire``, built only while a tracer is attached."""
 
     base: int
     branch_stall: int = 0
@@ -87,7 +91,11 @@ class StepTiming:
 
 
 class TimingModel:
-    """Stateful per-step cycle accounting (tracks the previous load)."""
+    """A core's timing parameters plus the one piece of pipeline state
+    the model carries between retires: the register the previous
+    instruction loaded (``None`` when it was not a load).  The retire
+    path in :meth:`repro.core.cpu.Cpu.step` and the block engine both
+    charge cycles from it."""
 
     def __init__(self, params: Optional[TimingParams] = None) -> None:
         self.params = params or TimingParams()
@@ -95,30 +103,3 @@ class TimingModel:
 
     def reset(self) -> None:
         self._pending_load_rd = None
-
-    def step(
-        self,
-        ins: Instruction,
-        taken: bool,
-        misaligned_accesses: int,
-    ) -> StepTiming:
-        """Account one instruction; *taken* flags a non-fall-through next PC
-        for control transfers, *misaligned_accesses* counts split data
-        transactions performed by the instruction."""
-        params = self.params
-        timing = StepTiming(base=params.class_cycles[ins.spec.timing])
-
-        if self._pending_load_rd is not None:
-            if self._pending_load_rd != 0 and self._pending_load_rd in ins.source_registers():
-                timing.load_use_stall = params.load_use_penalty
-        cls = ins.spec.timing
-        self._pending_load_rd = ins.rd if cls == "load" else None
-
-        if cls == "branch" and taken:
-            timing.branch_stall = params.branch_taken_penalty
-        elif cls == "jump":
-            timing.jump_stall = params.jump_penalty
-
-        if misaligned_accesses:
-            timing.misaligned_stall = misaligned_accesses * params.misaligned_penalty
-        return timing

@@ -13,6 +13,8 @@ the operation, ``width2`` the element size, ``funct3`` the variant
 
 from __future__ import annotations
 
+import functools
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .bits import (
@@ -206,12 +208,61 @@ def _make_abs_exec(width: int):
     return execute
 
 
+@functools.cache
+def dotp_table(width: int, a_signed: bool, b_signed: bool) -> array:
+    """Dot products of every pair of bytes packed with *width*-bit lanes
+    (2, 4 or 8): entry ``a << 8 | b`` is the sum over the byte's lanes of
+    ``a_lane * b_lane``, each lane sign- or zero-extended.  One 32-bit
+    packed dot product is then four lookups.  Built with numpy on first
+    use (256 kB each) and cached; callers only read it."""
+    import numpy as np
+
+    shifts = np.arange(0, 8, width, dtype=np.intc)
+    lanes = (np.arange(256, dtype=np.intc)[:, None] >> shifts) & ((1 << width) - 1)
+    signed = np.where(lanes >> (width - 1), lanes - (1 << width), lanes)
+    a_lanes = signed if a_signed else lanes
+    b_lanes = signed if b_signed else lanes
+    table = array("i")
+    table.frombytes((a_lanes @ b_lanes.T).tobytes())
+    return table
+
+
 def _make_dotp_exec(width: int, variant: str, a_signed: bool, b_signed: bool, accumulate: bool):
+    """Semantics of one ``pv.(s)dot*`` spec; bit-identical to
+    :func:`simd_dotp`, which stays the reference model."""
+    vector = variant == ""
+    if width == 16:
+        def execute(cpu, ins: Instruction) -> Optional[int]:
+            regs = cpu.regs
+            a = regs[ins.rs1]
+            b = regs[ins.rs2] if vector else _rs2_value(cpu, ins, variant, 16)
+            a0, a1, b0, b1 = a & 0xFFFF, a >> 16, b & 0xFFFF, b >> 16
+            if a_signed:
+                a0 -= (a0 & 0x8000) << 1
+                a1 -= (a1 & 0x8000) << 1
+            if b_signed:
+                b0 -= (b0 & 0x8000) << 1
+                b1 -= (b1 & 0x8000) << 1
+            total = a0 * b0 + a1 * b1
+            regs[ins.rd] = regs[ins.rd] + total if accumulate else total
+            return None
+
+        return execute
+
+    table: Optional[array] = None
+
     def execute(cpu, ins: Instruction) -> Optional[int]:
-        a = cpu.regs[ins.rs1]
-        b = _rs2_value(cpu, ins, variant, width)
-        acc = cpu.regs[ins.rd] if accumulate else 0
-        cpu.regs[ins.rd] = simd_dotp(a, b, width, a_signed, b_signed, acc)
+        nonlocal table
+        if table is None:
+            table = dotp_table(width, a_signed, b_signed)
+        regs = cpu.regs
+        a = regs[ins.rs1]
+        b = regs[ins.rs2] if vector else _rs2_value(cpu, ins, variant, width)
+        total = (table[(a & 0xFF) << 8 | (b & 0xFF)]
+                 + table[(a & 0xFF00) | (b >> 8 & 0xFF)]
+                 + table[(a >> 8 & 0xFF00) | (b >> 16 & 0xFF)]
+                 + table[(a >> 16 & 0xFF00) | (b >> 24)])
+        regs[ins.rd] = regs[ins.rd] + total if accumulate else total
         return None
 
     return execute

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster, EventUnit
 from repro.errors import SimError
-from repro.soc.memmap import EU_BARRIER_WAIT, EU_NUM_CORES
+from repro.soc.memmap import EU_BARRIER_COUNT, EU_BARRIER_WAIT, EU_NUM_CORES
 
 
 class TestEventUnitBookkeeping:
@@ -44,6 +44,19 @@ class TestEventUnitBookkeeping:
         assert eu.release_time == 9
         eu.release()
         assert eu.barriers_completed == 2
+
+    def test_reset_forgets_arrivals_and_count(self):
+        eu = EventUnit(2)
+        eu.arrive(0, 1)
+        eu.arrive(1, 2)
+        eu.release()
+        eu.arrive(0, 5)
+        eu.signal_arrival(1)
+        eu.reset()
+        assert eu.barriers_completed == 0
+        assert eu.waiting == []
+        assert eu.pending_arrival is None
+        assert eu.arrive(1, 7) is False
 
 
 #: SPMD program: each core spins ``hart_id * 16`` iterations, hits the
@@ -111,3 +124,42 @@ class TestBarrierOnCluster:
         cluster = Cluster(num_cores=4)
         cluster.run_program(assemble(src, isa="xpulpnn", base=0x1000_0000))
         assert all(cpu.regs[10] == 4 for cpu in cluster.cores)
+
+
+class TestReusedCluster:
+    """``Cluster.reset`` restarts the event unit with the cores."""
+
+    def test_barrier_count_restarts(self):
+        from repro.asm import assemble
+
+        src = _BARRIER_PROGRAM.replace("    ebreak", f"""
+    li    t1, {EU_BARRIER_COUNT:#x}
+    lw    a0, 0(t1)
+    ebreak""")
+        program = assemble(src, isa="xpulpnn", base=0x1000_0000)
+        cluster = Cluster(num_cores=4)
+        for _ in range(2):
+            run = cluster.run_program(program)
+            assert run.barriers == 1
+            assert [cpu.regs[10] for cpu in cluster.cores] == [1] * 4
+
+    def test_raised_run_leaves_no_stale_arrival(self):
+        from repro.asm import assemble
+
+        # Core 0 arrives at a barrier core 1 never reaches.
+        src = f"""
+            csrr  t0, 0xF14
+            bne   t0, zero, out
+            li    t1, {EU_BARRIER_WAIT:#x}
+            lw    t2, 0(t1)
+        out:
+            ebreak
+        """
+        cluster = Cluster(num_cores=2)
+        with pytest.raises(SimError, match="deadlock"):
+            cluster.run_program(assemble(src, isa="xpulpnn",
+                                         base=0x1000_0000))
+        program = assemble(_BARRIER_PROGRAM, isa="xpulpnn", base=0x1000_0000)
+        run = cluster.run_program(program)
+        assert run.barriers == 1
+        assert run.cycles == Cluster(num_cores=2).run_program(program).cycles

@@ -1,9 +1,11 @@
 """Banked TCDM: word interleaving and per-cycle conflict accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Tcdm
-from repro.soc.memmap import TCDM_BASE
+from repro.errors import MemoryAccessError
+from repro.soc.memmap import TCDM_BASE, TCDM_SIZE
 
 
 @pytest.fixture
@@ -77,3 +79,32 @@ class TestConflictAccounting:
         assert tcdm.mem.load(TCDM_BASE, 4) == 0xDEADBEEF
         stall, _ = tcdm.access(TCDM_BASE, when=0)
         assert stall == 0
+
+
+class TestCorePort:
+    """A core's port reads and writes the TCDM bytes directly; it must
+    agree with the untimed :class:`~repro.soc.memory.Memory` view."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(offset=st.one_of(st.integers(0, TCDM_SIZE - 4),
+                            st.integers(TCDM_SIZE - 4, TCDM_SIZE - 1)),
+           size=st.sampled_from((1, 2, 4)), signed=st.booleans(),
+           value=st.integers(0, 0xFFFF_FFFF))
+    def test_port_matches_memory(self, offset, size, signed, value):
+        from repro.cluster import Cluster
+
+        cluster = Cluster(num_cores=2)
+        port = cluster.cores[1].mem
+        addr = TCDM_BASE + offset
+        if offset + size > TCDM_SIZE:
+            with pytest.raises(MemoryAccessError):
+                port.store(addr, size, value)
+            assert cluster.tcdm.accesses == 0
+            return
+        port.store(addr, size, value)
+        assert port.load(addr, size, signed) == cluster.tcdm.mem.load(
+            addr, size, signed)
+        cluster.tcdm.mem.store(addr, size, ~value)
+        assert port.load(addr, size, signed) == cluster.tcdm.mem.load(
+            addr, size, signed)
+        assert cluster.tcdm.accesses == 3

@@ -69,6 +69,20 @@ class TestParallelMatmulExactness:
         assert speedup >= 6.0
         assert speedup / 8 >= 0.75
 
+    def test_reused_cluster_reports_each_runs_barriers(self, matmul_data,
+                                                       rng):
+        from repro.cluster import Cluster
+
+        w, x0, x1 = matmul_data(4)
+        table = random_threshold_table(CO, 4, spread=600, rng=rng)
+        kernel = _parallel(4, "hw", 4)
+        cluster = Cluster(num_cores=4)
+        first = kernel.run(w, x0, x1, thresholds=table, cluster=cluster)
+        second = kernel.run(w, x0, x1, thresholds=table, cluster=cluster)
+        assert first.run.barriers == second.run.barriers == 1
+        assert first.cycles == second.cycles
+        assert np.array_equal(first.output, second.output)
+
     def test_barrier_and_idle_accounted(self, matmul_data, rng):
         w, x0, x1 = matmul_data(4)
         table = random_threshold_table(CO, 4, spread=600, rng=rng)
