@@ -24,7 +24,7 @@ Quick start::
 """
 
 from .asm import Assembler, KernelBuilder, assemble, disassemble_program
-from .core import Cpu, PerfCounters, TimingParams
+from .core import Cpu, PerfCounters
 from .errors import ReproError
 from .isa import Isa, build_isa
 from .soc import Memory, Pulpissimo
@@ -40,7 +40,6 @@ __all__ = [
     "PerfCounters",
     "Pulpissimo",
     "ReproError",
-    "TimingParams",
     "assemble",
     "build_isa",
     "disassemble_program",

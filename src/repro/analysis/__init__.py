@@ -12,7 +12,7 @@ happens-before race detector that uses event-unit barriers as the
 synchronization edges (``repro lint --race``).
 
 The cost side (``repro cost``) statically derives cycle counts from the
-same CFG plus the timing parameters — exact on straight-line and
+same CFG plus the core's timing rules — exact on straight-line and
 hardware-loop kernels, interval-bounded on data-dependent branches — and
 feeds the opt-in performance-hazard checkers (``repro lint --perf``).
 """

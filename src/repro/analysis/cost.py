@@ -40,7 +40,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..asm.program import Program
 from ..core.perf import PerfCounters
-from ..core.timing import TimingParams
+from ..core.timing import BRANCH_TAKEN_PENALTY, JUMP_PENALTY, LOAD_USE_PENALTY
 from ..errors import ReproError
 from ..isa.bits import to_signed, u32
 from ..isa.instruction import Instruction
@@ -421,11 +421,10 @@ class _PathEnd:
 class _Walker:
     """Path-sensitive abstract interpreter over the timing model."""
 
-    def __init__(self, program: Program, cfg: Cfg, params: TimingParams,
+    def __init__(self, program: Program, cfg: Cfg,
                  hart_id: Optional[int], max_steps: int) -> None:
         self.program = program
         self.cfg = cfg
-        self.params = params
         self.hart_id = hart_id
         self.max_steps = max_steps
         self.steps = 0
@@ -472,8 +471,8 @@ class _Walker:
         if not hits:
             return ZERO
         definite = not maybe_none and hits == regs
-        lo = self.params.load_use_penalty if definite else 0
-        return Interval(lo, self.params.load_use_penalty)
+        lo = LOAD_USE_PENALTY if definite else 0
+        return Interval(lo, LOAD_USE_PENALTY)
 
     def _next_pending(self, ins: Instruction) -> _Pending:
         if ins.spec.timing == "load" and ins.rd != 0:
@@ -613,7 +612,6 @@ class _Walker:
              stops: FrozenSet[int], depth: int = 0) -> _PathEnd:
         if depth > 80:
             raise CostError("branch fork nesting exceeds the analyzer limit")
-        params = self.params
         cost = CostVector()
         terminals: List[CostVector] = []
         while True:
@@ -630,7 +628,7 @@ class _Walker:
                     f"(unfoldable loop?)")
 
             cls = ins.spec.timing
-            base = params.class_cycles[cls]
+            base = ins.spec.cycles
             load_use = self._load_use(pending, ins)
             name = ins.mnemonic
             fall = pc + ins.size
@@ -668,9 +666,9 @@ class _Walker:
                 if outcome is True:
                     self._charge(
                         cost, ins,
-                        Interval.exact(base + params.branch_taken_penalty)
+                        Interval.exact(base + BRANCH_TAKEN_PENALTY)
                         + load_use,
-                        load_use, branch=params.branch_taken_penalty)
+                        load_use, branch=BRANCH_TAKEN_PENALTY)
                     consts, pending, pc = consts_after, pending_after, target
                     continue
                 if outcome is False:
@@ -688,14 +686,12 @@ class _Walker:
                 taken = self.walk(target, consts_after, pending_after,
                                   arm_stops, depth + 1)
                 pen = CostVector()
-                pen.cycles += params.branch_taken_penalty
-                pen.stalls["stall_branch"] += params.branch_taken_penalty
+                pen.cycles += BRANCH_TAKEN_PENALTY
+                pen.stalls["stall_branch"] += BRANCH_TAKEN_PENALTY
                 region = self.region_of.get(ins.addr, "-")
-                pen.by_region[region] = Interval.exact(
-                    params.branch_taken_penalty)
+                pen.by_region[region] = Interval.exact(BRANCH_TAKEN_PENALTY)
                 block = self.block_of[ins.addr]
-                pen.by_block[block] = Interval.exact(
-                    params.branch_taken_penalty)
+                pen.by_block[block] = Interval.exact(BRANCH_TAKEN_PENALTY)
                 fall_end = self.walk(fall, consts_after, pending_after,
                                      arm_stops, depth + 1)
                 prefix = cost.copy()
@@ -734,9 +730,9 @@ class _Walker:
 
             if cls == "jump":
                 self._charge(cost, ins,
-                             Interval.exact(base + params.jump_penalty)
+                             Interval.exact(base + JUMP_PENALTY)
                              + load_use,
-                             load_use, jump=params.jump_penalty)
+                             load_use, jump=JUMP_PENALTY)
                 consts = self._transfer_consts(consts, ins)
                 pending = self._next_pending(ins)
                 if "label" in ins.spec.syntax:
@@ -772,7 +768,6 @@ BASE_ASSUMPTIONS = (
 
 def analyze_cost(
     program: Program,
-    params: Optional[TimingParams] = None,
     name: str = "<program>",
     hart_id: Optional[int] = 0,
     bindings: Optional[Dict[int, int]] = None,
@@ -786,9 +781,8 @@ def analyze_cost(
     (register index -> value); loop counts read from bound registers
     become exact instead of unbounded.
     """
-    params = params or TimingParams()
     cfg = build_cfg(program)
-    walker = _Walker(program, cfg, params, hart_id, max_steps)
+    walker = _Walker(program, cfg, hart_id, max_steps)
     for note in BASE_ASSUMPTIONS:
         walker.assume(note)
     if hart_id is not None:

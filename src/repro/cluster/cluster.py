@@ -33,7 +33,6 @@ from typing import Dict, List, Optional
 
 from ..core.cpu import Cpu
 from ..core.perf import PerfCounters
-from ..core.timing import TimingParams
 from ..errors import MemoryAccessError, SimError
 from ..isa.instruction import SHARED_TIMING_CLASSES
 from ..soc.memmap import (
@@ -69,7 +68,6 @@ class ClusterConfig:
     banking_factor: int = DEFAULT_BANKING_FACTOR
     tcdm_size: int = TCDM_SIZE
     l2_size: int = L2_SIZE
-    timing: Optional[TimingParams] = None
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -297,8 +295,7 @@ class Cluster:
         self.cores: List[Cpu] = []
         for core_id in range(cfg.num_cores):
             port = CoreMemPort(self, core_id)
-            cpu = Cpu(isa=cfg.isa, mem=port, timing=cfg.timing,
-                      hart_id=core_id)
+            cpu = Cpu(isa=cfg.isa, mem=port, hart_id=core_id)
             port.cpu = cpu
             self.cores.append(cpu)
 

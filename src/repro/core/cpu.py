@@ -28,7 +28,13 @@ from ..trace.tracer import Tracer
 from .hwloop import HwLoopController
 from .perf import PerfCounters
 from .regions import RegionCounters
-from .timing import StepTiming, TimingModel, TimingParams
+from .timing import (
+    BRANCH_TAKEN_PENALTY,
+    JUMP_PENALTY,
+    LOAD_USE_PENALTY,
+    MISALIGNED_PENALTY,
+    StepTiming,
+)
 
 #: Default standalone data/instruction memory size (PULPissimo's L2).
 DEFAULT_MEM_SIZE = L2_SIZE
@@ -45,7 +51,6 @@ class Cpu:
         self,
         isa: str | Isa = XPULPNN,
         mem: Optional[Memory] = None,
-        timing: Optional[TimingParams] = None,
         hart_id: int = 0,
         engine: Optional[str] = None,
     ) -> None:
@@ -59,7 +64,10 @@ class Cpu:
         self.pc = 0
         self.hwloops = HwLoopController()
         self.perf = PerfCounters()
-        self.timing = TimingModel(timing)
+        #: The register the previous instruction loaded (``None`` when
+        #: it was not a load): the one piece of pipeline state the
+        #: timing rules carry between retires.
+        self._pending_load_rd: Optional[int] = None
         self._tracer: Optional[Tracer] = None
         self._mem_tracer: Optional[Tracer] = None
 
@@ -288,7 +296,7 @@ class Cpu:
         self.pc = pc
         self.hwloops.reset()
         self.perf.reset()
-        self.timing.reset()
+        self._pending_load_rd = None
         self._halted = None
         self._misaligned = 0
         self._extra_stalls = 0
@@ -325,8 +333,6 @@ class Cpu:
         spec = ins.spec
         next_pc = spec.execute(self, ins)
         cls = spec.timing
-        timing = self.timing
-        params = timing.params
         perf = self.perf
         tracer = self._tracer
 
@@ -336,8 +342,11 @@ class Cpu:
             hw = self.hwloops
             count = hw.count
             end = hw.end
-            if ((count[0] and end[0] == next_pc)
-                    or (count[1] and end[1] == next_pc)):
+            # A halting ebreak/ecall at a loop end retires without taking
+            # the back-edge: the core stops on the fall-through.
+            if (((count[0] and end[0] == next_pc)
+                    or (count[1] and end[1] == next_pc))
+                    and self._halted is None):
                 redirect = hw.redirect(next_pc)
                 if redirect is not None:
                     perf.hwloop_backedges += 1
@@ -345,21 +354,21 @@ class Cpu:
                         tracer.on_hwloop(self, pc, redirect)
                     next_pc = redirect
         elif cls == "branch":
-            branch = params.branch_taken_penalty
+            branch = BRANCH_TAKEN_PENALTY
         if cls == "jump":
-            jump = params.jump_penalty
+            jump = JUMP_PENALTY
 
         load_use = 0
-        pending = timing._pending_load_rd
+        pending = self._pending_load_rd
         if pending:
             for source in spec.source_fields:
                 if getattr(ins, source) == pending:
-                    load_use = params.load_use_penalty
+                    load_use = LOAD_USE_PENALTY
                     break
-        timing._pending_load_rd = ins.rd if cls == "load" else None
+        self._pending_load_rd = ins.rd if cls == "load" else None
 
-        base = params.class_cycles[cls]
-        misaligned = self._misaligned * params.misaligned_penalty
+        base = spec.cycles
+        misaligned = self._misaligned * MISALIGNED_PENALTY
         extra = self._extra_stalls
         tcdm = self._tcdm_stalls
         perf.cycles += base + branch + jump + load_use + misaligned + extra + tcdm
@@ -430,7 +439,7 @@ class Cpu:
         """Convenience: load, reset perf, and run a linked program."""
         self.load_program(program)
         self.perf.reset()
-        self.timing.reset()
+        self._pending_load_rd = None
         return self.run(entry=program.entry, **kwargs)
 
     # ------------------------------------------------------------------

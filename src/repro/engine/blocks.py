@@ -14,16 +14,18 @@ and :mod:`repro.engine.fusion` never touch a dict-per-instruction fetch
 or allocate a :class:`~repro.core.timing.StepTiming` again.
 
 Translated blocks are cached process-wide keyed on
-``(program digest, ISA name, timing-parameter signature)`` — plus the
-region partition when a region profile is attached — and the block's
-start address, so repeated runs of the same program (the serve
-pool, sweeps, trajectory regeneration) skip discovery entirely.
+``(program digest, ISA name)`` — plus the region partition when a
+region profile is attached — and the block's start address, so repeated
+runs of the same program (the serve pool, sweeps, trajectory
+regeneration) skip discovery entirely.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
+
+from ..core.timing import LOAD_USE_PENALTY
 
 #: Timing classes that end a block (and run on the interpreter).
 TERMINATOR_CLASSES = frozenset({"branch", "jump", "system", "csr", "hwloop"})
@@ -44,7 +46,7 @@ class Block:
         "lu_prefix", "pending", "cls_prefix", "fused",
     )
 
-    def __init__(self, instrs: list, params) -> None:
+    def __init__(self, instrs: list) -> None:
         n = len(instrs)
         self.addr = instrs[0].addr
         self.n = n
@@ -56,11 +58,9 @@ class Block:
         self.addr_index = {a: i for i, a in enumerate(self.addrs)}
         self.srcs = [ins.source_registers() for ins in instrs]
 
-        class_cycles = params.class_cycles
-        lu_pen = params.load_use_penalty
-        self.base = [class_cycles[ins.spec.timing] for ins in instrs]
+        self.base = [ins.spec.cycles for ins in instrs]
         # rd loaded by the previous instruction (None when it is not a
-        # load) — the value TimingModel._pending_load_rd holds after it.
+        # load) — the value Cpu._pending_load_rd holds after it.
         self.pending = [
             ins.rd if ins.spec.timing == "load" else None for ins in instrs
         ]
@@ -68,7 +68,7 @@ class Block:
         for i in range(1, n):
             pend = self.pending[i - 1]
             if pend is not None and pend != 0 and pend in self.srcs[i]:
-                lu[i] = lu_pen
+                lu[i] = LOAD_USE_PENALTY
         self.lu = lu
         self.static = [b + s for b, s in zip(self.base, lu)]
         prefix = [0] * (n + 1)
@@ -103,8 +103,7 @@ def _prefix_counts(labels: List[str]) -> Dict[str, List[int]]:
     return out
 
 
-def discover(imem: dict, addr: int, params,
-             regions=None) -> Optional[Block]:
+def discover(imem: dict, addr: int, regions=None) -> Optional[Block]:
     """Decode the block starting at *addr*, or ``None`` when the first
     instruction is absent (fetch fault) or interpreter-only.  With a
     region profile (:class:`~repro.core.regions.RegionCounters`) the
@@ -122,13 +121,13 @@ def discover(imem: dict, addr: int, params,
         a += ins.spec.size
     if not instrs:
         return None
-    return Block(instrs, params)
+    return Block(instrs)
 
 
 class ProgramBlockCache:
     """LRU map of translated programs shared across cores.
 
-    Keys are ``(program digest, ISA name, timing signature)``; the value
+    Keys are ``(program digest, ISA name[, region partition])``; the value
     is the per-program ``{start addr: Block | None}`` map (``None``
     records interpreter-only start addresses so repeated dispatches skip
     re-discovery).

@@ -107,8 +107,7 @@ class BlockEngine:
             digest = cpu._block_digest
             if digest is None:
                 digest = cpu._block_digest = program.digest()
-            params = cpu.timing.params
-            key = (digest, cpu.isa.name, params.signature())
+            key = (digest, cpu.isa.name)
             if partition is not None:
                 key += (partition,)
             return GLOBAL_CACHE.map_for(key)
@@ -130,7 +129,6 @@ class BlockEngine:
         start = hw.start
         step = cpu.step
         imem = cpu._imem
-        params = cpu.timing.params
         executed = 0
         try:
             while cpu._halted is None:
@@ -142,7 +140,7 @@ class BlockEngine:
                 pc = cpu.pc
                 block = blocks.get(pc, _MISSING)
                 if block is _MISSING:
-                    block = discover(imem, pc, params, regions)
+                    block = discover(imem, pc, regions)
                     blocks[pc] = block
                     if block is not None:
                         stats.blocks_translated += 1
@@ -210,7 +208,7 @@ class BlockEngine:
         plan = block.fused.get(end)
         if plan is None:
             try:
-                plan = compile_plan(block, body_len, cpu.timing.params)
+                plan = compile_plan(block, body_len)
             except Unfusable as declined:
                 plan = declined.reason
             block.fused[end] = plan

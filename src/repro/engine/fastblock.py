@@ -19,6 +19,8 @@ is provably straight-line and needs no redirect check.
 
 from __future__ import annotations
 
+from ..core.timing import LOAD_USE_PENALTY, MISALIGNED_PENALTY
+
 
 def run_block(cpu, block, limit: int) -> int:
     """Execute *block* from its first instruction; returns the number of
@@ -69,11 +71,9 @@ def run_block(cpu, block, limit: int) -> int:
 
 
 def _exec_segment(cpu, block, lo: int, hi: int) -> None:
-    params = cpu.timing.params
-    mis_pen = params.misaligned_penalty
-    pend = cpu.timing._pending_load_rd
+    pend = cpu._pending_load_rd
     entry_lu = (
-        params.load_use_penalty
+        LOAD_USE_PENALTY
         if pend is not None and pend != 0 and pend in block.srcs[lo]
         else 0
     )
@@ -91,7 +91,8 @@ def _exec_segment(cpu, block, lo: int, hi: int) -> None:
             cpu.pc = addrs[i]
             execs[i](cpu, instrs[i])
             if cpu._misaligned or cpu._extra_stalls or cpu._tcdm_stalls:
-                mis = cpu._misaligned * mis_pen + cpu._extra_stalls
+                mis = (cpu._misaligned * MISALIGNED_PENALTY
+                       + cpu._extra_stalls)
                 tcdm = cpu._tcdm_stalls
                 dyn_mis += mis
                 dyn_tcdm += tcdm
@@ -129,4 +130,4 @@ def _flush(cpu, block, lo: int, hi: int, entry_lu: int, dyn_mis: int,
         block.lu_prefix[hi] - block.lu_prefix[lo] - lu0 + entry_lu)
     perf.stall_misaligned += dyn_mis
     perf.stall_tcdm_contention += dyn_tcdm
-    cpu.timing._pending_load_rd = block.pending[hi - 1]
+    cpu._pending_load_rd = block.pending[hi - 1]

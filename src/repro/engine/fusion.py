@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.timing import LOAD_USE_PENALTY, MISALIGNED_PENALTY
 from .vector import (
     ALU_OPS,
     MASK32,
@@ -509,10 +510,10 @@ class FusedPlan:
     __slots__ = (
         "body_len", "handlers", "invariants", "inductions", "acc_regs",
         "committed_regs", "srcs0", "lu0_steady", "steady_sum",
-        "lu_per_iter", "cls_counts", "pending_after", "mis_pen", "lu_pen",
+        "lu_per_iter", "cls_counts", "pending_after",
     )
 
-    def __init__(self, block, body_len: int, params) -> None:
+    def __init__(self, block, body_len: int) -> None:
         instrs = block.instrs[:body_len]
         classes, deltas = _classify(instrs)
         self.body_len = body_len
@@ -526,8 +527,6 @@ class FusedPlan:
         self.committed_regs = sorted(
             r for r, c in classes.items() if c in ("induction", "local"))
 
-        self.mis_pen = params.misaligned_penalty
-        self.lu_pen = params.load_use_penalty
         self.srcs0 = block.srcs[0]
         pending_last = block.pending[body_len - 1]
         # Steady-state load-use stall on the body's first instruction:
@@ -535,7 +534,7 @@ class FusedPlan:
         # last one (the hardware-loop back-edge is a pure fetch
         # redirect, so the hazard wraps around).
         self.lu0_steady = (
-            self.lu_pen
+            LOAD_USE_PENALTY
             if pending_last is not None and pending_last != 0
             and pending_last in self.srcs0 else 0
         )
@@ -552,10 +551,10 @@ class FusedPlan:
         self.pending_after = pending_last
 
 
-def compile_plan(block, body_len: int, params) -> FusedPlan:
+def compile_plan(block, body_len: int) -> FusedPlan:
     """Compile the first *body_len* instructions of *block* as a loop
     body; raises :class:`Unfusable` on any statically-unprovable shape."""
-    return FusedPlan(block, body_len, params)
+    return FusedPlan(block, body_len)
 
 
 def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
@@ -618,13 +617,12 @@ def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
         regs[reg] = (regs[reg] + total) & MASK32
 
     perf = cpu.perf
-    timing = cpu.timing
-    pend = timing._pending_load_rd
+    pend = cpu._pending_load_rd
     entry_lu = (
-        plan.lu_pen
+        LOAD_USE_PENALTY
         if pend is not None and pend != 0 and pend in plan.srcs0 else 0
     )
-    mis_cycles = sum(ctx.mis) * plan.mis_pen
+    mis_cycles = sum(ctx.mis) * MISALIGNED_PENALTY
     first_iter_extra = entry_lu - plan.lu0_steady
     perf.cycles += plan.steady_sum * n + first_iter_extra + mis_cycles
     perf.instructions += plan.body_len * n
@@ -633,7 +631,7 @@ def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
     perf.stall_misaligned += mis_cycles
     for cls, count in plan.cls_counts.items():
         perf.by_class[cls] += count * n
-    timing._pending_load_rd = plan.pending_after
+    cpu._pending_load_rd = plan.pending_after
     hw.count[level] = 0
     cpu.pc = hw.end[level]
     return plan.body_len * n

@@ -55,6 +55,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.cost import analyze_cost
 from ..errors import ReproError
+from ..isa.instruction import DATA_ACCESSES
 from ..physical.design import (
     cluster_area_mm2,
     energy_per_inference_uj,
@@ -148,9 +149,7 @@ def score_candidate(candidate: Candidate) -> StaticScore:
     else:
         accesses = 0
         group_max = 1
-        #: (instruction class, data accesses it issues in one cycle).
-        for cls, group in (("load", 1), ("store", 1),
-                           ("qnt_n", 8), ("qnt_c", 4)):
+        for cls, group in DATA_ACCESSES.items():
             interval = report.by_class.get(cls)
             if interval is None:
                 continue

@@ -8,8 +8,8 @@ values and, once linked, an address).
 Semantics are plain functions ``execute(cpu, ins) -> int | None`` that
 mutate the CPU state and return the next program counter, or ``None`` to
 fall through to ``pc + ins.size``.  The timing model never lives in the
-semantic function; it is driven by ``InstrSpec.timing`` (see
-:mod:`repro.core.timing`).
+semantic function; it is driven by ``InstrSpec.timing``, priced by
+:data:`CLASS_CYCLES` and the penalties in :mod:`repro.core.timing`.
 """
 
 from __future__ import annotations
@@ -17,29 +17,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
+#: Base cycles of each timing class on RI5CY/XpulpNN: the pipeline
+#: occupancy of one instruction before hazards.  The stall penalties
+#: (taken branch, jump, load-use, misaligned access) live in
+#: :mod:`repro.core.timing`.
+CLASS_CYCLES = {
+    "alu": 1,       # single-cycle integer/SIMD arithmetic
+    "mul": 1,       # single-cycle multiplier (RI5CY mul/ dotp family)
+    "div": 35,      # iterative divider
+    "load": 1,      # data memory read
+    "store": 1,     # data memory write
+    "branch": 1,    # conditional branch (penalty when taken)
+    "jump": 1,      # unconditional control transfer (always flushes)
+    "hwloop": 1,    # hardware-loop setup instructions
+    "qnt_n": 9,     # pv.qnt.n: two 4-bit activations (paper §III-B2)
+    "qnt_c": 5,     # pv.qnt.c: two 2-bit activations
+    "system": 1,    # fence/ecall/ebreak
+    "csr": 1,       # CSR access
+}
+
 #: Timing classes understood by the core timing model.
-TIMING_CLASSES = frozenset(
-    {
-        "alu",      # single-cycle integer/SIMD arithmetic
-        "mul",      # single-cycle multiplier (RI5CY mul/ dotp family)
-        "div",      # iterative divider
-        "load",     # data memory read
-        "store",    # data memory write
-        "branch",   # conditional branch (penalty when taken)
-        "jump",     # unconditional control transfer (always flushes)
-        "hwloop",   # hardware-loop setup instructions
-        "qnt_n",    # pv.qnt.n multicycle quantization (two nibbles)
-        "qnt_c",    # pv.qnt.c multicycle quantization (two crumbs)
-        "system",   # fence/ecall/ebreak
-        "csr",      # CSR access
-    }
-)
+TIMING_CLASSES = frozenset(CLASS_CYCLES)
+
+#: Data-memory transactions of one instruction of each class that
+#: reaches the memory system: a load or store is one access; the
+#: quantization FSM performs 2 threshold reads per tree level, 8 per
+#: ``pv.qnt.n`` and 4 per ``pv.qnt.c``.
+DATA_ACCESSES = {"load": 1, "store": 1, "qnt_n": 8, "qnt_c": 4}
 
 #: Timing classes whose instructions reach the memory system.  Every
 #: other class touches only its own core's registers, CSRs and hardware
 #: loops, which lets the cluster scheduler run those instructions ahead
 #: of the global clock order (see :mod:`repro.cluster.cluster`).
-SHARED_TIMING_CLASSES = frozenset({"load", "store", "qnt_n", "qnt_c"})
+SHARED_TIMING_CLASSES = frozenset(DATA_ACCESSES)
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,8 @@ class InstrSpec:
     #: ``rd``), derived from *syntax* and *rd_is_src* once per spec.
     source_fields: Tuple[str, ...] = field(
         init=False, repr=False, compare=False)
+    #: Base cycles of the timing class (:data:`CLASS_CYCLES`).
+    cycles: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.timing not in TIMING_CLASSES:
@@ -99,6 +111,7 @@ class InstrSpec:
         if self.rd_is_src:
             sources.append("rd")
         object.__setattr__(self, "source_fields", tuple(sources))
+        object.__setattr__(self, "cycles", CLASS_CYCLES[self.timing])
 
     def __reduce__(self):
         # The ``execute`` closure is unpicklable, but every spec is a

@@ -35,16 +35,9 @@ from typing import Dict, Mapping
 
 from ..core.perf import PerfCounters
 from ..errors import ModelError
+from ..isa.instruction import CLASS_CYCLES, DATA_ACCESSES
 from .technology import NOMINAL, OperatingPoint
 from ..target.names import RI5CY, XPULPNN
-
-#: Cycle weight of each timing class (multicycle classes occupy the
-#: pipeline for several cycles at their class's activity level).
-_CLASS_CYCLES = {
-    "alu": 1, "mul": 1, "div": 35, "load": 1, "store": 1,
-    "branch": 1, "jump": 1, "hwloop": 1, "qnt_n": 9, "qnt_c": 5,
-    "system": 1, "csr": 1,
-}
 
 #: Which power coefficient each timing class draws from.
 _CLASS_TO_COEFF = {
@@ -109,25 +102,24 @@ SOC_MEM_MW_PER_ACCESS = 0.40
 
 
 def cycle_fractions(perf: PerfCounters) -> Dict[str, float]:
-    """Cycle-weighted share of each timing class, plus stall share."""
+    """Cycle-weighted share of each timing class, plus stall share
+    (multicycle classes occupy the pipeline for several cycles at their
+    class's activity level)."""
     if perf.cycles <= 0:
         raise ModelError("perf counters hold no cycles")
     fractions: Dict[str, float] = {}
     for cls, count in perf.by_class.items():
-        fractions[cls] = count * _CLASS_CYCLES[cls] / perf.cycles
+        fractions[cls] = count * CLASS_CYCLES[cls] / perf.cycles
     fractions["stall"] = perf.total_stalls / perf.cycles
     return fractions
 
 
 def memory_accesses_per_cycle(perf: PerfCounters) -> float:
-    """Data-memory transactions per cycle (the quantization FSM performs
-    2 reads per tree level: 8 per ``pv.qnt.n``, 4 per ``pv.qnt.c``)."""
-    accesses = (
-        perf.by_class.get("load", 0)
-        + perf.by_class.get("store", 0)
-        + 8 * perf.by_class.get("qnt_n", 0)
-        + 4 * perf.by_class.get("qnt_c", 0)
-    )
+    """Data-memory transactions per cycle (see
+    :data:`~repro.isa.instruction.DATA_ACCESSES`)."""
+    accesses = sum(
+        group * perf.by_class.get(cls, 0)
+        for cls, group in DATA_ACCESSES.items())
     return accesses / perf.cycles
 
 

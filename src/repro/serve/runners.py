@@ -230,7 +230,7 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
-            "spec": "-",              # no machine: timing params only
+            "spec": "-",              # no machine: fixed timing rules only
             "program": digest_of([p.digest() for _, p in programs]),
             "config": canonical_json(config),
         }

@@ -83,13 +83,13 @@ class SocMemory:
 class Pulpissimo:
     """The full MCU: one core (baseline or extended) + SoC memory."""
 
-    def __init__(self, isa: str = XPULPNN, timing=None) -> None:
+    def __init__(self, isa: str = XPULPNN) -> None:
         # Imported here: repro.core imports repro.soc.memory, so a
         # module-level import would be circular.
         from ..core.cpu import Cpu
 
         self.mem = SocMemory()
-        self.cpu = Cpu(isa=isa, mem=self.mem, timing=timing)
+        self.cpu = Cpu(isa=isa, mem=self.mem)
         self.mem._timer_hook = lambda: self.cpu.perf.cycles
 
     def load_binary(self, blob: bytes, addr: int = L2_BASE) -> None:

@@ -43,13 +43,12 @@ class Machine:
 
 
 def build_machine(target, mem_bytes: int = 0, tracer=None,
-                  timing=None, soc: bool = False) -> Machine:
+                  soc: bool = False) -> Machine:
     """Construct a correctly wired machine for *target*.
 
     *mem_bytes* is the working-set size a kernel needs; the flat memory
     is sized to ``spec.mem_bytes(mem_bytes)`` so layouts stay identical
-    to the SoC's L2.  *timing* overrides the cycle-approximate timing
-    parameters.  ``soc=True`` builds the full PULPissimo (single-core
+    to the SoC's L2.  ``soc=True`` builds the full PULPissimo (single-core
     targets only).
     """
     spec = get_target(target)
@@ -64,23 +63,21 @@ def build_machine(target, mem_bytes: int = 0, tracer=None,
         from ..cluster import Cluster
 
         cluster = Cluster(num_cores=spec.cores, isa=spec.isa,
-                          tcdm_size=spec.tcdm_bytes, l2_size=spec.l2_bytes,
-                          timing=timing)
+                          tcdm_size=spec.tcdm_bytes, l2_size=spec.l2_bytes)
         if tracer is not None:
             cluster.attach_tracer(tracer)
         return Machine(spec=spec, cluster=cluster)
     if soc:
         from ..soc import Pulpissimo
 
-        machine = Pulpissimo(isa=spec.isa, timing=timing)
+        machine = Pulpissimo(isa=spec.isa)
         if tracer is not None:
             machine.cpu.tracer = tracer
         return Machine(spec=spec, soc=machine, cpu=machine.cpu)
     from ..core import Cpu
     from ..soc.memory import Memory
 
-    cpu = Cpu(isa=spec.isa, mem=Memory(spec.mem_bytes(mem_bytes)),
-              timing=timing)
+    cpu = Cpu(isa=spec.isa, mem=Memory(spec.mem_bytes(mem_bytes)))
     if tracer is not None:
         cpu.tracer = tracer
     return Machine(spec=spec, cpu=cpu)

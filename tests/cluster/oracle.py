@@ -96,7 +96,7 @@ def cluster_state(cluster, run, error):
         "run": None if run is None else dataclasses.asdict(run),
         "cores": [
             (cpu.halted, cpu.pc, list(cpu.regs), cpu.perf.to_dict(),
-             cpu.timing._pending_load_rd)
+             cpu._pending_load_rd)
             for cpu in cluster.cores
         ],
         "barriers": cluster.event_unit.barriers_completed,

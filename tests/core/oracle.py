@@ -16,32 +16,38 @@ retire that does not run from a translated block goes through it.
 
 import types
 
-from repro.core.timing import StepTiming
+from repro.core.timing import (
+    BRANCH_TAKEN_PENALTY,
+    JUMP_PENALTY,
+    LOAD_USE_PENALTY,
+    MISALIGNED_PENALTY,
+    StepTiming,
+)
 from repro.errors import TrapError
+from repro.isa.instruction import CLASS_CYCLES
 from repro.trace.tracer import Tracer
 
 
 def timing_step(self, ins, taken, misaligned_accesses):
     """Account one instruction; *taken* flags a non-fall-through next PC
     for control transfers, *misaligned_accesses* counts split data
-    transactions performed by the instruction.  (*self* is the core's
-    :class:`~repro.core.timing.TimingModel`.)"""
-    params = self.params
-    timing = StepTiming(base=params.class_cycles[ins.spec.timing])
+    transactions performed by the instruction.  (*self* is the core,
+    whose ``_pending_load_rd`` carries the load-use hazard.)"""
+    timing = StepTiming(base=CLASS_CYCLES[ins.spec.timing])
 
     if self._pending_load_rd is not None:
         if self._pending_load_rd != 0 and self._pending_load_rd in ins.source_registers():
-            timing.load_use_stall = params.load_use_penalty
+            timing.load_use_stall = LOAD_USE_PENALTY
     cls = ins.spec.timing
     self._pending_load_rd = ins.rd if cls == "load" else None
 
     if cls == "branch" and taken:
-        timing.branch_stall = params.branch_taken_penalty
+        timing.branch_stall = BRANCH_TAKEN_PENALTY
     elif cls == "jump":
-        timing.jump_stall = params.jump_penalty
+        timing.jump_stall = JUMP_PENALTY
 
     if misaligned_accesses:
-        timing.misaligned_stall = misaligned_accesses * params.misaligned_penalty
+        timing.misaligned_stall = misaligned_accesses * MISALIGNED_PENALTY
     return timing
 
 
@@ -66,7 +72,9 @@ def reference_step(self) -> None:
 
     fall_through = self.pc + ins.spec.size
     if next_pc is None:
-        redirect = self.hwloops.redirect(fall_through)
+        # A halting ebreak/ecall takes no hardware-loop back-edge.
+        redirect = (None if self._halted is not None
+                    else self.hwloops.redirect(fall_through))
         if redirect is not None:
             next_pc = redirect
             self.perf.hwloop_backedges += 1
@@ -75,7 +83,7 @@ def reference_step(self) -> None:
         else:
             next_pc = fall_through
 
-    timing = timing_step(self.timing, ins, taken, self._misaligned)
+    timing = timing_step(self, ins, taken, self._misaligned)
     step_extra = self._extra_stalls + self._tcdm_stalls
     perf = self.perf
     perf.cycles += timing.total + step_extra

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.asm import assemble
+from repro.core import Cpu
 from repro.core.hwloop import HwLoopController
 from repro.errors import SimError
 from tests.conftest import run_asm
@@ -144,3 +146,23 @@ class TestLpInstructions:
         run_asm(cpu, src)
         assert cpu.perf.cycles == 1 + 5 * 2 + 1
         assert cpu.regs[10] == 5 and cpu.regs[11] == 10
+
+    @pytest.mark.parametrize("halt", ["ebreak", "ecall"])
+    @pytest.mark.parametrize("engine", ["block", "interp"])
+    def test_halt_at_loop_end_takes_no_backedge(self, halt, engine):
+        """A halting instruction that ends a loop body stops the core on
+        its fall-through: no back-edge, the loop count untouched."""
+        program = assemble(f"""
+            lp.setupi 0, 4, end0
+            {halt}
+        end0:
+            addi a0, a0, 1
+            ebreak
+        """, isa="xpulpnn")
+        cpu = Cpu(isa="xpulpnn", engine=engine)
+        cpu.run_program(program)
+        assert cpu.halted == halt
+        assert cpu.perf.hwloop_backedges == 0
+        assert cpu.pc == program.labels["end0"]
+        assert cpu.hwloops.count[0] == 4
+        assert cpu.regs[10] == 0

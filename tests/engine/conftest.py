@@ -34,7 +34,7 @@ def state_of(cpu):
         "regions": None if cpu.regions is None else [
             (name, cpu.regions[name].snapshot())
             for name in cpu.regions.regions],
-        "pending_load": cpu.timing._pending_load_rd,
+        "pending_load": cpu._pending_load_rd,
         "hwloops": (list(cpu.hwloops.start), list(cpu.hwloops.end),
                     list(cpu.hwloops.count)),
         "mem": bytes(cpu.mem._data),

@@ -2,7 +2,6 @@
 
 from repro.asm import assemble
 from repro.core import Cpu
-from repro.core.timing import TimingParams
 from repro.engine.blocks import GLOBAL_CACHE, ProgramBlockCache
 
 SOURCE = """
@@ -30,26 +29,13 @@ class TestGlobalCache:
         assert second.engine_stats["block_hits"] > 0
         assert second.perf.snapshot() == first.perf.snapshot()
 
-    def test_timing_signature_separates_entries(self):
-        """A core with different timing parameters must not reuse blocks
-        whose static cycle tables were summed under other parameters."""
-        program = assemble(SOURCE, isa="xpulpnn")
-        baseline = _run(program)
-        slow = TimingParams(load_use_penalty=3)
-        other = Cpu(isa="xpulpnn", engine="block", timing=slow)
-        other.run_program(program)
-        assert other.engine_stats["blocks_translated"] > 0
-        assert len(GLOBAL_CACHE) == 2
-        assert baseline.halted == other.halted
-
     def test_negative_entries_cached(self):
         """Terminator start addresses cache as None so repeated visits
         skip re-discovery."""
         program = assemble("j target\ntarget:\naddi a0, a0, 1\nebreak",
                            isa="xpulpnn")
         cpu = _run(program)
-        key = (program.digest(), cpu.isa.name,
-               cpu.timing.params.signature())
+        key = (program.digest(), cpu.isa.name)
         blocks = GLOBAL_CACHE.map_for(key)
         assert blocks[program.base] is None          # the jump
         assert blocks[program.base + 4] is not None  # the fall-through

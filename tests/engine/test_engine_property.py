@@ -109,6 +109,34 @@ def _assemble_lines(lines):
     return "\n".join(lines) + "\n"
 
 
+def single_loop(ops, count, level):
+    """One hardware loop over all of *ops* but the last, which the loop
+    end label marks; an ``ebreak`` follows."""
+    lines = [f"lp.setupi {level}, {count}, end{level}"]
+    lines += ops[:-1]
+    lines += [f"end{level}:", ops[-1], "ebreak"]
+    return lines
+
+
+def nested_loop(inner, outer_tail, n_outer, n_inner):
+    """lp1 wrapping lp0, laid out like :func:`single_loop`."""
+    lines = [f"lp.setupi 1, {n_outer}, end1",
+             f"lp.setupi 0, {n_inner}, end0"]
+    lines += inner[:-1]
+    lines += ["end0:", inner[-1]]
+    lines += outer_tail[:-1]
+    lines += ["end1:", outer_tail[-1], "ebreak"]
+    return lines
+
+
+def forward_branch(ops, skip):
+    """A data-dependent ``bne`` over the first *skip* of *ops*."""
+    lines = ["bne a0, a1, skip"] + list(ops)
+    lines.insert(min(skip, len(ops)) + 1, "skip:")
+    lines.append("ebreak")
+    return lines
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=body_ops(max_size=8), regs=initial_regs(), mem=initial_mem())
 def test_straight_line_parity(ops, regs, mem):
@@ -121,10 +149,8 @@ def test_straight_line_parity(ops, regs, mem):
 def test_single_loop_parity(ops, count, level, regs, mem):
     """One hardware loop: zero-trip, single-op bodies, either level,
     possibly halting mid-body."""
-    lines = [f"lp.setupi {level}, {count}, end{level}"]
-    lines += ops[:-1]
-    lines += [f"end{level}:", ops[-1], "ebreak"]
-    run_both(_assemble_lines(lines), regs=regs, mem=mem)
+    run_both(_assemble_lines(single_loop(ops, count, level)),
+             regs=regs, mem=mem)
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,12 +160,7 @@ def test_single_loop_parity(ops, count, level, regs, mem):
 def test_nested_loop_parity(inner, outer_tail, n_outer, n_inner, regs, mem):
     """lp1 wrapping lp0: the inner body fuses, the outer back-edge and
     re-setup run on the fast-block/interpreter tiers."""
-    lines = [f"lp.setupi 1, {n_outer}, end1",
-             f"lp.setupi 0, {n_inner}, end0"]
-    lines += inner[:-1]
-    lines += ["end0:", inner[-1]]
-    lines += outer_tail[:-1]
-    lines += ["end1:", outer_tail[-1], "ebreak"]
+    lines = nested_loop(inner, outer_tail, n_outer, n_inner)
     run_both(_assemble_lines(lines), regs=regs, mem=mem)
 
 
@@ -149,13 +170,7 @@ def test_nested_loop_parity(inner, outer_tail, n_outer, n_inner, regs, mem):
 def test_branch_parity(ops, skip, regs, mem):
     """A forward branch mid-program: terminators stay interpreter steps
     and block re-entry lands on the branch target."""
-    cut = min(skip, len(ops))
-    lines = list(ops)
-    lines.insert(0, "bne a0, a1, skip")
-    label_at = min(cut, len(lines) - 1) + 1
-    lines.insert(label_at, "skip:")
-    lines.append("ebreak")
-    run_both(_assemble_lines(lines), regs=regs, mem=mem)
+    run_both(_assemble_lines(forward_branch(ops, skip)), regs=regs, mem=mem)
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,8 +179,5 @@ def test_branch_parity(ops, skip, regs, mem):
 def test_budget_parity(ops, count, budget, regs, mem):
     """A max_instructions ceiling that may land mid-loop: both engines
     raise the identical SimError (or both halt) at the same state."""
-    lines = [f"lp.setupi 0, {count}, end0"]
-    lines += ops[:-1]
-    lines += ["end0:", ops[-1], "ebreak"]
-    run_both(_assemble_lines(lines), regs=regs, mem=mem,
-             max_instructions=budget)
+    run_both(_assemble_lines(single_loop(ops, count, 0)), regs=regs,
+             mem=mem, max_instructions=budget)
