@@ -97,9 +97,6 @@ class Cfg:
                 return block
         raise KeyError(f"no block contains address {addr:#x}")
 
-    def instructions(self):
-        return iter(self.program.instructions)
-
     def loops_containing(self, addr: int) -> List[HwLoop]:
         return [loop for loop in self.loops if loop.contains(addr)]
 

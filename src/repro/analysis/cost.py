@@ -4,7 +4,11 @@ The timing model of :mod:`repro.core.timing` is simple enough — per-class
 occupancy plus load-use / taken-branch / jump hazards — that cycle counts
 can be *derived* from the program text instead of measured, WCET-style.
 This module walks a linked :class:`~repro.asm.program.Program` along its
-control flow, carrying three pieces of abstract state:
+control flow one *segment* at a time — a CFG basic block, cut where the
+``.region`` changes — and prices each segment with
+:meth:`~repro.engine.blocks.Block.price`, the rule the block engine
+charges its straight-line runs with.  The segment's last instruction
+does the control flow.  The walk carries three pieces of abstract state:
 
 * a **constant environment** (the transfer function of
   :class:`~repro.analysis.dataflow.ConstantAnalysis`, applied
@@ -12,8 +16,9 @@ control flow, carrying three pieces of abstract state:
   repo's kernels they are either ``lp.setupi`` immediates or constants
   materialized with ``li`` — plus branch conditions and ``mhartid``;
 * the **pending load destination** of the previous instruction, which
-  decides load-use stalls exactly like the core's retire path
-  (:meth:`~repro.core.cpu.Cpu.step`) does;
+  decides a segment's entry load-use stall exactly like the core's
+  retire path (:meth:`~repro.core.cpu.Cpu.step`) does — as an interval,
+  since after a fork it may be a set of registers;
 * the **hardware-loop fold**: a loop body is walked twice (entry
   iteration with the incoming facts, steady-state iteration with the
   body-written registers havoced) and charged ``first + (n-1) * steady``,
@@ -36,11 +41,13 @@ simulator), and an indirect jump ends the analyzed path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..asm.program import Program
 from ..core.perf import PerfCounters
 from ..core.timing import BRANCH_TAKEN_PENALTY, JUMP_PENALTY, LOAD_USE_PENALTY
+from ..engine.blocks import Block
 from ..errors import ReproError
 from ..isa.bits import to_signed, u32
 from ..isa.instruction import Instruction
@@ -423,17 +430,21 @@ class _Walker:
 
     def __init__(self, program: Program, cfg: Cfg,
                  hart_id: Optional[int], max_steps: int) -> None:
-        self.program = program
-        self.cfg = cfg
         self.hart_id = hart_id
         self.max_steps = max_steps
         self.steps = 0
-        self.imem: Dict[int, Instruction] = {
-            ins.addr: ins for ins in program.instructions}
-        self.region_of = program.region_map()
-        self.block_of: Dict[int, int] = {
-            ins.addr: block.index
-            for block in cfg.blocks for ins in block.instructions}
+        # Priced straight-line segments keyed by start address: the CFG
+        # blocks, cut where the region changes, so each one charges
+        # exactly one region and one CFG block.
+        region_of = program.region_map()
+        self.segments: Dict[int, Tuple[Block, int, str]] = {}
+        for block in cfg.blocks:
+            for region, run in groupby(
+                    block.instructions,
+                    key=lambda ins: region_of.get(ins.addr, "-")):
+                run = list(run)
+                self.segments[run[0].addr] = (Block(run), block.index,
+                                              region)
         ipdom = postdominators(cfg)
         self.join_of: Dict[int, Optional[int]] = {
             index: (None if target is None else cfg.blocks[target].start)
@@ -462,34 +473,29 @@ class _Walker:
         if message not in self.assumptions:
             self.assumptions.append(message)
 
-    def _load_use(self, pending: _Pending, ins: Instruction) -> Interval:
+    def _load_use(self, pending: _Pending, sources) -> Interval:
+        """Entry load-use stall of a segment whose first instruction
+        reads *sources*: the only interval-valued part of its price."""
         regs, maybe_none = pending
-        if not regs:
-            return ZERO
-        sources = set(ins.source_registers())
-        hits = regs & sources
+        hits = regs.intersection(sources)
         if not hits:
             return ZERO
         definite = not maybe_none and hits == regs
         lo = LOAD_USE_PENALTY if definite else 0
         return Interval(lo, LOAD_USE_PENALTY)
 
-    def _next_pending(self, ins: Instruction) -> _Pending:
-        if ins.spec.timing == "load" and ins.rd != 0:
-            return (frozenset({ins.rd}), False)
-        return _NO_PENDING
-
-    def _charge(self, cost: CostVector, ins: Instruction, cycles: Interval,
+    def _charge(self, cost: CostVector, segment: Tuple[Block, int, str],
                 load_use: Interval, branch: int = 0, jump: int = 0) -> None:
-        cost.cycles += cycles
-        cost.instructions += 1
-        cls = ins.spec.timing
-        cost.by_class[cls] = cost.by_class.get(cls, ZERO) + 1
-        region = self.region_of.get(ins.addr, "-")
-        cost.by_region[region] = cost.by_region.get(region, ZERO) + cycles
-        block = self.block_of[ins.addr]
-        cost.by_block[block] = cost.by_block.get(block, ZERO) + cycles
-        cost.stalls["stall_load_use"] += load_use
+        seg, block, region = segment
+        cycles, stalls = seg.price(0, seg.n, None)
+        total = load_use + (cycles + branch + jump)
+        cost.cycles += total
+        cost.instructions += seg.n
+        for cls, pref in seg.cls_prefix.items():
+            cost.by_class[cls] = cost.by_class.get(cls, ZERO) + pref[seg.n]
+        cost.by_region[region] = cost.by_region.get(region, ZERO) + total
+        cost.by_block[block] = cost.by_block.get(block, ZERO) + total
+        cost.stalls["stall_load_use"] += load_use + stalls
         if branch:
             cost.stalls["stall_branch"] += branch
         if jump:
@@ -617,28 +623,34 @@ class _Walker:
         while True:
             if pc in stops:
                 return _PathEnd(cost, consts, pending, pc, terminals)
-            ins = self.imem.get(pc)
-            if ins is None:
+            segment = self.segments.get(pc)
+            if segment is None:
                 self.warn(f"no instruction at {pc:#010x}; path abandoned")
                 return _PathEnd(cost, consts, pending, _HALT, terminals)
-            self.steps += 1
+            seg, block, region = segment
+            self.steps += seg.n
             if self.steps > self.max_steps:
                 raise CostError(
                     f"analysis exceeded {self.max_steps} abstract steps "
                     f"(unfoldable loop?)")
 
+            load_use = self._load_use(pending, seg.srcs[0])
+            # Constants flow per instruction; ``before`` ends as the
+            # environment the last one (the control transfer) reads.
+            for ins in seg.instrs:
+                before, consts = consts, self._transfer_consts(consts, ins)
             cls = ins.spec.timing
-            base = ins.spec.cycles
-            load_use = self._load_use(pending, ins)
-            name = ins.mnemonic
-            fall = pc + ins.size
+            outcome = _eval_branch(ins, before) if cls == "branch" else None
+            self._charge(
+                cost, segment, load_use,
+                branch=BRANCH_TAKEN_PENALTY if outcome is True else 0,
+                jump=JUMP_PENALTY if cls == "jump" else 0)
+            rd = seg.pending[-1]
+            pending = (frozenset({rd}), False) if rd else _NO_PENDING
+            fall = seg.fts[-1]
 
-            if name in HWLOOP_SETUP_MNEMONICS:
-                count, source = self._loop_count(ins, consts)
-                self._charge(cost, ins, Interval.exact(base) + load_use,
-                             load_use)
-                consts = self._transfer_consts(consts, ins)
-                pending = self._next_pending(ins)
+            if ins.mnemonic in HWLOOP_SETUP_MNEMONICS:
+                count, source = self._loop_count(ins, before)
                 loop = self.loops_by_setup.get(ins.addr)
                 if loop is None or loop.end <= loop.start:
                     self.warn(f"malformed hardware loop at {ins.addr:#x}")
@@ -659,41 +671,24 @@ class _Walker:
                 continue
 
             if cls == "branch":
-                outcome = _eval_branch(ins, consts)
                 target = u32(ins.addr + ins.imm)
-                consts_after = self._transfer_consts(consts, ins)
-                pending_after = self._next_pending(ins)
-                if outcome is True:
-                    self._charge(
-                        cost, ins,
-                        Interval.exact(base + BRANCH_TAKEN_PENALTY)
-                        + load_use,
-                        load_use, branch=BRANCH_TAKEN_PENALTY)
-                    consts, pending, pc = consts_after, pending_after, target
-                    continue
-                if outcome is False:
-                    self._charge(cost, ins, Interval.exact(base) + load_use,
-                                 load_use)
-                    consts, pending, pc = consts_after, pending_after, fall
+                if outcome is not None:
+                    pc = target if outcome else fall
                     continue
                 # Data-dependent: fork both arms to the immediate
                 # postdominator and merge as an interval.
-                self._charge(cost, ins, Interval.exact(base) + load_use,
-                             load_use)
-                join = self.join_of.get(self.block_of[ins.addr])
+                join = self.join_of.get(block)
                 arm_stops = stops if join is None else (stops
                                                         | frozenset({join}))
-                taken = self.walk(target, consts_after, pending_after,
-                                  arm_stops, depth + 1)
+                taken = self.walk(target, consts, pending, arm_stops,
+                                  depth + 1)
                 pen = CostVector()
                 pen.cycles += BRANCH_TAKEN_PENALTY
                 pen.stalls["stall_branch"] += BRANCH_TAKEN_PENALTY
-                region = self.region_of.get(ins.addr, "-")
                 pen.by_region[region] = Interval.exact(BRANCH_TAKEN_PENALTY)
-                block = self.block_of[ins.addr]
                 pen.by_block[block] = Interval.exact(BRANCH_TAKEN_PENALTY)
-                fall_end = self.walk(fall, consts_after, pending_after,
-                                     arm_stops, depth + 1)
+                fall_end = self.walk(fall, consts, pending, arm_stops,
+                                     depth + 1)
                 prefix = cost.copy()
                 for terminal in taken.terminals:
                     terminals.append(prefix.copy().add(pen).add(terminal))
@@ -710,8 +705,7 @@ class _Walker:
                 else:
                     arms.append((fall_end.cost, fall_end))
                 if not arms:
-                    return _PathEnd(cost, consts_after, pending_after,
-                                    _HALT, terminals)
+                    return _PathEnd(cost, consts, pending, _HALT, terminals)
                 if len(arms) == 1:
                     arm_cost, arm = arms[0]
                     cost.add(arm_cost)
@@ -729,12 +723,6 @@ class _Walker:
                 continue
 
             if cls == "jump":
-                self._charge(cost, ins,
-                             Interval.exact(base + JUMP_PENALTY)
-                             + load_use,
-                             load_use, jump=JUMP_PENALTY)
-                consts = self._transfer_consts(consts, ins)
-                pending = self._next_pending(ins)
                 if "label" in ins.spec.syntax:
                     pc = u32(ins.addr + ins.imm)
                     continue
@@ -743,13 +731,9 @@ class _Walker:
                     "analyzed path")
                 return _PathEnd(cost, consts, pending, _HALT, terminals)
 
-            # Plain instruction (including the halting ebreak/ecall,
-            # which the simulator retires and counts).
-            self._charge(cost, ins, Interval.exact(base) + load_use,
-                         load_use)
-            consts = self._transfer_consts(consts, ins)
-            pending = self._next_pending(ins)
-            if name in HALT_MNEMONICS:
+            # The halting ebreak/ecall is retired and counted, like the
+            # simulator does.
+            if ins.mnemonic in HALT_MNEMONICS:
                 return _PathEnd(cost, consts, pending, _HALT, terminals)
             pc = fall
 

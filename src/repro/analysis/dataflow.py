@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
+from ..isa.bits import to_signed, u32
 from ..isa.instruction import Instruction
 from .cfg import Cfg
 
@@ -126,15 +127,6 @@ class DefinednessAnalysis(ForwardAnalysis):
 # Constant propagation
 # ---------------------------------------------------------------------------
 
-def _u32(value: int) -> int:
-    return value & 0xFFFF_FFFF
-
-
-def _signed(value: int) -> int:
-    value = _u32(value)
-    return value - (1 << 32) if value & 0x8000_0000 else value
-
-
 _CONST_BINOPS = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
@@ -143,18 +135,18 @@ _CONST_BINOPS = {
     "xor": lambda a, b: a ^ b,
     "sll": lambda a, b: a << (b & 31),
     "srl": lambda a, b: a >> (b & 31),
-    "sra": lambda a, b: _signed(a) >> (b & 31),
+    "sra": lambda a, b: to_signed(a) >> (b & 31),
     "mul": lambda a, b: a * b,
 }
 
 _CONST_IMMOPS = {
     "addi": lambda a, imm: a + imm,
-    "andi": lambda a, imm: a & _u32(imm),
-    "ori": lambda a, imm: a | _u32(imm),
-    "xori": lambda a, imm: a ^ _u32(imm),
+    "andi": lambda a, imm: a & u32(imm),
+    "ori": lambda a, imm: a | u32(imm),
+    "xori": lambda a, imm: a ^ u32(imm),
     "slli": lambda a, imm: a << (imm & 31),
     "srli": lambda a, imm: a >> (imm & 31),
-    "srai": lambda a, imm: _signed(a) >> (imm & 31),
+    "srai": lambda a, imm: to_signed(a) >> (imm & 31),
 }
 
 
@@ -183,13 +175,13 @@ class ConstantAnalysis(ForwardAnalysis):
         name = ins.mnemonic
         value: Optional[int] = None
         if name == "lui":
-            value = _u32(ins.imm << 12)
+            value = u32(ins.imm << 12)
         elif name == "auipc":
-            value = _u32(ins.addr + (ins.imm << 12))
+            value = u32(ins.addr + (ins.imm << 12))
         elif name in _CONST_IMMOPS and ins.rs1 in state:
-            value = _u32(_CONST_IMMOPS[name](state[ins.rs1], ins.imm))
+            value = u32(_CONST_IMMOPS[name](state[ins.rs1], ins.imm))
         elif name in _CONST_BINOPS and ins.rs1 in state and ins.rs2 in state:
-            value = _u32(_CONST_BINOPS[name](state[ins.rs1], state[ins.rs2]))
+            value = u32(_CONST_BINOPS[name](state[ins.rs1], state[ins.rs2]))
 
         new = dict(state)
         for reg in written:

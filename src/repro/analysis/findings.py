@@ -69,9 +69,6 @@ class LintReport:
     def errors(self) -> List[Finding]:
         return [f for f in self.findings if f.severity == "error"]
 
-    def by_checker(self, checker: str) -> List[Finding]:
-        return [f for f in self.findings if f.checker == checker]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "schema_version": LINT_SCHEMA_VERSION,

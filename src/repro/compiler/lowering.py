@@ -40,7 +40,7 @@ from ..kernels.parallel import ParallelConvConfig, ParallelConvKernel
 from ..kernels.pooling import PoolConfig, PoolKernel
 from ..qnn.network import AvgPool, MaxPool, QuantizedConv, QuantizedLinear
 from ..qnn.thresholds import tree_stride
-from ..soc.memmap import TCDM_BASE, TCDM_SIZE
+from ..soc.memmap import TCDM_BASE
 from .planner import TcdmPlan, TcdmPlanner
 from .tiling import (
     CODE_ALLOWANCE,

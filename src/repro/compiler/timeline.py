@@ -11,7 +11,7 @@ can eyeball the compute/DMA overlap directly.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..trace.events import DmaEvent, RegionSpan, StallEvent
 from ..trace.perfetto import chrome_trace, write_chrome_trace
@@ -66,10 +66,3 @@ class MasterTimeline:
 
     def write(self, path: str, title: str = "compiled network") -> dict:
         return write_chrome_trace(self.tracer, path, title=title)
-
-    def overlap_report(self) -> List[str]:
-        """Human-readable line per DMA event (debugging aid)."""
-        return [
-            f"dma {e.src:#x}->{e.dst:#x} {e.bytes}B [{e.start}, {e.end})"
-            for e in self.tracer.dma_events
-        ]

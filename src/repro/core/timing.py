@@ -19,9 +19,10 @@ Each timing class's base cycles are
 :data:`~repro.isa.instruction.CLASS_CYCLES` (``InstrSpec.cycles``); the
 penalties are the constants below.  The rules are applied per retire by
 :meth:`repro.core.cpu.Cpu.step`, in plain integers; :class:`StepTiming`
-is only the breakdown handed to an attached tracer's ``on_retire``.  The
-block engine (:mod:`repro.engine`) precomputes the same rules per
-translated block, and :mod:`repro.analysis.cost` derives them statically.
+is only the breakdown handed to an attached tracer's ``on_retire``.  A
+straight-line run is priced by :meth:`repro.engine.blocks.Block.price`,
+which the block engine's fast blocks and fused loops and the static walker
+of :mod:`repro.analysis.cost` all charge through.
 """
 
 from __future__ import annotations

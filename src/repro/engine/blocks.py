@@ -12,6 +12,9 @@ fall-through addresses, static cycle/stall prefix sums, per-class
 retirement counts — so the executors in :mod:`repro.engine.fastblock`
 and :mod:`repro.engine.fusion` never touch a dict-per-instruction fetch
 or allocate a :class:`~repro.core.timing.StepTiming` again.
+:meth:`Block.price` is the one rule that prices a straight-line run,
+entry load-use hazard included; the fast blocks, the fused loops and
+the static walker of :mod:`repro.analysis.cost` all charge through it.
 
 Translated blocks are cached process-wide keyed on
 ``(program digest, ISA name)`` — plus the region partition when a
@@ -42,8 +45,8 @@ class Block:
 
     __slots__ = (
         "addr", "n", "instrs", "execs", "addrs", "fts", "ft_index",
-        "addr_index", "srcs", "base", "lu", "static", "prefix",
-        "lu_prefix", "pending", "cls_prefix", "fused",
+        "addr_index", "srcs", "lu", "prefix", "lu_prefix", "pending",
+        "cls_prefix", "fused",
     )
 
     def __init__(self, instrs: list) -> None:
@@ -58,7 +61,6 @@ class Block:
         self.addr_index = {a: i for i, a in enumerate(self.addrs)}
         self.srcs = [ins.source_registers() for ins in instrs]
 
-        self.base = [ins.spec.cycles for ins in instrs]
         # rd loaded by the previous instruction (None when it is not a
         # load) — the value Cpu._pending_load_rd holds after it.
         self.pending = [
@@ -67,14 +69,13 @@ class Block:
         lu = [0] * n
         for i in range(1, n):
             pend = self.pending[i - 1]
-            if pend is not None and pend != 0 and pend in self.srcs[i]:
+            if pend and pend in self.srcs[i]:
                 lu[i] = LOAD_USE_PENALTY
         self.lu = lu
-        self.static = [b + s for b, s in zip(self.base, lu)]
         prefix = [0] * (n + 1)
         lu_prefix = [0] * (n + 1)
-        for i in range(n):
-            prefix[i + 1] = prefix[i] + self.static[i]
+        for i, ins in enumerate(instrs):
+            prefix[i + 1] = prefix[i] + ins.spec.cycles + lu[i]
             lu_prefix[i + 1] = lu_prefix[i] + lu[i]
         self.prefix = prefix
         self.lu_prefix = lu_prefix
@@ -84,6 +85,17 @@ class Block:
         #: or a side-exit reason string when fusion was statically
         #: declined (so the analysis never reruns per dispatch).
         self.fused: Dict[int, object] = {}
+
+    def price(self, lo: int, hi: int,
+              pending: Optional[int]) -> Tuple[int, int]:
+        """``(cycles, load_use_stalls)`` of ``instrs[lo:hi]`` run straight
+        through after an instruction that loaded *pending* (``None`` when
+        it was not a load).  Dynamic stalls — misaligned accesses, unit
+        and TCDM stalls — are the caller's to add."""
+        entry = (LOAD_USE_PENALTY if pending and pending in self.srcs[lo]
+                 else 0) - self.lu[lo]
+        return (self.prefix[hi] - self.prefix[lo] + entry,
+                self.lu_prefix[hi] - self.lu_prefix[lo] + entry)
 
     def __repr__(self) -> str:
         return f"Block({self.addr:#x}, {self.n} instrs)"

@@ -5,9 +5,10 @@ apply.  It executes a block's instructions with the original semantic
 functions but none of the per-instruction interpreter overhead: no
 fetch dict lookup, no :class:`~repro.core.timing.StepTiming`
 allocation, no per-retire counter writes.  Cycle and stall accounting
-is flushed per *segment* from the block's precomputed prefix sums and
-is bit-identical to interpreting the same instructions — including
-load-use hazards across segment and block boundaries, misaligned-access
+is flushed per *segment* through :meth:`~repro.engine.blocks.Block.price`
+plus the dynamic stalls the segment met, and is bit-identical to
+interpreting the same instructions — including load-use hazards across
+segment and block boundaries, misaligned-access
 penalties, quantization-FSM stalls and trap behaviour (a fault flushes
 the already-retired prefix, leaves ``pc`` on the faulting instruction,
 and re-raises).
@@ -19,7 +20,7 @@ is provably straight-line and needs no redirect check.
 
 from __future__ import annotations
 
-from ..core.timing import LOAD_USE_PENALTY, MISALIGNED_PENALTY
+from ..core.timing import MISALIGNED_PENALTY
 
 
 def run_block(cpu, block, limit: int) -> int:
@@ -71,12 +72,6 @@ def run_block(cpu, block, limit: int) -> int:
 
 
 def _exec_segment(cpu, block, lo: int, hi: int) -> None:
-    pend = cpu._pending_load_rd
-    entry_lu = (
-        LOAD_USE_PENALTY
-        if pend is not None and pend != 0 and pend in block.srcs[lo]
-        else 0
-    )
     execs = block.execs
     instrs = block.instrs
     addrs = block.addrs
@@ -105,29 +100,25 @@ def _exec_segment(cpu, block, lo: int, hi: int) -> None:
         # the fault (the faulting one is charged nothing, exactly like
         # Cpu.step aborting before its timing update) and re-raise with
         # pc parked on the faulting instruction.
-        _flush(cpu, block, lo, i, entry_lu, dyn_mis, dyn_tcdm)
+        _flush(cpu, block, lo, i, dyn_mis, dyn_tcdm)
         raise
-    _flush(cpu, block, lo, hi, entry_lu, dyn_mis, dyn_tcdm)
+    _flush(cpu, block, lo, hi, dyn_mis, dyn_tcdm)
 
 
-def _flush(cpu, block, lo: int, hi: int, entry_lu: int, dyn_mis: int,
+def _flush(cpu, block, lo: int, hi: int, dyn_mis: int,
            dyn_tcdm: int) -> None:
     if hi == lo:
         return
     perf = cpu.perf
-    lu0 = block.lu[lo]
-    perf.cycles += (
-        block.prefix[hi] - block.prefix[lo] - lu0 + entry_lu
-        + dyn_mis + dyn_tcdm
-    )
+    cycles, load_use = block.price(lo, hi, cpu._pending_load_rd)
+    perf.cycles += cycles + dyn_mis + dyn_tcdm
     perf.instructions += hi - lo
     by_class = perf.by_class
     for cls, pref in block.cls_prefix.items():
         delta = pref[hi] - pref[lo]
         if delta:
             by_class[cls] += delta
-    perf.stall_load_use += (
-        block.lu_prefix[hi] - block.lu_prefix[lo] - lu0 + entry_lu)
+    perf.stall_load_use += load_use
     perf.stall_misaligned += dyn_mis
     perf.stall_tcdm_contention += dyn_tcdm
     cpu._pending_load_rd = block.pending[hi - 1]

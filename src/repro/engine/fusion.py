@@ -28,8 +28,11 @@ dispatch: out-of-bounds addresses (the interpreter must raise at the
 exact faulting iteration), overlapping load/store ranges, and stores
 with non-affine address patterns.  Handlers never mutate CPU or memory
 state before every check has passed; commits (register file, memory
-scatters, closed-form cycle accounting) happen only on success, so a
-side exit is always invisible.
+scatters, cycle accounting) happen only on success, so a side exit is
+always invisible.  The cycles are ``first + steady * (n - 1)``, both
+priced by :meth:`~repro.engine.blocks.Block.price`: the first iteration
+after whatever retired before the loop, the steady one after the body's
+own last instruction.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.timing import LOAD_USE_PENALTY, MISALIGNED_PENALTY
+from ..core.timing import MISALIGNED_PENALTY
 from .vector import (
     ALU_OPS,
     MASK32,
@@ -46,6 +49,7 @@ from .vector import (
     gather,
     replicate,
     scalar_load,
+    scatter,
     to_signed32,
 )
 
@@ -505,12 +509,11 @@ def _compile_handlers(instrs, classes) -> List[Callable]:
 # ---------------------------------------------------------------------------
 
 class FusedPlan:
-    """A compiled loop body plus its closed-form cycle model."""
+    """A compiled loop body plus its steady-state price."""
 
     __slots__ = (
         "body_len", "handlers", "invariants", "inductions", "acc_regs",
-        "committed_regs", "srcs0", "lu0_steady", "steady_sum",
-        "lu_per_iter", "cls_counts", "pending_after",
+        "committed_regs", "block", "steady", "cls_counts", "pending_after",
     )
 
     def __init__(self, block, body_len: int) -> None:
@@ -527,28 +530,16 @@ class FusedPlan:
         self.committed_regs = sorted(
             r for r, c in classes.items() if c in ("induction", "local"))
 
-        self.srcs0 = block.srcs[0]
-        pending_last = block.pending[body_len - 1]
-        # Steady-state load-use stall on the body's first instruction:
-        # from iteration 2 on, the "previous" instruction is the body's
-        # last one (the hardware-loop back-edge is a pure fetch
-        # redirect, so the hazard wraps around).
-        self.lu0_steady = (
-            LOAD_USE_PENALTY
-            if pending_last is not None and pending_last != 0
-            and pending_last in self.srcs0 else 0
-        )
-        self.steady_sum = sum(
-            block.base[i] + (self.lu0_steady if i == 0 else block.lu[i])
-            for i in range(body_len)
-        )
-        self.lu_per_iter = self.lu0_steady + sum(
-            block.lu[i] for i in range(1, body_len))
+        self.block = block
+        self.pending_after = block.pending[body_len - 1]
+        # From iteration 2 on, the "previous" instruction is the body's
+        # last one: the hardware-loop back-edge is a pure fetch redirect,
+        # so its load-use hazard wraps around.
+        self.steady = block.price(0, body_len, self.pending_after)
         self.cls_counts = {
             cls: pref[body_len]
             for cls, pref in block.cls_prefix.items() if pref[body_len]
         }
-        self.pending_after = pending_last
 
 
 def compile_plan(block, body_len: int) -> FusedPlan:
@@ -591,9 +582,7 @@ def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
             else:
                 data[where:where + n] = (values & 0xFF).astype(np.uint8)
         elif shape == "gather":
-            for k in range(size):
-                data[where + k] = np.asarray(
-                    (values >> (8 * k)) & 0xFF, dtype=np.uint8)
+            scatter(data, where, size, values)
         else:  # scalar: one address, last write wins
             for k in range(size):
                 data[where + k] = (values >> (8 * k)) & 0xFF
@@ -617,17 +606,14 @@ def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
         regs[reg] = (regs[reg] + total) & MASK32
 
     perf = cpu.perf
-    pend = cpu._pending_load_rd
-    entry_lu = (
-        LOAD_USE_PENALTY
-        if pend is not None and pend != 0 and pend in plan.srcs0 else 0
-    )
+    cycles, load_use = plan.block.price(0, plan.body_len,
+                                        cpu._pending_load_rd)
+    steady_cycles, steady_load_use = plan.steady
     mis_cycles = sum(ctx.mis) * MISALIGNED_PENALTY
-    first_iter_extra = entry_lu - plan.lu0_steady
-    perf.cycles += plan.steady_sum * n + first_iter_extra + mis_cycles
+    perf.cycles += cycles + steady_cycles * (n - 1) + mis_cycles
     perf.instructions += plan.body_len * n
     perf.hwloop_backedges += n - 1
-    perf.stall_load_use += plan.lu_per_iter * n + first_iter_extra
+    perf.stall_load_use += load_use + steady_load_use * (n - 1)
     perf.stall_misaligned += mis_cycles
     for cls, count in plan.cls_counts.items():
         perf.by_class[cls] += count * n

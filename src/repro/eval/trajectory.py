@@ -92,15 +92,3 @@ def write_trajectory(payload: dict, path: str) -> dict:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return doc
-
-
-def compare_trajectories(old: dict, new: dict) -> Dict[str, Tuple[float, float]]:
-    """``{series: (old, new)}`` for every series whose value changed."""
-    changed = {}
-    old_entries = old.get("entries", {})
-    new_entries = new.get("entries", {})
-    for key in sorted(set(old_entries) | set(new_entries)):
-        a, b = old_entries.get(key), new_entries.get(key)
-        if a != b:
-            changed[key] = (a, b)
-    return changed

@@ -60,7 +60,6 @@ from ..physical.design import (
     cluster_area_mm2,
     energy_per_inference_uj,
     power_bounds_mw,
-    sram_leakage_mw,
 )
 from ..soc.memmap import TCDM_BASE
 from .pareto import SPEC_OBJECTIVES, Objective

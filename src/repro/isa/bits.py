@@ -35,11 +35,6 @@ def to_signed(value: int, bits: int = 32) -> int:
     return value - (1 << bits) if value & sign else value
 
 
-def to_unsigned(value: int, bits: int = 32) -> int:
-    """Wrap a (possibly negative) value into *bits* unsigned bits."""
-    return value & ((1 << bits) - 1)
-
-
 def sign_extend(value: int, bits: int) -> int:
     """Sign-extend the low *bits* of *value* to an unsigned 32-bit integer."""
     return u32(to_signed(value, bits))

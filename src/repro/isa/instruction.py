@@ -167,15 +167,6 @@ class Instruction:
         """Register indices read by this instruction (for hazard checks)."""
         return tuple([getattr(self, name) for name in self.spec.source_fields])
 
-    def writes_register(self) -> Optional[int]:
-        """Destination register index, or ``None`` if none is written."""
-        if any("rd" in part for part in self.spec.syntax):
-            return self.rd
-        # Post-increment addressing writes back the base register.
-        if any("!" in part for part in self.spec.syntax):
-            return self.rs1
-        return None
-
     def __repr__(self) -> str:
         ops = []
         for part in self.spec.syntax:

@@ -11,7 +11,7 @@ benchmark software):
   remaining QNN layer types.
 """
 
-from .common import KernelLayout, KernelRun, RegAlloc, align_up, plan_layout
+from .common import KernelLayout, KernelRun, align_up, plan_layout
 from .conv import ConvConfig, ConvKernel
 from .dispatch import OPS, KernelSelection, select
 from .depthwise import DepthwiseConfig, DepthwiseConvKernel, depthwise_golden
@@ -51,7 +51,6 @@ __all__ = [
     "ParallelMatmulKernel",
     "PoolConfig",
     "PoolKernel",
-    "RegAlloc",
     "ReluConfig",
     "ReluKernel",
     "align_up",

@@ -26,7 +26,7 @@ s0, s1   unpack selector / mask constants
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -70,63 +70,6 @@ REG = {
 
 def align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
-
-
-#: Registers a leaf kernel may freely use (no calls: everything except the
-#: hard-wired zero and the stack pointer, which the harness may rely on).
-ALLOCATABLE = (
-    "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7",
-    "t0", "t1", "t2", "t3", "t4", "t5", "t6",
-    "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7",
-    "s8", "s9", "s10", "s11", "ra", "gp", "tp",
-)
-
-
-class RegAlloc:
-    """Symbolic register allocator for kernel generators.
-
-    Generators allocate registers by role name (``alloc("acc00")``) and the
-    allocator hands out concrete ABI names, erroring out loudly when a
-    kernel's register budget is exceeded — much safer than hand-assigned
-    registers once the baseline unpack sequences enter the picture.
-    """
-
-    def __init__(self, reserved: tuple = ()) -> None:
-        self._free = [r for r in ALLOCATABLE if r not in reserved]
-        self._named: Dict[str, str] = {}
-
-    def alloc(self, name: str, prefer: Optional[str] = None) -> str:
-        if name in self._named:
-            raise KernelError(f"register role {name!r} already allocated")
-        if prefer is not None and prefer in self._free:
-            self._free.remove(prefer)
-            self._named[name] = prefer
-            return prefer
-        if not self._free:
-            raise KernelError(f"out of registers allocating {name!r}")
-        reg = self._free.pop(0)
-        self._named[name] = reg
-        return reg
-
-    def alloc_many(self, *names: str) -> list:
-        return [self.alloc(name) for name in names]
-
-    def free(self, name: str) -> None:
-        reg = self._named.pop(name)
-        self._free.insert(0, reg)
-
-    def __getitem__(self, name: str) -> str:
-        try:
-            return self._named[name]
-        except KeyError:
-            raise KernelError(f"register role {name!r} not allocated") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._named
-
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
 
 
 @dataclass

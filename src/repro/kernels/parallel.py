@@ -63,10 +63,6 @@ class ClusterKernelRun:
         """Compute plus (non-overlapped) DMA staging cycles."""
         return self.cycles + self.dma_in_cycles + self.dma_out_cycles
 
-    @property
-    def tcdm_stall_cycles(self) -> int:
-        return self.run.aggregate.stall_tcdm_contention
-
 
 def _emit_hart_offset(b: KernelBuilder, hart: str, scratch: str,
                       stride: int, *dest_regs: str) -> None:

@@ -92,9 +92,6 @@ class Pulpissimo:
         self.cpu = Cpu(isa=isa, mem=self.mem)
         self.mem._timer_hook = lambda: self.cpu.perf.cycles
 
-    def load_binary(self, blob: bytes, addr: int = L2_BASE) -> None:
-        self.mem.write_bytes(addr, blob)
-
     def run_program(self, program, **kwargs):
         """Run a linked program placed in L2."""
         return self.cpu.run_program(program, **kwargs)

@@ -20,7 +20,6 @@ from .registry import (
     list_targets,
     register,
     register_ephemeral,
-    resolve_target,
     riscv_targets,
     target_names,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "names",
     "register",
     "register_ephemeral",
-    "resolve_target",
     "riscv_targets",
     "target_names",
 ]

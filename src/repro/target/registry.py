@@ -207,13 +207,3 @@ def riscv_targets() -> List[TargetSpec]:
 
 def arm_targets() -> List[TargetSpec]:
     return list_targets(FAMILY_ARM)
-
-
-def resolve_target(isa: Optional[str] = None, cores: int = 1,
-                   cluster: bool = False):
-    """Map a legacy ``(isa, cores)`` pair to a registered spec."""
-    if cluster or cores > 1:
-        if isa not in (None, names.XPULPNN):
-            raise TargetError("the cluster target runs XpulpNN cores")
-        return get_target(f"{names.CLUSTER_PREFIX}{cores}")
-    return get_target(isa or names.XPULPNN)

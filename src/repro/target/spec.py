@@ -18,7 +18,7 @@ Capability queries go through :meth:`TargetSpec.has`, e.g.::
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
 from ..errors import TargetError

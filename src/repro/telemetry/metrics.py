@@ -32,7 +32,7 @@ bucket counts (boundaries must agree).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
 
@@ -416,13 +416,3 @@ def gauge(name: str, **labels: Any) -> Gauge:
 def histogram(name: str, buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
               **labels: Any) -> Histogram:
     return _DEFAULT.histogram(name, buckets=buckets, **labels)
-
-
-def iter_series(snapshot: Dict[str, Any]) -> Iterator[Tuple[str, str, Any]]:
-    """Yield ``(kind, key, value)`` rows for rendering/tests."""
-    for key, value in snapshot.get("counters", {}).items():
-        yield "counter", key, value
-    for key, value in snapshot.get("gauges", {}).items():
-        yield "gauge", key, value
-    for key, data in snapshot.get("histograms", {}).items():
-        yield "histogram", key, data

@@ -20,7 +20,10 @@ from repro.analysis.catalog import (
 )
 from repro.analysis.cost import COST_SCHEMA_VERSION, Interval
 from repro.asm import assemble
+from repro.core import Cpu, RegionCounters
 from repro.qnn import random_threshold_table
+from repro.soc.memmap import L2_SIZE
+from repro.soc.memory import Memory
 
 #: Catalog kernels whose cycle count is data-dependent (software
 #: threshold-tree quantization): the analyzer reports an interval.
@@ -40,9 +43,10 @@ def active(perf) -> int:
     return perf.cycles - perf.idle_cycles - perf.stall_tcdm_contention
 
 
-def run_catalog(name, kern):
+def run_catalog(name, kern, cpu=None):
     """Execute catalog kernel *kern* with deterministic representative
-    data; returns ``[(hart_id, PerfCounters)]`` (one pair per core)."""
+    data (single-core kernels on *cpu* when given); returns
+    ``[(hart_id, PerfCounters)]`` (one pair per core)."""
     cfg = kern.config
     rng = np.random.default_rng(0)
     bits = getattr(cfg, "bits", 8)
@@ -77,22 +81,22 @@ def run_catalog(name, kern):
     if name.startswith("matmul"):
         run = kern.run(signed((cfg.out_ch, cfg.reduction)),
                        unsigned(cfg.reduction), unsigned(cfg.reduction),
-                       thresholds=thresholds(cfg.out_ch))
+                       thresholds=thresholds(cfg.out_ch), cpu=cpu)
     elif name.startswith("conv"):
         g = cfg.geometry
         run = kern.run(signed((g.out_ch, g.kh, g.kw, g.in_ch)),
                        unsigned((g.in_h, g.in_w, g.in_ch)),
-                       thresholds=thresholds(g.out_ch))
+                       thresholds=thresholds(g.out_ch), cpu=cpu)
     elif name.startswith("depthwise"):
         run = kern.run(signed((cfg.kh, cfg.kw, cfg.channels)),
-                       unsigned((cfg.in_h, cfg.in_w, cfg.channels)))
+                       unsigned((cfg.in_h, cfg.in_w, cfg.channels)), cpu=cpu)
     elif name.startswith("pool"):
-        run = kern.run(unsigned((cfg.in_h, cfg.in_w, cfg.channels)))
+        run = kern.run(unsigned((cfg.in_h, cfg.in_w, cfg.channels)), cpu=cpu)
     elif name.startswith("linear"):
         run = kern.run(signed((cfg.out_features, cfg.in_features)),
-                       unsigned(cfg.in_features))
+                       unsigned(cfg.in_features), cpu=cpu)
     elif name.startswith("relu"):
-        run = kern.run(signed(cfg.elements))
+        run = kern.run(signed(cfg.elements), cpu=cpu)
     else:
         raise AssertionError(f"no harness recipe for {name}")
     return [(0, run.perf)]
@@ -125,6 +129,24 @@ class TestCatalogParity:
         assert not report.exact and report.bounded, report.render()
         assert report.cycles.contains(measured), (report.cycles, measured)
         assert report.relative_error(measured) <= 0.05
+
+    @pytest.mark.parametrize(
+        "name", [n for n in EXACT if not n.startswith("parallel")])
+    def test_exact_kernels_price_every_region_exactly(self, name):
+        """Static per-region cycles equal the simulated active cycles of
+        every region.  Parallel kernels are left out: one region table
+        would be shared by all harts."""
+        kern = catalog_kernel(name)
+        cpu = Cpu(isa=kern.config.isa,
+                  mem=Memory(max(kern.layout.end + 4096, L2_SIZE)))
+        cpu.regions = RegionCounters(program=kern.program,
+                                     default_region="-")
+        run_catalog(name, kern, cpu=cpu)
+        report = analyze_cost(kern.program, name=name)
+        simulated = {region: active(cpu.regions[region])
+                     for region in cpu.regions.regions}
+        assert {region: cycles.to_json()
+                for region, cycles in report.by_region.items()} == simulated
 
     def test_mixed3_lowered_programs_are_exact(self):
         for name, program in compiled_network_programs():

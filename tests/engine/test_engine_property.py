@@ -1,7 +1,8 @@
 """Property-based dispatch parity: random programs, both engines.
 
 Hypothesis generates small programs over the fusable instruction mix —
-straight-line ALU/memory runs, hardware loops (zero-trip, single-
+straight-line ALU/memory/MAC/dot-product runs (plain, ``.sc``, ``.sci``,
+nibble and crumb dot products), hardware loops (zero-trip, single-
 instruction bodies, nested lp0/lp1), forward branches, and mid-body
 ``ebreak`` — and asserts the block engine retires them bit- and
 cycle-identically to the interpreter.  The generator deliberately
@@ -78,8 +79,41 @@ def _fmt_dotp(draw):
     return f"{mn} {draw(data_reg)}, {draw(data_reg)}, {draw(data_reg)}"
 
 
+DOTP_KINDS = ("dotsp", "dotup", "dotusp", "sdotsp", "sdotup", "sdotusp")
+
+
+def _fmt_dotp_sc(draw):
+    """Scalar-replicated dot products over 16/8/4/2-bit lanes."""
+    kind = draw(st.sampled_from(DOTP_KINDS))
+    width = draw(st.sampled_from(("h", "b", "n", "c")))
+    return (f"pv.{kind}.sc.{width} {draw(data_reg)}, {draw(data_reg)}, "
+            f"{draw(data_reg)}")
+
+
+def _fmt_dotp_sci(draw):
+    """Immediate dot products; the immediate is a 5-bit signed value."""
+    kind = draw(st.sampled_from(DOTP_KINDS))
+    width = draw(st.sampled_from(("h", "b")))
+    return (f"pv.{kind}.sci.{width} {draw(data_reg)}, {draw(data_reg)}, "
+            f"{draw(st.integers(-16, 15))}")
+
+
+def _fmt_dotp_subbyte(draw):
+    """XpulpNN nibble (.n) and crumb (.c) dot products."""
+    kind = draw(st.sampled_from(DOTP_KINDS))
+    width = draw(st.sampled_from(("n", "c")))
+    return (f"pv.{kind}.{width} {draw(data_reg)}, {draw(data_reg)}, "
+            f"{draw(data_reg)}")
+
+
+def _fmt_mac(draw):
+    mn = draw(st.sampled_from(("p.mac", "p.msu")))
+    return f"{mn} {draw(data_reg)}, {draw(data_reg)}, {draw(data_reg)}"
+
+
 _OP_MAKERS = (_fmt_alu, _fmt_addi, _fmt_ptr_bump, _fmt_lui, _fmt_load,
-              _fmt_load_post, _fmt_store, _fmt_store_post, _fmt_dotp)
+              _fmt_load_post, _fmt_store, _fmt_store_post, _fmt_dotp,
+              _fmt_dotp_sc, _fmt_dotp_sci, _fmt_dotp_subbyte, _fmt_mac)
 
 
 @st.composite

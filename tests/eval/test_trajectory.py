@@ -2,12 +2,8 @@
 
 import json
 
-from repro.eval.trajectory import (
-    SCHEMA,
-    build_trajectory,
-    compare_trajectories,
-    write_trajectory,
-)
+from repro.eval.trajectory import SCHEMA, build_trajectory, write_trajectory
+from repro.telemetry.perfdiff import diff_trajectories
 
 PAYLOAD = {
     "fig6": {
@@ -56,12 +52,18 @@ class TestWriteAndCompare:
         moved = json.loads(json.dumps(PAYLOAD))
         moved["fig6"]["points"][0]["cycles"] = 90000
         new = build_trajectory(moved)
-        changed = compare_trajectories(old, new)
-        assert changed == {"fig6/points/0/cycles": (90210, 90000)}
+        verdict = diff_trajectories(old, new)
+        assert not verdict["ok"]
+        assert [(r["series"], r["old"], r["new"])
+                for r in verdict["regressions"]] == [
+            ("fig6/points/0/cycles", 90210, 90000)]
 
     def test_compare_identical_is_empty(self):
         doc = build_trajectory(PAYLOAD)
-        assert compare_trajectories(doc, doc) == {}
+        verdict = diff_trajectories(doc, doc)
+        assert verdict["ok"]
+        assert verdict["regressions"] == []
+        assert verdict["added"] == verdict["missing"] == []
 
     def test_committed_baseline_is_current_schema(self):
         from pathlib import Path

@@ -34,8 +34,8 @@ class TestSignedness:
     def test_zero_extend(self):
         assert bits.zero_extend(0xFFF8, 4) == 8
 
-    def test_to_unsigned(self):
-        assert bits.to_unsigned(-1, 4) == 0xF
+    def test_zero_extend_wraps_negative(self):
+        assert bits.zero_extend(-1, 4) == 0xF
 
 
 class TestFields:

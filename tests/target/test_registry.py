@@ -7,7 +7,6 @@ import pytest
 from repro.errors import TargetError
 from repro.target import (
     FAMILY_ARM,
-    FAMILY_RISCV,
     TargetSpec,
     arm_targets,
     get_target,

@@ -10,8 +10,6 @@ log alone.
 import io
 import json
 
-import pytest
-
 from repro.serve import (
     ResultCache,
     ScalingJob,
