@@ -32,7 +32,7 @@ telemetry registry (``engine.*`` counters) when the run ends.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..errors import SimError
 from .blocks import GLOBAL_CACHE, Block, discover
@@ -46,7 +46,7 @@ class EngineStats:
 
     __slots__ = ("blocks_translated", "block_hits", "interp_steps",
                  "fused_dispatches", "fused_iterations",
-                 "fused_instructions", "side_exits")
+                 "fused_instructions", "side_exit_sites")
 
     def __init__(self) -> None:
         self.blocks_translated = 0
@@ -55,10 +55,19 @@ class EngineStats:
         self.fused_dispatches = 0
         self.fused_iterations = 0
         self.fused_instructions = 0
-        self.side_exits: Dict[str, int] = {}
+        #: (loop body pc, reason) -> side exits declined there
+        self.side_exit_sites: Dict[Tuple[int, str], int] = {}
 
-    def side_exit(self, reason: str) -> None:
-        self.side_exits[reason] = self.side_exits.get(reason, 0) + 1
+    def side_exit(self, pc: int, reason: str) -> None:
+        key = (pc, reason)
+        self.side_exit_sites[key] = self.side_exit_sites.get(key, 0) + 1
+
+    def side_exits(self) -> Dict[str, int]:
+        """Side exits per reason, summed over sites."""
+        totals: Dict[str, int] = {}
+        for (_, reason), count in self.side_exit_sites.items():
+            totals[reason] = totals.get(reason, 0) + count
+        return totals
 
     def as_dict(self) -> dict:
         return {
@@ -68,7 +77,11 @@ class EngineStats:
             "fused_dispatches": self.fused_dispatches,
             "fused_iterations": self.fused_iterations,
             "fused_instructions": self.fused_instructions,
-            "side_exits": dict(sorted(self.side_exits.items())),
+            "side_exits": dict(sorted(self.side_exits().items())),
+            "side_exit_sites": [
+                {"pc": pc, "reason": reason, "count": count}
+                for (pc, reason), count
+                in sorted(self.side_exit_sites.items())],
         }
 
     def publish(self) -> None:
@@ -83,7 +96,9 @@ class EngineStats:
             self.fused_dispatches)
         tmetrics.counter("engine.fused_iterations").inc(
             self.fused_iterations)
-        for reason, count in self.side_exits.items():
+        tmetrics.counter("engine.fused_instructions").inc(
+            self.fused_instructions)
+        for reason, count in self.side_exits().items():
             tmetrics.counter("engine.side_exits", reason=reason).inc(count)
 
 
@@ -190,7 +205,7 @@ class BlockEngine:
         if j < 0:
             # The loop body is not a prefix of this block (the end
             # address never falls through from one of our instructions).
-            stats.side_exit("loop-shape")
+            stats.side_exit(block.addr, "loop-shape")
             return 0
         other = 1 - level
         if hw.count[other] > 0:
@@ -199,11 +214,11 @@ class BlockEngine:
                 # The other loop's back-edge would fire inside (or, for
                 # level 1 sharing the end address, *instead of* — level 0
                 # has redirect priority) this loop's body.
-                stats.side_exit("nested-loop-end")
+                stats.side_exit(block.addr, "nested-loop-end")
                 return 0
         body_len = j + 1
         if n * body_len > budget:
-            stats.side_exit("budget")
+            stats.side_exit(block.addr, "budget")
             return 0
         plan = block.fused.get(end)
         if plan is None:
@@ -213,12 +228,12 @@ class BlockEngine:
                 plan = declined.reason
             block.fused[end] = plan
         if isinstance(plan, str):
-            stats.side_exit(plan)
+            stats.side_exit(block.addr, plan)
             return 0
         try:
             retired = execute_plan(cpu, plan, level)
         except Unfusable as declined:
-            stats.side_exit(declined.reason)
+            stats.side_exit(block.addr, declined.reason)
             return 0
         stats.fused_dispatches += 1
         stats.fused_iterations += n

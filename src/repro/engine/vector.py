@@ -82,6 +82,65 @@ def scalar_load(data: np.ndarray, offset: int, size: int,
     return value
 
 
+def bit_extract(value: Value, pos: int, length: int, signed: bool) -> Value:
+    """``p.extract(u)``: *length* bits from bit *pos* (bits above 31 read
+    as zero), sign- or zero-extended."""
+    field = (value >> pos) & ((1 << length) - 1)
+    if signed:
+        sign_bit = 1 << (length - 1)
+        field = ((field ^ sign_bit) - sign_bit) & MASK32
+    return field
+
+
+#: lane width -> bit offset of every lane in a 32-bit word
+_LANE_SHIFTS = {width: np.arange(0, 32, width, dtype=np.int64)
+                for width in (2, 4, 8, 16)}
+
+
+def split_lanes(value: Value, width: int) -> np.ndarray:
+    """The *width*-bit lanes of a u32 value, lane 0 first: shape
+    ``(lanes,)`` for a scalar, ``(N, lanes)`` for a per-iteration array."""
+    if isinstance(value, np.ndarray):
+        value = value[:, None]
+    return (value >> _LANE_SHIFTS[width]) & ((1 << width) - 1)
+
+
+def join_lanes(lanes: np.ndarray, width: int) -> Value:
+    """Inverse of :func:`split_lanes`; a scalar comes back as an ``int``."""
+    word = (lanes << _LANE_SHIFTS[width]).sum(axis=-1)
+    return word if word.ndim else int(word)
+
+
+def lane_shift(op: str, a: Value, b: Value, width: int) -> Value:
+    """``pv.{srl,sll,sra}``: each lane of *a* shifted by the matching lane
+    of *b* modulo the lane width."""
+    mask = (1 << width) - 1
+    lanes = split_lanes(a, width)
+    amount = split_lanes(b, width) % width
+    if op == "srl":
+        lanes = lanes >> amount
+    elif op == "sll":
+        lanes = (lanes << amount) & mask
+    else:
+        sign_bit = 1 << (width - 1)
+        lanes = (((lanes ^ sign_bit) - sign_bit) >> amount) & mask
+    return join_lanes(lanes, width)
+
+
+def shuffle2(old: Value, a: Value, sel: Value, width: int) -> Value:
+    """``pv.shuffle2``: selector lanes index ``lanes(a) + lanes(old)``
+    modulo twice the lane count."""
+    count = 32 // width
+    combined = np.concatenate(
+        np.broadcast_arrays(split_lanes(a, width), split_lanes(old, width)),
+        axis=-1)
+    index = split_lanes(sel, width) % (2 * count)
+    if index.ndim == 1:
+        return join_lanes(combined[..., index], width)
+    combined = np.broadcast_to(combined, index.shape[:-1] + (2 * count,))
+    return join_lanes(np.take_along_axis(combined, index, axis=-1), width)
+
+
 #: u32-domain binary ALU semantics shared by the register-register and
 #: immediate forms (b is the already-masked second operand).
 def _sra(a, b):

@@ -328,6 +328,9 @@ _DOT_OPS = [
 _LANE_OP_NAMES = ["add", "sub", "avg", "avgu", "min", "minu", "max", "maxu",
                   "srl", "sra", "sll", "or", "xor", "and"]
 
+#: Lane ops with batch semantics in the block engine's fused loops.
+_FUSED_LANE_OPS = ("srl", "sra", "sll", "or", "xor", "and")
+
 
 def _fixed_fields(op: str, width_suffix: str, variant: str) -> dict:
     return {
@@ -379,6 +382,8 @@ def make_simd_specs(
                         execute=_make_lane_exec(op, width, variant),
                         timing="alu",
                         isa=isa,
+                        fusion=("lane", op, width, variant)
+                        if op in _FUSED_LANE_OPS else None,
                     )
                 )
         # abs has no second operand and thus no variants.
@@ -433,6 +438,7 @@ def make_simd_specs(
                     timing="alu",
                     rd_is_src=True,
                     isa=isa,
+                    fusion=("shuffle2", width),
                 )
             )
         if include_extract:
@@ -468,6 +474,7 @@ def make_simd_specs(
                     timing="alu",
                     rd_is_src=True,
                     isa=isa,
+                    fusion=("insert", width),
                 )
             )
     return specs

@@ -321,16 +321,17 @@ def _build_alu_specs() -> List[InstrSpec]:
               ("rd", "rs1", "uimm"), _exec_clipu)
     )
     bitfield = [
-        ("p.extract", 3, _exec_extract, False),
-        ("p.extractu", 4, _exec_extractu, False),
-        ("p.insert", 5, _exec_insert, True),
-        ("p.bclr", 6, _exec_bclr, False),
-        ("p.bset", 7, _exec_bset, False),
+        ("p.extract", 3, _exec_extract, False, ("bitx", True)),
+        ("p.extractu", 4, _exec_extractu, False, ("bitx", False)),
+        ("p.insert", 5, _exec_insert, True, None),
+        ("p.bclr", 6, _exec_bclr, False, None),
+        ("p.bset", 7, _exec_bset, False, None),
     ]
-    for mnemonic, funct3, execute, rd_src in bitfield:
+    for mnemonic, funct3, execute, rd_src, fusion in bitfield:
         specs.append(
             _spec(mnemonic, "IU", {"opcode": OPC_PULP_ALU, "funct3": funct3},
-                  ("rd", "rs1", "pos", "len"), execute, rd_is_src=rd_src)
+                  ("rd", "rs1", "pos", "len"), execute, rd_is_src=rd_src,
+                  fusion=fusion)
         )
     return specs
 
