@@ -12,8 +12,8 @@ Two numbers size the autotuner:
   in ``benchmarks/results/explore_frontier.json``.
 
 Wall-clock series go to ``benchmarks/results/explore_throughput.json``
-(machine-dependent, never committed into the cycle-exact
-``trajectory.json`` baseline).
+under ``bench/explore/<space>/`` — the prefix ``repro perf diff`` bands —
+and never into the cycle-exact ``trajectory.json`` baseline.
 """
 
 import json
@@ -35,7 +35,7 @@ def _write_series(results_dir, space, name, value):
     from repro.eval.trajectory import write_trajectory
 
     write_trajectory(
-        {"explore": {space: {"stats": {name: round(value, 3)}}}},
+        {"bench": {"explore": {space: {name: round(value, 3)}}}},
         str(results_dir / "explore_throughput.json"))
 
 

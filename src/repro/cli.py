@@ -34,7 +34,8 @@ Commands:
   from a snapshot file, serve report, or event log;
 * ``perf``    the perf-regression sentinel: ``repro perf diff A B``
   compares two trajectory snapshots series-by-series (cycle-exact
-  series must be bit-identical) and exits non-zero on regression.
+  series must be bit-identical) and exits non-zero when a series
+  drifts or disappears.
 
 ``serve``/``sweep`` accept ``--events`` (structured JSONL event log),
 ``--fleet-timeline`` (merged service+workers+device Perfetto trace),
@@ -274,30 +275,29 @@ def _jsonify(value):
     return value
 
 
+#: ``repro report`` experiments: name -> module under ``repro.eval``.
+REPORT_EXPERIMENTS = {
+    "fig6": "fig6", "fig7": "fig7", "fig8": "fig8", "fig9": "fig9",
+    "table1": "table1", "table3": "table3", "cluster": "cluster_scaling",
+    "network": "network",
+}
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
+    import importlib
+
     if args.full:
         os.environ["REPRO_FULL"] = "1"
-    from .eval import (
-        cluster_scaling,
-        fig6,
-        fig7,
-        fig8,
-        fig9,
-        network,
-        table1,
-        table3,
-    )
-
-    modules = {
-        "fig6": fig6, "fig7": fig7, "fig8": fig8, "fig9": fig9,
-        "table1": table1, "table3": table3, "cluster": cluster_scaling,
-        "network": network,
-    }
-    selected = args.experiments or sorted(modules)
+    selected = args.experiments or sorted(REPORT_EXPERIMENTS)
     for name in selected:
-        if name not in modules:
-            raise ReproError(
-                f"unknown experiment {name!r}; choose from {sorted(modules)}")
+        if name not in REPORT_EXPERIMENTS:
+            raise ReproError(f"unknown experiment {name!r}; choose from "
+                             f"{sorted(REPORT_EXPERIMENTS)}")
+    modules = {
+        name: importlib.import_module(f".eval.{REPORT_EXPERIMENTS[name]}",
+                                      __package__)
+        for name in selected
+    }
     if args.trajectory and not args.json:
         raise ReproError("--trajectory requires --json")
     if args.json:
@@ -791,19 +791,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_perf(args: argparse.Namespace) -> int:
     import json
 
-    from .telemetry import (
-        DEFAULT_BAND,
-        diff_files,
-        load_tolerances,
-        render_verdict,
-    )
+    from .telemetry import diff_files, render_verdict
 
-    tolerances = load_tolerances(args.tolerances) if args.tolerances else None
-    if args.band is None:
-        args.band = DEFAULT_BAND
-    verdict = diff_files(args.old, args.new, band=args.band,
-                         tolerances=tolerances,
-                         strict_missing=args.strict_missing)
+    verdict = diff_files(args.old, args.new)
     if args.json:
         print(json.dumps(verdict, indent=2))
     else:
@@ -1211,18 +1201,10 @@ def build_parser() -> argparse.ArgumentParser:
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
     diff = perf_sub.add_parser(
         "diff", help="compare two repro-trajectory/1 documents "
-                     "series-by-series; exits non-zero on regression")
+                     "series-by-series; exits non-zero when a series "
+                     "drifts or disappears")
     diff.add_argument("old", help="baseline trajectory JSON")
     diff.add_argument("new", help="candidate trajectory JSON")
-    diff.add_argument("--band", type=float, default=None,
-                      help="relative tolerance for throughput series "
-                           "(serve/*, bench/*; default 0.25); "
-                           "cycle-exact series are always bit-identical")
-    diff.add_argument("--tolerances", metavar="PATH",
-                      help="JSON map of fnmatch series patterns to "
-                           "relative tolerances (0 forces bit-exact)")
-    diff.add_argument("--strict-missing", action="store_true",
-                      help="fail if a baseline series disappeared")
     diff.add_argument("--json", action="store_true",
                       help="emit the repro-perf-diff/1 verdict as JSON")
     diff.set_defaults(func=_cmd_perf)

@@ -23,12 +23,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..kernels import ParallelMatmulConfig, ParallelMatmulKernel
-from ..physical import OPS_PER_MAC, cluster_model_for
-from ..physical.technology import NOMINAL
 from ..qnn import random_threshold_table
 from .reporting import format_table
-from ..target.names import XPULPNN
 
 #: Default workload: one MatMul tile sized like the benchmark layer's
 #: im2col product (64 filters over a 256-deep reduction).
@@ -106,45 +102,6 @@ def _workload(bits: int, out_ch: int, reduction: int, seed: int = 7):
         return w, x0, x1, None
     table = random_threshold_table(out_ch, bits, spread=600, rng=rng)
     return w, x0, x1, table
-
-
-def run_point(bits: int, cores: int, out_ch: int = DEFAULT_OUT_CH,
-              reduction: int = DEFAULT_REDUCTION) -> dict:
-    """Simulate one (bits, cores) sweep point; returns plain-JSON data.
-
-    This is the unit of work a :class:`repro.serve.ScalingJob` executes
-    in a worker: everything derivable from the point alone (cycles,
-    contention, power, Gop/s/W) plus the kernel output for the harvest
-    side's cross-core bit-identity check.  The cross-*point* ratios
-    (speedup, efficiency) are computed by :func:`run` against the 1-core
-    baseline.
-    """
-    w, x0, x1, table = _workload(bits, out_ch, reduction)
-    quant = "shift" if bits == 8 else "hw"
-    kern = ParallelMatmulKernel(ParallelMatmulConfig(
-        reduction=reduction, out_ch=out_ch, bits=bits,
-        num_cores=cores, quant=quant,
-    ))
-    kr = kern.run(w, x0, x1, thresholds=table, shift=10)
-    agg = kr.run.aggregate
-    breakdown = cluster_model_for(XPULPNN).evaluate(
-        kr.run.per_core, sub_byte_bits=bits)
-    macs = kern.config.macs
-    runtime_s = kr.cycles / NOMINAL.freq_hz
-    gops = macs * OPS_PER_MAC / runtime_s / 1e9
-    return {
-        "bits": bits,
-        "cores": cores,
-        "cycles": kr.cycles,
-        "instructions": agg.instructions,
-        "tcdm_conflicts": kr.run.tcdm_conflicts,
-        "contention_share": kr.run.contention_share,
-        "idle_cycles": agg.idle_cycles,
-        "dma_cycles": kr.dma_in_cycles + kr.dma_out_cycles,
-        "power_mw": breakdown.cluster_total_mw,
-        "gops_per_s_per_w": gops / breakdown.cluster_total_w,
-        "output": kr.output.tolist(),
-    }
 
 
 def _default_service():

@@ -1,17 +1,19 @@
 """One explore design point, measured cycle-exactly.
 
 :func:`run_spec_point` is the unit of work behind
-:class:`repro.serve.SpecPointJob`: it builds a cluster shaped by an
-arbitrary :class:`~repro.target.TargetSpec` — core count *and* memory
-sizes come from the spec, not from the SoC defaults — runs the parallel
-MatMul microkernel on the requested quantization path, and returns a
-plain-JSON payload.  The physical rollup (energy per inference, silicon
-area) happens on the explorer side from this payload plus the spec, so
-cached simulation results survive physical-model recalibration.
+:class:`repro.serve.SpecPointJob` and :class:`repro.serve.ScalingJob`
+(the latter on the registry's ``xpulpnn-cluster<N>`` targets): it
+builds a cluster shaped by an arbitrary :class:`~repro.target.TargetSpec`
+— core count *and* memory sizes come from the spec, not from the SoC
+defaults — runs the parallel MatMul microkernel on the requested
+quantization path, and returns a plain-JSON payload.  The physical
+rollup (energy per inference, silicon area) happens on the explorer
+side from this payload plus the spec, so cached simulation results
+survive physical-model recalibration.
 
 The workload is the cluster-scaling one (:mod:`.cluster_scaling`): same
 seed, same tensors, so an explore point at the default geometry shares
-simulated ground truth with the Fig 7 sweep.
+simulated ground truth with the cluster-scaling sweep.
 """
 
 from __future__ import annotations

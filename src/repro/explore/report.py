@@ -233,10 +233,7 @@ class ExploreReport:
                          "energy_uj": p["energy_uj"],
                          "area_mm2": p["area_mm2"]}
             for p in self.points}
-        return {"explore": {self.space.name: {
-            "points": point_series,
-            "stats": {"points_per_sec": self.stats()["points_per_sec"]},
-        }}}
+        return {"explore": {self.space.name: {"points": point_series}}}
 
     # ------------------------------------------------------------------
 

@@ -287,10 +287,13 @@ def _run_compile(job: CompileJob) -> Tuple[Dict[str, Any], Artifacts]:
 
 
 def _run_scaling(job: ScalingJob) -> Tuple[Dict[str, Any], Artifacts]:
-    from ..eval.cluster_scaling import run_point
+    from ..eval.spec_point import run_spec_point
+    from ..target import get_target
+    from ..target.names import CLUSTER_PREFIX
 
-    payload = run_point(job.bits, job.cores, out_ch=job.out_ch,
-                        reduction=job.reduction)
+    payload = run_spec_point(get_target(f"{CLUSTER_PREFIX}{job.cores}"),
+                             job.bits, "shift" if job.bits == 8 else "hw",
+                             out_ch=job.out_ch, reduction=job.reduction)
     return to_plain(payload), {}
 
 

@@ -60,7 +60,6 @@ from .perfdiff import (
     SeriesVerdict,
     diff_files,
     diff_trajectories,
-    load_tolerances,
     load_trajectory,
     render_verdict,
     series_tolerance,
@@ -90,7 +89,6 @@ __all__ = [
     "default_registry",
     "diff_files",
     "diff_trajectories",
-    "load_tolerances",
     "load_trajectory",
     "merge_snapshots",
     "metric_key",

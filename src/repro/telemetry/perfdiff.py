@@ -1,24 +1,19 @@
-"""Perf-regression sentinel: diff two trajectory snapshots with
-per-series tolerances.
+"""Perf-regression sentinel: diff two trajectory snapshots series by
+series.
 
 ``repro perf diff A B`` compares two ``repro-trajectory/1`` documents
 (the committed ``benchmarks/results/trajectory.json`` baseline, a fresh
-``repro report --json --trajectory`` run, or the wall-clock
-``serve_throughput.json`` file) series by series:
+``repro report`` + ``repro explore`` trajectory, or a wall-clock
+benchmark file such as ``serve_throughput.json``) under one rule:
 
-* **cycle-exact series** — everything the simulator derives
-  deterministically (cycles, instructions, DMA bytes, overlap shares,
-  simulated speedups) — must be **bit-identical**; any drift is a
-  regression, full stop.  This is the measurement discipline the
-  paper's figures rest on.
-* **throughput series** — host wall-clock numbers (``serve/*``,
-  ``bench/*``) — get a configurable relative band (default ±25%),
-  because machine load moves them without the code changing.
-
-Per-series overrides extend both rules: a tolerances map of fnmatch
-patterns to relative bands (``{"serve/*": 0.5, "bench/sim_ips": 0.1}``)
-lets a team tighten or loosen individual series without touching code.
-A tolerance of 0 forces bit-exactness.
+* **throughput series** — host wall-clock numbers, the ``serve/*`` and
+  ``bench/*`` prefixes — must stay within ``DEFAULT_BAND`` (±25%),
+  because machine load moves them without the code changing;
+* **every other series** is derived deterministically by the simulator
+  and must be **bit-identical**; any drift is a regression, full stop.
+  This is the measurement discipline the paper's figures rest on;
+* **every baseline series** must be present in the new document; a
+  series that disappeared fails the diff like a drifted one.
 
 The verdict is machine-readable (``repro-perf-diff/1``) and the CLI
 exits non-zero on any regression, so CI gates on it directly.
@@ -28,27 +23,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fnmatch import fnmatchcase
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import ReproError
 
 PERFDIFF_SCHEMA = "repro-perf-diff/1"
 
-#: Accepted input document schema (trajectory + serve-throughput files).
+#: The trajectory document format :mod:`repro.eval.trajectory` writes.
 TRAJECTORY_SCHEMA = "repro-trajectory/1"
 
-#: Default relative band for throughput (wall-clock) series.
+#: Relative band for throughput (wall-clock) series.
 DEFAULT_BAND = 0.25
 
 #: Series prefixes that carry host wall-clock numbers, not simulated
-#: cycles — these default to the band check instead of bit-exactness.
+#: cycles — these get the band check instead of bit-exactness.
 THROUGHPUT_PREFIXES = ("serve/", "bench/")
-
-#: Wall-clock leaf suffixes under otherwise cycle-exact prefixes (the
-#: ``explore/*`` trajectory mixes bit-exact cycles/energy/area series
-#: with a host-throughput stat; only the latter gets the band).
-THROUGHPUT_SUFFIXES = ("/points_per_sec",)
 
 
 class PerfDiffError(ReproError):
@@ -74,23 +63,11 @@ def load_trajectory(path: str) -> Dict[str, Any]:
     return doc
 
 
-def series_tolerance(series: str, band: float = DEFAULT_BAND,
-                     tolerances: Optional[Dict[str, float]] = None
-                     ) -> Tuple[str, float]:
-    """``(kind, relative_tolerance)`` for one series.
-
-    Explicit *tolerances* patterns win (first match in sorted-pattern
-    order, longest pattern first so specific beats generic); otherwise
-    throughput prefixes get *band* and everything else is exact.
-    """
-    if tolerances:
-        for pattern in sorted(tolerances, key=len, reverse=True):
-            if fnmatchcase(series, pattern):
-                tol = float(tolerances[pattern])
-                return ("exact", 0.0) if tol == 0 else ("band", tol)
-    if series.startswith(THROUGHPUT_PREFIXES) \
-            or series.endswith(THROUGHPUT_SUFFIXES):
-        return "band", band
+def series_tolerance(series: str) -> Tuple[str, float]:
+    """``(kind, relative_tolerance)`` for one series: throughput
+    prefixes get ``DEFAULT_BAND``, everything else is exact."""
+    if series.startswith(THROUGHPUT_PREFIXES):
+        return "band", DEFAULT_BAND
     return "exact", 0.0
 
 
@@ -124,24 +101,21 @@ class SeriesVerdict:
         }
 
 
-def diff_trajectories(old_doc: Dict[str, Any], new_doc: Dict[str, Any],
-                      band: float = DEFAULT_BAND,
-                      tolerances: Optional[Dict[str, float]] = None,
-                      strict_missing: bool = False) -> Dict[str, Any]:
+def diff_trajectories(old_doc: Dict[str, Any],
+                      new_doc: Dict[str, Any]) -> Dict[str, Any]:
     """Compare two trajectory documents; returns the verdict document.
 
-    ``verdict["ok"]`` is False iff any compared series regressed (or,
-    with *strict_missing*, any baseline series disappeared).  Series
-    present only in *new_doc* are listed as ``added`` and never fail —
-    trajectories legitimately grow as evals are added.
+    ``verdict["ok"]`` is False iff any compared series regressed or any
+    baseline series is absent from *new_doc*.  Series present only in
+    *new_doc* are listed as ``added`` and never fail — trajectories
+    legitimately grow as evals are added.
     """
     old_entries = old_doc.get("entries", {})
     new_entries = new_doc.get("entries", {})
     compared: List[SeriesVerdict] = []
     for series in sorted(set(old_entries) & set(new_entries)):
         old, new = float(old_entries[series]), float(new_entries[series])
-        kind, tol = series_tolerance(series, band=band,
-                                     tolerances=tolerances)
+        kind, tol = series_tolerance(series)
         if kind == "exact":
             ok = old_entries[series] == new_entries[series]
         else:
@@ -152,44 +126,22 @@ def diff_trajectories(old_doc: Dict[str, Any], new_doc: Dict[str, Any],
     missing = sorted(set(old_entries) - set(new_entries))
     added = sorted(set(new_entries) - set(old_entries))
     regressions = [v for v in compared if not v.ok]
-    ok = not regressions and (not strict_missing or not missing)
     return {
         "schema": PERFDIFF_SCHEMA,
-        "ok": ok,
+        "ok": not regressions and not missing,
         "checked": len(compared),
         "exact_checked": sum(1 for v in compared if v.kind == "exact"),
         "band_checked": sum(1 for v in compared if v.kind == "band"),
-        "band": band,
-        "strict_missing": strict_missing,
         "regressions": [v.to_dict() for v in regressions],
         "added": added,
         "missing": missing,
     }
 
 
-def diff_files(old_path: str, new_path: str, band: float = DEFAULT_BAND,
-               tolerances: Optional[Dict[str, float]] = None,
-               strict_missing: bool = False) -> Dict[str, Any]:
+def diff_files(old_path: str, new_path: str) -> Dict[str, Any]:
     """File-level convenience wrapper around :func:`diff_trajectories`."""
     return diff_trajectories(load_trajectory(old_path),
-                             load_trajectory(new_path),
-                             band=band, tolerances=tolerances,
-                             strict_missing=strict_missing)
-
-
-def load_tolerances(path: str) -> Dict[str, float]:
-    """Load a ``{pattern: relative_tolerance}`` JSON map."""
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PerfDiffError(f"{path}: bad tolerances file ({exc})") from None
-    if not isinstance(data, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and v >= 0 for v in data.values()):
-        raise PerfDiffError(
-            f"{path}: tolerances must map series patterns to numbers >= 0")
-    return {str(k): float(v) for k, v in data.items()}
+                             load_trajectory(new_path))
 
 
 def render_verdict(verdict: Dict[str, Any]) -> str:
@@ -210,8 +162,7 @@ def render_verdict(verdict: Dict[str, Any]) -> str:
                 f"  REGRESSION {reg['series']}: {reg['old']} -> "
                 f"{reg['new']} ({reg['rel_delta']:+} exceeds "
                 f"±{reg['tolerance']} band)")
-    if verdict["strict_missing"] and verdict["missing"]:
-        for series in verdict["missing"]:
-            lines.append(f"  MISSING {series} (strict mode)")
+    for series in verdict["missing"]:
+        lines.append(f"  MISSING {series} (absent from the new document)")
     lines.append("verdict: " + ("OK" if verdict["ok"] else "REGRESSED"))
     return "\n".join(lines)

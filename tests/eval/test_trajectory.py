@@ -2,8 +2,8 @@
 
 import json
 
-from repro.eval.trajectory import SCHEMA, build_trajectory, write_trajectory
-from repro.telemetry.perfdiff import diff_trajectories
+from repro.eval.trajectory import build_trajectory, write_trajectory
+from repro.telemetry.perfdiff import TRAJECTORY_SCHEMA, diff_trajectories
 
 PAYLOAD = {
     "fig6": {
@@ -24,17 +24,24 @@ PAYLOAD = {
 class TestBuildTrajectory:
     def test_captures_cycle_series(self):
         doc = build_trajectory(PAYLOAD)
-        assert doc["schema"] == SCHEMA
+        assert doc["schema"] == TRAJECTORY_SCHEMA
         assert doc["experiments"] == ["cluster", "fig6"]
         entries = doc["entries"]
         assert entries["fig6/points/0/cycles"] == 90210
         assert entries["cluster/points/0/dma_cycles"] == 616
         assert entries["cluster/points/0/speedup"] == 7.1
+        assert entries["fig6/points/1/bits"] == 2
+        assert entries["cluster/points/0/cores"] == 8
+        assert len(entries) == 10
+
+    def test_captures_fig6_shaped_payload(self):
+        doc = build_trajectory({"fig6": {"cycles": {"4": {"sw": 106264}}}})
+        assert doc["entries"] == {"fig6/cycles/4/sw": 106264}
 
     def test_skips_non_metric_leaves(self):
-        entries = build_trajectory(PAYLOAD)["entries"]
-        assert not any(key.endswith("bits") for key in entries)
-        assert not any(key.endswith("verified") for key in entries)
+        entries = build_trajectory(
+            {"fig6": {"verified": True, "label": "4b", "n": 3}})["entries"]
+        assert entries == {"fig6/n": 3}
 
     def test_empty_payload(self):
         doc = build_trajectory({})
@@ -71,5 +78,18 @@ class TestWriteAndCompare:
         baseline = (Path(__file__).parents[2] / "benchmarks" / "results"
                     / "trajectory.json")
         doc = json.loads(baseline.read_text())
-        assert doc["schema"] == SCHEMA
+        assert doc["schema"] == TRAJECTORY_SCHEMA
         assert len(doc["entries"]) > 50
+
+    def test_committed_baseline_covers_every_producer(self):
+        """Each ``repro report`` experiment and ``repro explore`` has
+        series in the baseline, so none can drop out of the sentinel."""
+        from pathlib import Path
+
+        from repro.cli import REPORT_EXPERIMENTS
+
+        baseline = (Path(__file__).parents[2] / "benchmarks" / "results"
+                    / "trajectory.json")
+        entries = json.loads(baseline.read_text())["entries"]
+        producers = {series.split("/", 1)[0] for series in entries}
+        assert producers == set(REPORT_EXPERIMENTS) | {"explore"}

@@ -146,7 +146,7 @@ class TestReport:
         _, staged = ci_reports
         doc = build_trajectory(staged.trajectory_payload())
         entries = doc["entries"]
-        assert "explore/ci/stats/points_per_sec" in entries
+        assert not any(k.endswith("points_per_sec") for k in entries)
         cycle_series = [k for k in entries
                         if k.startswith("explore/ci/points/")
                         and k.endswith("/cycles")]
@@ -172,8 +172,22 @@ class TestPerfDiffBanding:
     def test_points_per_sec_is_banded_cycles_exact(self):
         from repro.telemetry.perfdiff import series_tolerance
 
-        kind, _ = series_tolerance("explore/ci/stats/points_per_sec")
+        kind, _ = series_tolerance("bench/explore/ci/full_points_per_sec")
         assert kind == "band"
+        kind, _ = series_tolerance("explore/ci/stats/full_points_per_sec")
+        assert kind == "exact"
         kind, _ = series_tolerance(
             "explore/ci/points/c8-t64k-l512k-4b-hw/cycles")
         assert kind == "exact"
+
+    def test_committed_throughput_series_are_banded(self):
+        import json
+        from pathlib import Path
+
+        from repro.telemetry.perfdiff import series_tolerance
+
+        path = (Path(__file__).parents[2] / "benchmarks" / "results"
+                / "explore_throughput.json")
+        entries = json.loads(path.read_text())["entries"]
+        assert entries
+        assert {series_tolerance(s)[0] for s in entries} == {"band"}

@@ -10,7 +10,6 @@ from repro.telemetry import (
     PerfDiffError,
     diff_files,
     diff_trajectories,
-    load_tolerances,
     load_trajectory,
     render_verdict,
     series_tolerance,
@@ -36,23 +35,7 @@ class TestTolerancePolicy:
 
     def test_throughput_prefixes_get_band(self):
         assert series_tolerance("serve/x") == ("band", DEFAULT_BAND)
-        assert series_tolerance("bench/x", band=0.1) == ("band", 0.1)
-
-    def test_override_longest_pattern_wins(self):
-        tol = {"serve/*": 0.5, "serve/through*": 0.1}
-        assert series_tolerance("serve/throughput", tolerances=tol) == \
-            ("band", 0.1)
-        assert series_tolerance("serve/other", tolerances=tol) == \
-            ("band", 0.5)
-
-    def test_zero_tolerance_forces_exact(self):
-        assert series_tolerance("serve/x", tolerances={"serve/*": 0}) == \
-            ("exact", 0.0)
-
-    def test_override_can_band_a_cycle_series(self):
-        kind, tol = series_tolerance("cluster/points/0/cycles",
-                                     tolerances={"cluster/*": 0.05})
-        assert (kind, tol) == ("band", 0.05)
+        assert series_tolerance("bench/x") == ("band", DEFAULT_BAND)
 
 
 class TestDiff:
@@ -96,22 +79,14 @@ class TestDiff:
         assert verdict["ok"] is True
         assert verdict["added"] == ["new/series"]
 
-    def test_missing_series_fail_only_in_strict_mode(self):
+    def test_missing_series_fail(self):
         new = _doc()
         del new["entries"]["bench/sim_ips"]
-        assert diff_trajectories(TRAJ, new)["ok"] is True
-        strict = diff_trajectories(TRAJ, new, strict_missing=True)
-        assert strict["ok"] is False
-        assert strict["missing"] == ["bench/sim_ips"]
-
-    def test_tolerances_override_applies(self):
-        new = _doc(**{"serve/throughput_jobs_per_s": 39.0})
-        tight = diff_trajectories(TRAJ, new,
-                                  tolerances={"serve/*": 0.01})
-        assert tight["ok"] is False
-        loose = diff_trajectories(TRAJ, new,
-                                  tolerances={"serve/*": 0.1})
-        assert loose["ok"] is True
+        verdict = diff_trajectories(TRAJ, new)
+        assert verdict["ok"] is False
+        assert verdict["regressions"] == []
+        assert verdict["missing"] == ["bench/sim_ips"]
+        assert "MISSING bench/sim_ips" in render_verdict(verdict)
 
 
 class TestFilesAndRender:
@@ -133,11 +108,6 @@ class TestFilesAndRender:
         path = self._write(tmp_path, "bad.json", {"schema": "other/1"})
         with pytest.raises(PerfDiffError, match="expected"):
             load_trajectory(path)
-
-    def test_load_tolerances_rejects_negatives(self, tmp_path):
-        path = self._write(tmp_path, "tol.json", {"serve/*": -1})
-        with pytest.raises(PerfDiffError):
-            load_tolerances(path)
 
     def test_render_clean_and_regressed(self):
         clean = render_verdict(diff_trajectories(TRAJ, _doc()))
