@@ -330,7 +330,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     compiled = NetworkCompiler(
         built.network, built.input_shape, input_bits=built.input_bits,
         num_cores=args.cores, tcdm_budget=budget,
-        verify_tiling=bool(getattr(args, "verify_tiling", False)),
     ).compile()
 
     lint_failures = 0
@@ -1049,9 +1048,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--lint", action="store_true",
                           help="statically verify every emitted tiled "
                                "program")
-    compile_.add_argument("--verify-tiling", action="store_true",
-                          help="simulate each layer's chosen tile to "
-                               "cross-check the static cost ranking")
     compile_.add_argument("--json", action="store_true",
                           help="emit machine-readable results")
     compile_.set_defaults(func=_cmd_compile)

@@ -46,7 +46,11 @@ from ..kernels.pooling import avgpool_cascade_golden
 from ..qnn import pack, unpack
 from ..qnn.layers import conv2d_golden, maxpool_golden
 from ..qnn.network import MaxPool
-from ..qnn.quantize import choose_requant_shift, requantize_shift
+from ..qnn.quantize import (
+    bridge_precision,
+    choose_requant_shift,
+    requantize_shift,
+)
 from ..qnn.thresholds import tree_stride
 from ..soc.memmap import L2_BASE, L2_SIZE, TCDM_BASE
 from ..trace.tracer import EventTracer
@@ -58,13 +62,6 @@ from .timeline import MasterTimeline
 def _mirror(tcdm_addr: int) -> int:
     """L2 staging mirror of a TCDM plan address."""
     return L2_BASE + (tcdm_addr - TCDM_BASE)
-
-
-def _bridge(x: np.ndarray, from_bits: int, to_bits: int) -> np.ndarray:
-    """Precision bridge between layers: drop LSBs when narrowing."""
-    if to_bits >= from_bits:
-        return x.astype(np.int32)
-    return (x >> (from_bits - to_bits)).astype(np.int32)
 
 
 @dataclass
@@ -389,7 +386,7 @@ class PlanExecutor:
                   clock: int, freq_hz: float):
         layer = plan.layer
         g = layer.geometry(x.shape[0], x.shape[1])
-        x = _bridge(x, in_bits, plan.bits)
+        x = bridge_precision(x, in_bits, plan.bits)
         acc = conv2d_golden(x, layer.weights, stride=layer.stride,
                             pad=layer.pad)
         layer.calibrate(acc)
@@ -565,7 +562,7 @@ class PlanExecutor:
     def _run_linear(self, plan: LayerPlan, x: np.ndarray, in_bits: int,
                     clock: int, freq_hz: float):
         layer = plan.layer
-        x = _bridge(x, in_bits, plan.bits)
+        x = bridge_precision(x, in_bits, plan.bits)
         flat = x.reshape(-1)
         acc = layer.weights.astype(np.int64) @ flat.astype(np.int64)
         if layer.shift is None:

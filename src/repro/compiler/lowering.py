@@ -47,17 +47,11 @@ from .tiling import (
     ConvTiling,
     TileSearchStats,
     conv_tile_geometry,
+    largest_divisor_at_most,
     search_conv_tiling,
     search_linear_tiling,
     search_pool_tiling,
 )
-
-
-def _largest_divisor_at_most(value: int, limit: int) -> int:
-    for cand in range(min(value, limit), 0, -1):
-        if value % cand == 0:
-            return cand
-    return 1
 
 
 def _emit_hart_guard(b: KernelBuilder, active: int, skip: str) -> None:
@@ -218,9 +212,7 @@ class CompiledNetwork:
         stats = self.tile_search
         lines.append(
             f"  tile search: {stats.candidates} candidates, "
-            f"{stats.ranked} ranked statically, "
-            f"{stats.simulations} simulated "
-            f"({stats.simulations_avoided} simulations avoided)")
+            f"{stats.ranked} ranked statically")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -262,8 +254,7 @@ class NetworkCompiler:
                  input_bits: int = 8, num_cores: int = None,
                  isa: str = None, target=None,
                  tcdm_budget: int = None,
-                 code_allowance: int = CODE_ALLOWANCE,
-                 verify_tiling: bool = False) -> None:
+                 code_allowance: int = CODE_ALLOWANCE) -> None:
         from ..target import get_target
         from ..target.names import CLUSTER_PREFIX
 
@@ -286,7 +277,6 @@ class NetworkCompiler:
         self.tcdm_budget = (self.spec.tcdm_bytes if tcdm_budget is None
                             else tcdm_budget)
         self.code_allowance = code_allowance
-        self.verify_tiling = verify_tiling
 
     def compile(self) -> CompiledNetwork:
         compiled = CompiledNetwork(
@@ -332,8 +322,7 @@ class NetworkCompiler:
         for _attempt in range(3):
             tiling = search_conv_tiling(
                 g, bits, quant, self.num_cores, self.tcdm_budget,
-                isa=self.isa, code_allowance=allowance,
-                verify=self.verify_tiling)
+                isa=self.isa, code_allowance=allowance)
             kernels = self._build_conv_variants(g, bits, quant, tiling)
             code_size = max(k.program.size for k in kernels.values())
             if code_size <= allowance:
@@ -368,7 +357,7 @@ class NetworkCompiler:
         chan_set = sorted({c for _, c in tiling.groups}, reverse=True)
         kernels = {}
         for rows in rows_set:
-            cores = _largest_divisor_at_most(rows, self.num_cores)
+            cores = largest_divisor_at_most(rows, self.num_cores)
             for cols in cols_set:
                 for chans in chan_set:
                     cfg = ParallelConvConfig(

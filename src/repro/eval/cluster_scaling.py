@@ -92,7 +92,13 @@ class ClusterScalingResult:
         }
 
 
-def _workload(bits: int, out_ch: int, reduction: int, seed: int = 7):
+def matmul_workload(bits: int, out_ch: int, reduction: int, seed: int):
+    """Seeded ``(w, x0, x1, thresholds)`` for one MatMul tile.
+
+    The scaling sweep and explore points draw from seed 7, the profile
+    catalog from 2020+bits; 8-bit tiles requantize by shift
+    (``thresholds`` is None).
+    """
     rng = np.random.default_rng(seed)
     lo, hi = -(1 << (bits - 1)), 1 << (bits - 1)
     w = rng.integers(lo, hi, (out_ch, reduction)).astype(np.int32)

@@ -24,7 +24,21 @@ from ..cluster import Cluster
 from ..kernels import ParallelMatmulConfig, ParallelMatmulKernel
 from ..physical import OPS_PER_MAC, cluster_model_for
 from ..target.spec import TargetSpec
-from .cluster_scaling import DEFAULT_OUT_CH, DEFAULT_REDUCTION, _workload
+from .cluster_scaling import DEFAULT_OUT_CH, DEFAULT_REDUCTION, matmul_workload
+
+#: Seed of the cluster-scaling tensors (shared with every explore point).
+_SEED = 7
+
+
+def spec_point_kernel(spec: TargetSpec, bits: int, quant: str,
+                      out_ch: int = DEFAULT_OUT_CH,
+                      reduction: int = DEFAULT_REDUCTION
+                      ) -> ParallelMatmulKernel:
+    """The parallel MatMul one (spec, bits, quant) design point runs."""
+    return ParallelMatmulKernel(ParallelMatmulConfig(
+        reduction=reduction, out_ch=out_ch, bits=bits,
+        num_cores=spec.cores, isa=spec.isa, quant=quant,
+    ))
 
 
 def run_spec_point(spec: TargetSpec, bits: int, quant: str,
@@ -37,11 +51,8 @@ def run_spec_point(spec: TargetSpec, bits: int, quant: str,
     independent of the spec's default, so one silicon variant can be
     measured on both paths.
     """
-    w, x0, x1, table = _workload(bits, out_ch, reduction)
-    kern = ParallelMatmulKernel(ParallelMatmulConfig(
-        reduction=reduction, out_ch=out_ch, bits=bits,
-        num_cores=spec.cores, isa=spec.isa, quant=quant,
-    ))
+    kern = spec_point_kernel(spec, bits, quant, out_ch, reduction)
+    w, x0, x1, table = matmul_workload(bits, out_ch, reduction, _SEED)
     cluster = Cluster(num_cores=spec.cores, isa=spec.isa,
                       tcdm_size=spec.tcdm_bytes, l2_size=spec.l2_bytes)
     kr = kern.run(w, x0, x1, thresholds=table, shift=10, cluster=cluster)

@@ -94,22 +94,38 @@ SUITE_CONFIGS = (
 )
 
 
-def _run_one(geometry: ConvGeometry, bits: int, isa: str, quant: str) -> ConvPoint:
+def conv_workload(geometry: ConvGeometry, bits: int):
+    """Seeded ``(weights, acts, acc, thresholds)`` for one conv layer.
+
+    Weights then activations are drawn from seed 2020+bits; ``acc`` is the
+    golden accumulator tensor, and sub-byte layers get the staircase fitted
+    to it (8-bit layers requantize by shift: ``thresholds`` is None).
+    """
+    g = geometry
     rng = np.random.default_rng(_SEED + bits)
-    weights = random_weights((geometry.out_ch, geometry.kh, geometry.kw,
-                              geometry.in_ch), bits, rng)
-    acts = random_activations((geometry.in_h, geometry.in_w, geometry.in_ch),
-                              bits, rng)
-    kernel = ConvKernel(ConvConfig(geometry=geometry, bits=bits, isa=isa,
-                                   quant=quant))
-    acc = conv2d_golden(acts, weights, stride=geometry.stride, pad=geometry.pad)
-    if quant == "shift":
-        shift = 8
-        run = kernel.run(weights, acts, shift=shift, profile_quant=True)
-        expected = requantize_shift(acc, shift, 8, signed=False)
+    weights = random_weights((g.out_ch, g.kh, g.kw, g.in_ch), bits, rng)
+    acts = random_activations((g.in_h, g.in_w, g.in_ch), bits, rng)
+    acc = conv2d_golden(acts, weights, stride=g.stride, pad=g.pad)
+    thresholds = (None if bits == 8
+                  else thresholds_from_accumulators(acc, bits))
+    return weights, acts, acc, thresholds
+
+
+def suite_kernel(geometry: ConvGeometry, bits: int, isa: str,
+                 quant: str) -> ConvKernel:
+    """The single-core conv kernel of one suite point."""
+    return ConvKernel(ConvConfig(geometry=geometry, bits=bits, isa=isa,
+                                 quant=quant))
+
+
+def _run_one(geometry: ConvGeometry, bits: int, isa: str, quant: str) -> ConvPoint:
+    kernel = suite_kernel(geometry, bits, isa, quant)
+    weights, acts, acc, thresholds = conv_workload(geometry, bits)
+    run = kernel.run(weights, acts, thresholds=thresholds, shift=8,
+                     profile_quant=True)
+    if thresholds is None:
+        expected = requantize_shift(acc, 8, 8, signed=False)
     else:
-        thresholds = thresholds_from_accumulators(acc, bits)
-        run = kernel.run(weights, acts, thresholds=thresholds, profile_quant=True)
         expected = thresholds.quantize(acc, channel_axis=-1)
     verified = bool(np.array_equal(run.output, expected))
     if not verified:

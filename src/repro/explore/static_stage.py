@@ -112,7 +112,7 @@ class StaticScore:
 
 def score_candidate(candidate: Candidate) -> StaticScore:
     """Score one candidate; infeasible candidates come back flagged."""
-    from ..kernels import ParallelMatmulConfig, ParallelMatmulKernel
+    from ..eval.spec_point import spec_point_kernel
 
     spec = candidate.spec
     score = StaticScore(candidate=candidate)
@@ -122,10 +122,8 @@ def score_candidate(candidate: Candidate) -> StaticScore:
             f"spec {spec.name!r} has no pv.qnt hardware")
         return score
     try:
-        kernel = ParallelMatmulKernel(ParallelMatmulConfig(
-            reduction=candidate.reduction, out_ch=candidate.out_ch,
-            bits=candidate.bits, num_cores=spec.cores, isa=spec.isa,
-            quant=candidate.quant))
+        kernel = spec_point_kernel(spec, candidate.bits, candidate.quant,
+                                   candidate.out_ch, candidate.reduction)
     except ReproError as exc:
         score.feasible = False
         score.reasons.append(f"shard geometry: {exc}")

@@ -88,13 +88,13 @@ def _select_matmul(bits, spec, quant, cluster_fallback, kwargs):
         bits=bits, isa=spec.isa, quant=quant, **kwargs)), 1
 
 
-def select(op: str, bits: int, target, quant: str = None,
+def select(op: str, bits: int, target, /, quant: str = None,
            cluster_fallback: bool = False, **kwargs) -> KernelSelection:
     """Build the kernel implementing *op* at *bits* on *target*.
 
     *target* is a registry name or spec.  Shape arguments are passed
     through to the kernel config (``geometry=`` for conv,
-    ``reduction=``/``out_ch=`` for matmul, ...).  *quant* overrides the
+    ``reduction=``/``out_ch=`` for matmul, ``op=`` for pool, ...).  *quant* overrides the
     spec-derived quantization mode (e.g. the Fig 6 software-staircase
     ablation on an XpulpNN core).  With *cluster_fallback*, geometries
     that do not shard on a cluster target drop to one core instead of

@@ -34,9 +34,10 @@ from ..core.perf import PerfCounters
 from ..errors import KernelError
 from ..soc.memmap import L2_SIZE
 from ..target import get_target
-from ..target.names import CLUSTER_PREFIX, XPULPNN
+from ..target.names import XPULPNN
 from .layers import ConvGeometry
 from .network import AvgPool, MaxPool, QnnNetwork, QuantizedConv, QuantizedLinear
+from .quantize import bridge_precision
 
 #: PULPissimo L2 budget (paper Fig. 5) — one definition, in the memory map.
 L2_BUDGET_BYTES = L2_SIZE
@@ -106,48 +107,19 @@ class NetworkDeployer:
     """Map a sequential QNN onto generated kernels and run it."""
 
     def __init__(self, network: QnnNetwork, input_shape: Tuple[int, int, int],
-                 input_bits: int = 8, target=None, num_cores: int = None,
-                 l2_budget: int = None, isa: str = None) -> None:
-        self.spec = self._resolve_spec(target, isa, num_cores)
+                 input_bits: int = 8, target=XPULPNN,
+                 l2_budget: int = None) -> None:
+        self.spec = get_target(target)
         self.network = network
         self.input_shape = input_shape
         self.input_bits = input_bits
-        self.isa = self.spec.isa
         self.l2_budget = self.spec.l2_bytes if l2_budget is None else l2_budget
-
-    @staticmethod
-    def _resolve_spec(target, isa, num_cores):
-        """Resolve the constructor's target to a registered spec.
-
-        *target* is a registry name (or spec); the legacy
-        ``isa=.../target="single"|"cluster"`` spelling still resolves to
-        the equivalent registered target.
-        """
-        if target in ("single", None):
-            return get_target(isa if isa is not None else XPULPNN)
-        if target == "cluster":
-            if isa not in (None, XPULPNN):
-                raise KernelError("the cluster target runs XpulpNN cores")
-            return get_target(f"{CLUSTER_PREFIX}{num_cores or 8}")
-        spec = get_target(target)
-        if isa is not None and spec.isa != get_target(isa).isa:
-            if spec.cluster:
-                raise KernelError("the cluster target runs XpulpNN cores")
-            raise KernelError(
-                f"target {spec.name!r} runs the {spec.isa} ISA, not {isa!r}")
-        return spec
 
     @property
     def num_cores(self) -> int:
         return self.spec.cores
 
     # ------------------------------------------------------------------
-
-    def _bridge(self, x: np.ndarray, from_bits: int, to_bits: int) -> np.ndarray:
-        """Precision bridge between layers: drop LSBs when narrowing."""
-        if to_bits >= from_bits:
-            return x.astype(np.int32)
-        return (x >> (from_bits - to_bits)).astype(np.int32)
 
     def _check_budget(self, name: str, nbytes: int) -> None:
         if nbytes > self.l2_budget:
@@ -214,12 +186,7 @@ class NetworkDeployer:
 
     def run(self, x: np.ndarray, freq_hz: float = 250e6) -> DeployResult:
         """Execute the network; raises if any layer diverges from golden."""
-        from ..kernels import (
-            LinearConfig,
-            LinearKernel,
-            PoolConfig,
-            PoolKernel,
-        )
+        from ..kernels import select
         from ..kernels.pooling import avgpool_cascade_golden
         from ..physical import model_for
         from .layers import conv2d_golden, maxpool_golden
@@ -244,7 +211,7 @@ class NetworkDeployer:
             cores = 1
             if isinstance(layer, QuantizedConv):
                 k_bits = layer.weight_bits
-                x = self._bridge(x, bits, k_bits)
+                x = bridge_precision(x, bits, k_bits)
                 bits = k_bits
                 h, w, _ = x.shape
                 geometry = layer.geometry(h, w)
@@ -290,11 +257,8 @@ class NetworkDeployer:
             elif isinstance(layer, (MaxPool, AvgPool)):
                 op = "max" if isinstance(layer, MaxPool) else "avg"
                 h, w, c = x.shape
-                # Cores without sub-byte SIMD pool on widened 8-bit data
-                # (pooling commutes with widening).
-                pool_bits = bits if self.spec.subbyte_simd else 8
-                kernel = PoolKernel(PoolConfig(h, w, c, bits=pool_bits, op=op,
-                                               isa=self.isa))
+                kernel = select("pool", bits, self.spec, in_h=h, in_w=w,
+                                channels=c, op=op).kernel
                 self._check_budget(name, kernel.layout.end)
                 run = kernel.run(x)
                 expected = (maxpool_golden(x, 2) if op == "max"
@@ -303,7 +267,7 @@ class NetworkDeployer:
                 workload, sub_bits = "gp", 8
             elif isinstance(layer, QuantizedLinear):
                 k_bits = layer.weight_bits
-                x = self._bridge(x, bits, k_bits)
+                x = bridge_precision(x, bits, k_bits)
                 bits = k_bits
                 flat = x.reshape(-1)
                 acc = layer.weights.astype(np.int64) @ flat
@@ -311,11 +275,9 @@ class NetworkDeployer:
 
                 if layer.shift is None:
                     layer.shift = choose_requant_shift(acc, 8, signed=False)
-                # Cores without sub-byte SIMD run linear layers on widened
-                # 8-bit data (the values are identical, only wider).
-                lin_bits = k_bits if self.spec.subbyte_simd else 8
-                kernel = LinearKernel(LinearConfig(
-                    flat.size, layer.weights.shape[0], lin_bits, isa=self.isa))
+                kernel = select("linear", k_bits, self.spec,
+                                in_features=flat.size,
+                                out_features=layer.weights.shape[0]).kernel
                 if kernel.layout.end > self.l2_budget:
                     if not self.spec.cluster:
                         self._check_budget(name, kernel.layout.end)

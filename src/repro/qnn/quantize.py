@@ -76,6 +76,14 @@ def requantize_shift(
     return np.clip(shifted, lo, hi).astype(np.int32)
 
 
+def bridge_precision(x: np.ndarray, from_bits: int,
+                     to_bits: int) -> np.ndarray:
+    """Precision bridge between layers: drop LSBs when narrowing."""
+    if to_bits >= from_bits:
+        return x.astype(np.int32)
+    return (x >> (from_bits - to_bits)).astype(np.int32)
+
+
 def relu(x: np.ndarray) -> np.ndarray:
     """Integer ReLU (the ``pv.max`` use case of Table II)."""
     return np.maximum(np.asarray(x), 0)

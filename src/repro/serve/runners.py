@@ -15,10 +15,14 @@ every cacheable result::
      "program": Program/network digest,   # the code
      "config":  canonical job config}     # everything else
 
-Building a kernel just to hash its program costs milliseconds; the
-simulation it lets us skip costs seconds — and the program digest is
-what makes the cache *content*-addressed: any codegen change anywhere in
-the kernel builders re-keys every affected result automatically.
+The key's program is built by the same constructor the run calls
+(``trace.profile.build_kernel``, ``eval.spec_point.spec_point_kernel``,
+``eval.workloads.suite_kernel``); nothing here constructs a kernel of
+its own, so the hashed program is the one that runs and any codegen
+change re-keys every affected result automatically.  Building a kernel
+just to hash its program costs milliseconds; the simulation it lets us
+skip costs seconds.  A job whose kernel cannot be built raises here as
+it would in its run; the service runs it uncached so it fails as a job.
 """
 
 from __future__ import annotations
@@ -65,51 +69,30 @@ def to_plain(value):
 # Resolution helpers (shared by key derivation and execution)
 # ---------------------------------------------------------------------------
 
-def _resolve_profile(job: ProfileJob):
-    """(catalog kind, (bits, isa, quant), target spec, effective cores)."""
-    from ..target import get_target
-    from ..trace.profile import _lookup, _retarget
+def _spec_point(job):
+    """``(spec, bits, quant, out_ch, reduction)`` of a scaling or
+    spec-point job: the arguments of the spec-point kernel and run."""
+    if isinstance(job, ScalingJob):
+        from ..target import get_target
+        from ..target.names import CLUSTER_PREFIX
 
-    kind, spec = _lookup(job.kernel)
-    tspec = get_target(job.target)
-    spec, tspec = _retarget(kind, spec, job.target)
-    cores = job.cores or 1
-    if tspec.cluster:
-        cores = tspec.cores
-    return kind, spec, tspec, cores
+        spec = get_target(f"{CLUSTER_PREFIX}{job.cores}")
+        quant = "shift" if job.bits == 8 else "hw"
+    else:
+        spec, quant = job.spec(), job.quant
+    return spec, job.bits, quant, job.out_ch, job.reduction
 
 
-def _profile_program(job: ProfileJob):
-    """Build the exact program the profile run executes (for its digest)."""
+def _suite_point(job: ConvPointJob):
+    """``(geometry, bits, isa, quant)`` of a conv-suite point: the
+    arguments of the suite kernel and of ``conv_point``."""
     from ..eval.workloads import benchmark_geometry
-    from ..kernels import (
-        ConvConfig,
-        ConvKernel,
-        MatmulConfig,
-        MatmulKernel,
-        ParallelConvConfig,
-        ParallelConvKernel,
-        ParallelMatmulConfig,
-        ParallelMatmulKernel,
-    )
-    from ..trace.profile import MATMUL_OUT_CH, MATMUL_REDUCTION
+    from ..qnn import ConvGeometry
+    from ..target import get_target
 
-    kind, (bits, isa, quant), _, cores = _resolve_profile(job)
-    if kind == "conv":
-        geometry = benchmark_geometry()
-        if cores > 1:
-            return ParallelConvKernel(ParallelConvConfig(
-                geometry=geometry, bits=bits, isa=isa, quant=quant,
-                num_cores=cores)).program
-        return ConvKernel(ConvConfig(
-            geometry=geometry, bits=bits, isa=isa, quant=quant)).program
-    if cores > 1:
-        return ParallelMatmulKernel(ParallelMatmulConfig(
-            reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
-            isa=isa, quant=quant, num_cores=cores)).program
-    return MatmulKernel(MatmulConfig(
-        reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
-        isa=isa, quant=quant)).program
+    geometry = (ConvGeometry(*job.geometry) if job.geometry
+                else benchmark_geometry())
+    return geometry, job.bits, get_target(job.target).isa, job.quant
 
 
 def _cost_programs(job: CostJob):
@@ -121,18 +104,6 @@ def _cost_programs(job: CostJob):
     return list(compiled_network_programs(job.network, cores=job.cores))
 
 
-def _convpoint_resolved(job: ConvPointJob):
-    """(geometry, isa, target spec) for a conv-suite point."""
-    from ..eval.workloads import benchmark_geometry
-    from ..qnn import ConvGeometry
-    from ..target import get_target
-
-    tspec = get_target(job.target)
-    geometry = (ConvGeometry(*job.geometry) if job.geometry
-                else benchmark_geometry())
-    return geometry, tspec.isa, tspec
-
-
 # ---------------------------------------------------------------------------
 # Cache keys
 # ---------------------------------------------------------------------------
@@ -142,15 +113,18 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
     from ..target import get_target
 
     if isinstance(job, ProfileJob):
-        _, resolved, tspec, cores = _resolve_profile(job)
+        from ..trace.profile import build_kernel, resolve_kernel
+
+        kind, resolved, cores = resolve_kernel(
+            job.kernel, job.cores or 1, job.target)
         bits, isa, quant = resolved
         config = {"kernel": job.kernel, "bits": bits, "isa": isa,
                   "quant": quant, "cores": cores, "trace": job.trace}
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
-            "spec": tspec.digest(),
-            "program": _profile_program(job).digest(),
+            "spec": get_target(job.target).digest(),
+            "program": build_kernel(kind, resolved, cores).program.digest(),
             "config": canonical_json(config),
         }
     if isinstance(job, CompileJob):
@@ -170,46 +144,27 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
             "program": network_digest(built),
             "config": canonical_json(config),
         }
-    if isinstance(job, ScalingJob):
-        from ..kernels import ParallelMatmulConfig, ParallelMatmulKernel
-        from ..target.names import CLUSTER_PREFIX
+    if isinstance(job, (ScalingJob, SpecPointJob)):
+        from ..eval.spec_point import spec_point_kernel
 
-        quant = "shift" if job.bits == 8 else "hw"
-        kernel = ParallelMatmulKernel(ParallelMatmulConfig(
-            reduction=job.reduction, out_ch=job.out_ch, bits=job.bits,
-            num_cores=job.cores, quant=quant))
-        tspec = get_target(f"{CLUSTER_PREFIX}{job.cores}")
+        args = _spec_point(job)
+        if isinstance(job, ScalingJob):
+            config = job.config_dict()
+        else:
+            config = {"bits": job.bits, "quant": job.quant,
+                      "out_ch": job.out_ch, "reduction": job.reduction}
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
-            "spec": tspec.digest(),
-            "program": kernel.program.digest(),
-            "config": canonical_json(job.config_dict()),
-        }
-    if isinstance(job, SpecPointJob):
-        from ..kernels import ParallelMatmulConfig, ParallelMatmulKernel
-
-        spec = job.spec()
-        kernel = ParallelMatmulKernel(ParallelMatmulConfig(
-            reduction=job.reduction, out_ch=job.out_ch, bits=job.bits,
-            num_cores=spec.cores, isa=spec.isa, quant=job.quant))
-        config = {"bits": job.bits, "quant": job.quant,
-                  "out_ch": job.out_ch, "reduction": job.reduction}
-        return {
-            "schema": CACHE_SCHEMA,
-            "kind": job.kind,
-            "spec": spec.digest(),
-            "program": kernel.program.digest(),
+            "spec": args[0].digest(),
+            "program": spec_point_kernel(*args).program.digest(),
             "config": canonical_json(config),
         }
     if isinstance(job, ConvPointJob):
-        from ..kernels import ConvConfig, ConvKernel
+        from ..eval.workloads import suite_kernel
 
-        geometry, isa, tspec = _convpoint_resolved(job)
-        program = ConvKernel(ConvConfig(
-            geometry=geometry, bits=job.bits, isa=isa,
-            quant=job.quant)).program
-        config = {"bits": job.bits, "quant": job.quant, "isa": isa,
+        geometry, bits, isa, quant = _suite_point(job)
+        config = {"bits": bits, "quant": quant, "isa": isa,
                   "geometry": [geometry.in_h, geometry.in_w,
                                geometry.in_ch, geometry.out_ch,
                                geometry.kh, geometry.kw,
@@ -217,8 +172,9 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
-            "spec": tspec.digest(),
-            "program": program.digest(),
+            "spec": get_target(job.target).digest(),
+            "program": suite_kernel(geometry, bits, isa,
+                                    quant).program.digest(),
             "config": canonical_json(config),
         }
     if isinstance(job, CostJob):
@@ -286,30 +242,19 @@ def _run_compile(job: CompileJob) -> Tuple[Dict[str, Any], Artifacts]:
     return payload, {}
 
 
-def _run_scaling(job: ScalingJob) -> Tuple[Dict[str, Any], Artifacts]:
-    from ..eval.spec_point import run_spec_point
-    from ..target import get_target
-    from ..target.names import CLUSTER_PREFIX
-
-    payload = run_spec_point(get_target(f"{CLUSTER_PREFIX}{job.cores}"),
-                             job.bits, "shift" if job.bits == 8 else "hw",
-                             out_ch=job.out_ch, reduction=job.reduction)
-    return to_plain(payload), {}
-
-
-def _run_specpoint(job: SpecPointJob) -> Tuple[Dict[str, Any], Artifacts]:
+def _run_specpoint(job) -> Tuple[Dict[str, Any], Artifacts]:
     from ..eval.spec_point import run_spec_point
 
-    payload = run_spec_point(job.spec(), job.bits, job.quant,
-                             out_ch=job.out_ch, reduction=job.reduction)
+    spec, bits, quant, out_ch, reduction = _spec_point(job)
+    payload = run_spec_point(spec, bits, quant, out_ch=out_ch,
+                             reduction=reduction)
     return to_plain(payload), {}
 
 
 def _run_convpoint(job: ConvPointJob) -> Tuple[Dict[str, Any], Artifacts]:
     from ..eval.workloads import conv_point
 
-    geometry, isa, _ = _convpoint_resolved(job)
-    point = conv_point(geometry, job.bits, isa, job.quant)
+    point = conv_point(*_suite_point(job))
     payload = {
         "bits": point.bits,
         "isa": point.isa,
@@ -358,7 +303,7 @@ def _run_selftest(job: SelfTestJob) -> Tuple[Dict[str, Any], Artifacts]:
 _RUNNERS = {
     "profile": _run_profile,
     "compile": _run_compile,
-    "scaling": _run_scaling,
+    "scaling": _run_specpoint,
     "specpoint": _run_specpoint,
     "convpoint": _run_convpoint,
     "cost": _run_cost,

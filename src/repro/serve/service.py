@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..errors import ReproError
 from ..telemetry import metrics as tmetrics
 from ..telemetry.events import EventLog
 from ..telemetry.fleet import FleetRecorder, JobRecord
@@ -165,36 +166,43 @@ class SimulationService:
         for index, job in enumerate(jobs):
             if isinstance(job, SweepJob):
                 raise ServeError("sweeps do not nest; pass point jobs")
-            if self.cache is not None and job.cacheable:
-                parts = cache_key_parts(job)
-                key = digest_of(parts)
-                keys[index] = key
-                parts_by_key[key] = parts
-                payload = self.cache.get(key)
-                if payload is not None:
-                    artifacts = self.cache.artifacts_for(key)
-                    results[index] = JobResult(
-                        job=job, payload=payload, cached=True,
-                        artifacts=artifacts)
-                    cached += 1
-                    log_event("job_cached", index=index, kind=job.kind,
-                              digest=job.digest())
-                    if self.fleet is not None:
-                        now = time.time()
-                        self.fleet.record(JobRecord(
-                            index=index, kind=job.kind,
-                            digest=job.digest(), status="cached",
-                            start_s=now, end_s=now))
-                        if "trace.json" in artifacts:
-                            self.fleet.attach_device_trace(
-                                index, artifacts["trace.json"])
-                    emit(ProgressEvent("cached", index, total, job.kind,
-                                       job.digest()))
-                    continue
-            else:
+            key = None
+            if self.cache is None:
                 # No cache: dedupe by request identity instead.
                 key = job.digest() if job.cacheable else None
-                keys[index] = key
+            elif job.cacheable:
+                try:
+                    parts = cache_key_parts(job)
+                except ReproError:
+                    # The key is built by the run's own constructors, so
+                    # an unbuildable job runs uncached and fails exactly
+                    # as it does without a cache.
+                    parts = None
+                if parts is not None:
+                    key = digest_of(parts)
+                    parts_by_key[key] = parts
+                    payload = self.cache.get(key)
+                    if payload is not None:
+                        artifacts = self.cache.artifacts_for(key)
+                        results[index] = JobResult(
+                            job=job, payload=payload, cached=True,
+                            artifacts=artifacts)
+                        cached += 1
+                        log_event("job_cached", index=index, kind=job.kind,
+                                  digest=job.digest())
+                        if self.fleet is not None:
+                            now = time.time()
+                            self.fleet.record(JobRecord(
+                                index=index, kind=job.kind,
+                                digest=job.digest(), status="cached",
+                                start_s=now, end_s=now))
+                            if "trace.json" in artifacts:
+                                self.fleet.attach_device_trace(
+                                    index, artifacts["trace.json"])
+                        emit(ProgressEvent("cached", index, total, job.kind,
+                                           job.digest()))
+                        continue
+            keys[index] = key
             if key is not None and key in representative:
                 clones[index] = representative[key]
                 deduped += 1

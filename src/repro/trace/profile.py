@@ -1,20 +1,22 @@
 """Kernel catalog for ``repro profile`` / ``repro trace``.
 
-Builds a named built-in kernel (the configurations of the paper's Fig 6
-sweep plus the standalone / cluster-parallel MatMuls), runs it on
-deterministic tensors with a region profile or a tracer attached, and
-returns the per-region metrics or the event trace.  Single-core kernels
-run at the benchmark geometry (``REPRO_FULL=1`` switches to the paper's
-exact layer), so the reported quantization share is the number Fig 6
-plots; cluster traces use the scaling experiment's MatMul tile.
+Each named built-in kernel (the configurations of the paper's Fig 6
+sweep plus the standalone / cluster-parallel MatMuls) goes through one
+path: :func:`resolve_kernel` maps the name, core count and target to
+``(kind, (bits, isa, quant), cores)``, :func:`build_kernel` constructs
+the kernel, and one runner feeds it the benchmark suite's seeded tensors
+with a region profile or a tracer attached.  The serve layer keys its
+``profile`` jobs on ``build_kernel(...).program``, so the cached program
+is the one that ran.  Single-core conv kernels run at the benchmark
+geometry (``REPRO_FULL=1`` switches to the paper's exact layer), so the
+reported quantization share is the number Fig 6 plots; MatMuls use the
+scaling experiment's tile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from ..core.cpu import Cpu
 from ..core.regions import RegionCounters
@@ -63,169 +65,116 @@ def kernel_catalog() -> List[Tuple[str, str]]:
     return entries
 
 
-def _lookup(name: str) -> Tuple[str, Tuple[int, str, str]]:
-    if name in CONV_SPECS:
-        return "conv", CONV_SPECS[name]
-    if name in MATMUL_SPECS:
-        return "matmul", MATMUL_SPECS[name]
-    known = ", ".join(sorted(CONV_SPECS) + sorted(MATMUL_SPECS))
-    raise TraceError(f"unknown kernel {name!r}; choose from: {known}")
-
-
-# ---------------------------------------------------------------------------
-# Deterministic workloads (same idioms as the benchmark suite)
-# ---------------------------------------------------------------------------
-
-def _conv_workload(geometry, bits: int):
-    from ..qnn import (
-        conv2d_golden,
-        random_activations,
-        random_weights,
-        thresholds_from_accumulators,
-    )
-
-    rng = np.random.default_rng(_SEED + bits)
-    weights = random_weights(
-        (geometry.out_ch, geometry.kh, geometry.kw, geometry.in_ch),
-        bits, rng)
-    acts = random_activations(
-        (geometry.in_h, geometry.in_w, geometry.in_ch), bits, rng)
-    thresholds = None
-    if bits != 8:
-        acc = conv2d_golden(acts, weights, stride=geometry.stride,
-                            pad=geometry.pad)
-        thresholds = thresholds_from_accumulators(acc, bits)
-    return weights, acts, thresholds
-
-
-def _matmul_workload(bits: int, out_ch: int, reduction: int):
-    from ..qnn import random_threshold_table
-
-    rng = np.random.default_rng(_SEED + bits)
-    lo, hi = -(1 << (bits - 1)), 1 << (bits - 1)
-    w = rng.integers(lo, hi, (out_ch, reduction)).astype(np.int32)
-    x0 = rng.integers(0, 1 << bits, reduction).astype(np.int32)
-    x1 = rng.integers(0, 1 << bits, reduction).astype(np.int32)
-    thresholds = None
-    if bits != 8:
-        thresholds = random_threshold_table(out_ch, bits, spread=600, rng=rng)
-    return w, x0, x1, thresholds
-
-
-def _observe(sim, observer) -> None:
-    """Attach a region profile or a tracer to a core or a cluster."""
-    if isinstance(observer, RegionCounters):
-        sim.regions = observer
-    elif isinstance(sim, Cpu):
-        sim.tracer = observer
-    else:
-        sim.attach_tracer(observer)
-
-
-def _run_conv(name, spec, observer_factory, geometry=None):
-    from ..eval.workloads import benchmark_geometry
-    from ..kernels import ConvConfig, ConvKernel
-
-    bits, isa, quant = spec
-    geometry = geometry or benchmark_geometry()
-    kernel = ConvKernel(ConvConfig(geometry=geometry, bits=bits, isa=isa,
-                                   quant=quant))
-    observer = observer_factory(kernel.program)
-    weights, acts, thresholds = _conv_workload(geometry, bits)
-    from ..soc.memmap import L2_SIZE
-    from ..soc.memory import Memory
-
-    needed = kernel.layout.end + 4096
-    cpu = Cpu(isa=isa, mem=Memory(max(needed, L2_SIZE)))
-    _observe(cpu, observer)
-    if bits == 8:
-        run = kernel.run(weights, acts, shift=8, cpu=cpu)
-    else:
-        run = kernel.run(weights, acts, thresholds=thresholds, cpu=cpu)
-    return kernel, run, observer
-
-
-def _run_matmul(name, spec, observer_factory):
-    from ..kernels import MatmulConfig, MatmulKernel
-
-    bits, isa, quant = spec
-    kernel = MatmulKernel(MatmulConfig(
-        reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
-        isa=isa, quant=quant))
-    observer = observer_factory(kernel.program)
-    w, x0, x1, thresholds = _matmul_workload(
-        bits, MATMUL_OUT_CH, MATMUL_REDUCTION)
-    cpu = Cpu(isa=isa)
-    _observe(cpu, observer)
-    if quant == "shift":
-        run = kernel.run(w, x0, x1, shift=8, cpu=cpu)
-    else:
-        run = kernel.run(w, x0, x1, thresholds=thresholds, cpu=cpu)
-    return kernel, run, observer
-
-
-def _retarget(kind, spec, target):
-    """Re-resolve a catalog entry's (bits, isa, quant) for a target.
+def resolve_kernel(name: str, cores: int = 1,
+                   target=None) -> Tuple[str, Tuple[int, str, str], int]:
+    """``(kind, (bits, isa, quant), cores)`` the named kernel runs as.
 
     The catalog names fix *what* runs (bits + quantization ablation);
-    the target decides *where*: the ISA config comes from the spec and
-    hardware quantization degrades to the software staircase on cores
-    without ``pv.qnt``.
+    *target* decides *where*: the ISA comes from the spec, hardware
+    quantization degrades to the software staircase on cores without
+    ``pv.qnt``, and a cluster target's core count replaces *cores*.
     """
-    from ..target import get_target
-
-    tspec = get_target(target)
-    if not tspec.riscv:
-        raise TraceError(
-            f"target {tspec.name!r} is a cost-model baseline; built-in "
-            f"kernels profile on RISC-V targets only")
-    bits, _, quant = spec
-    if quant == "hw" and not tspec.hw_quant:
-        quant = "sw"
-    return (bits, tspec.isa, quant), tspec
-
-
-def _run_cluster_conv(name, spec, observer_factory, cores: int,
-                      geometry=None):
-    from ..cluster import Cluster
-    from ..eval.workloads import benchmark_geometry
-    from ..kernels import ParallelConvConfig, ParallelConvKernel
-
-    bits, isa, quant = spec
-    geometry = geometry or benchmark_geometry()
-    kernel = ParallelConvKernel(ParallelConvConfig(
-        geometry=geometry, bits=bits, isa=isa, quant=quant,
-        num_cores=cores))
-    observer = observer_factory(kernel.program)
-    weights, acts, thresholds = _conv_workload(geometry, bits)
-    cluster = Cluster(num_cores=cores, isa=isa)
-    _observe(cluster, observer)
-    if bits == 8:
-        run = kernel.run(weights, acts, shift=8, cluster=cluster)
+    if name in CONV_SPECS:
+        kind, spec = "conv", CONV_SPECS[name]
+    elif name in MATMUL_SPECS:
+        kind, spec = "matmul", MATMUL_SPECS[name]
     else:
-        run = kernel.run(weights, acts, thresholds=thresholds,
-                         cluster=cluster)
-    return kernel, run, observer
+        known = ", ".join(sorted(CONV_SPECS) + sorted(MATMUL_SPECS))
+        raise TraceError(f"unknown kernel {name!r}; choose from: {known}")
+    if target is not None:
+        from ..target import get_target
+
+        tspec = get_target(target)
+        if not tspec.riscv:
+            raise TraceError(
+                f"target {tspec.name!r} is a cost-model baseline; built-in "
+                f"kernels profile on RISC-V targets only")
+        bits, _, quant = spec
+        if quant == "hw" and not tspec.hw_quant:
+            quant = "sw"
+        spec = (bits, tspec.isa, quant)
+        if tspec.cluster:
+            cores = tspec.cores
+    return kind, spec, cores
 
 
-def _run_cluster_matmul(name, spec, observer_factory, cores: int):
-    from ..cluster import Cluster
-    from ..kernels import ParallelMatmulConfig, ParallelMatmulKernel
+def build_kernel(kind: str, spec: Tuple[int, str, str], cores: int,
+                 geometry=None):
+    """The kernel a resolved catalog entry runs: conv layers at *geometry*
+    (default: the benchmark geometry; one core runs the suite's kernel),
+    MatMuls at the scaling tile, both sharded over a cluster when *cores*
+    > 1."""
+    from ..kernels import (
+        MatmulConfig,
+        MatmulKernel,
+        ParallelConvConfig,
+        ParallelConvKernel,
+        ParallelMatmulConfig,
+        ParallelMatmulKernel,
+    )
 
     bits, isa, quant = spec
-    kernel = ParallelMatmulKernel(ParallelMatmulConfig(
+    if kind == "conv":
+        from ..eval.workloads import benchmark_geometry, suite_kernel
+
+        geometry = geometry or benchmark_geometry()
+        if cores > 1:
+            return ParallelConvKernel(ParallelConvConfig(
+                geometry=geometry, bits=bits, isa=isa, quant=quant,
+                num_cores=cores))
+        return suite_kernel(geometry, bits, isa, quant)
+    if cores > 1:
+        return ParallelMatmulKernel(ParallelMatmulConfig(
+            reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
+            num_cores=cores, isa=isa, quant=quant))
+    return MatmulKernel(MatmulConfig(
         reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
-        num_cores=cores, isa=isa, quant=quant))
+        isa=isa, quant=quant))
+
+
+def _run_kernel(name: str, cores: int, target, observer_factory,
+                geometry=None):
+    """Run a catalog kernel on its seeded tensors with the observer
+    ``observer_factory(program)`` attached to the core or cluster.
+
+    Returns ``(cores, run, observer)``.
+    """
+    kind, spec, cores = resolve_kernel(name, cores, target)
+    bits, isa, _ = spec
+    kernel = build_kernel(kind, spec, cores, geometry)
     observer = observer_factory(kernel.program)
-    w, x0, x1, thresholds = _matmul_workload(
-        bits, MATMUL_OUT_CH, MATMUL_REDUCTION)
-    cluster = Cluster(num_cores=cores, isa=isa)
-    _observe(cluster, observer)
-    if quant == "shift":
-        run = kernel.run(w, x0, x1, shift=8, cluster=cluster)
+    if kind == "conv":
+        from ..eval.workloads import conv_workload
+
+        weights, acts, _, thresholds = conv_workload(
+            kernel.config.geometry, bits)
+        operands = (weights, acts)
     else:
-        run = kernel.run(w, x0, x1, thresholds=thresholds, cluster=cluster)
-    return kernel, run, observer
+        from ..eval.cluster_scaling import matmul_workload
+
+        *operands, thresholds = matmul_workload(
+            bits, MATMUL_OUT_CH, MATMUL_REDUCTION, _SEED + bits)
+    if cores > 1:
+        from ..cluster import Cluster
+
+        sim, sim_arg = Cluster(num_cores=cores, isa=isa), "cluster"
+    elif kind == "conv":
+        from ..soc.memmap import L2_SIZE
+        from ..soc.memory import Memory
+
+        needed = kernel.layout.end + 4096
+        sim, sim_arg = Cpu(isa=isa, mem=Memory(max(needed, L2_SIZE))), "cpu"
+    else:
+        sim, sim_arg = Cpu(isa=isa), "cpu"
+    if isinstance(observer, RegionCounters):
+        sim.regions = observer
+    elif cores > 1:
+        sim.attach_tracer(observer)
+    else:
+        sim.tracer = observer
+    run = kernel.run(*operands, thresholds=thresholds, shift=8,
+                     **{sim_arg: sim})
+    return cores, run, observer
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +230,12 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
     *target* retargets the catalog entry to a registered target name
     (``repro targets``): the ISA, core count, and quantization capability
     come from the spec.  Without it, the catalog's own ISA runs, and
-    *cores* > 1 shards matmul kernels on a cluster.
+    *cores* > 1 shards the kernel on a cluster.
     """
-    kind, spec = _lookup(name)
-    description = dict(kernel_catalog())[name]
-    if target is not None:
-        spec, tspec = _retarget(kind, spec, target)
-        if tspec.cluster:
-            cores = tspec.cores
-
-    factory = RegionCounters
+    cores, run, regions = _run_kernel(name, cores, target, RegionCounters,
+                                      geometry)
     detail: Dict[str, int] = {}
     if cores > 1:
-        if kind == "conv":
-            _, run, regions = _run_cluster_conv(
-                name, spec, factory, cores, geometry=geometry)
-        else:
-            _, run, regions = _run_cluster_matmul(name, spec, factory, cores)
         cycles = run.cycles
         instructions = run.run.aggregate.instructions
         detail = {
@@ -305,16 +243,11 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
             "dma_in_cycles": run.dma_in_cycles,
             "dma_out_cycles": run.dma_out_cycles,
         }
-    elif kind == "conv":
-        _, run, regions = _run_conv(name, spec, factory, geometry=geometry)
-        cycles = run.perf.cycles
-        instructions = run.perf.instructions
     else:
-        _, run, regions = _run_matmul(name, spec, factory)
         cycles = run.perf.cycles
         instructions = run.perf.instructions
     return KernelProfile(
-        name=name, description=description, cycles=cycles,
+        name=name, description=dict(kernel_catalog())[name], cycles=cycles,
         instructions=instructions, registry=regions,
         cores=cores, detail=detail)
 
@@ -330,22 +263,7 @@ def trace_kernel(name: str, cores: int = 1, detail: str = "spans",
     ``cores > 1`` (or a cluster *target*) shards the kernel over a
     cluster of that many cores (the 8-core timeline of the evaluation).
     """
-    kind, spec = _lookup(name)
-    if target is not None:
-        spec, tspec = _retarget(kind, spec, target)
-        if tspec.cluster:
-            cores = tspec.cores
-
     def factory(program):
         return EventTracer(program=program, detail=detail)
 
-    if cores > 1:
-        if kind == "conv":
-            _, _, tracer = _run_cluster_conv(name, spec, factory, cores)
-        else:
-            _, _, tracer = _run_cluster_matmul(name, spec, factory, cores)
-    elif kind == "conv":
-        _, _, tracer = _run_conv(name, spec, factory)
-    else:
-        _, _, tracer = _run_matmul(name, spec, factory)
-    return tracer
+    return _run_kernel(name, cores, target, factory)[2]

@@ -41,7 +41,7 @@ def mixed3_deployed():
     built = build_network("mixed3")
     deployer = NetworkDeployer(
         built.network, built.input_shape, input_bits=built.input_bits,
-        isa="xpulpnn", target="cluster", num_cores=8)
+        target="xpulpnn-cluster8")
     return deployer.run(built.input)
 
 
@@ -222,8 +222,8 @@ class TestPaperWorkload:
         built2 = build_network("paper")
         deployed = NetworkDeployer(
             built2.network, built2.input_shape,
-            input_bits=built2.input_bits, isa="xpulpnn",
-            target="cluster", num_cores=8).run(built2.input)
+            input_bits=built2.input_bits,
+            target="xpulpnn-cluster8").run(built2.input)
         assert deployed.verified
         assert np.array_equal(result.output.ravel(),
                               np.asarray(deployed.output).ravel())

@@ -13,6 +13,7 @@ from repro.qnn import (
     random_activations,
     random_weights,
 )
+from repro.qnn.quantize import bridge_precision
 
 
 @pytest.fixture(scope="module")
@@ -160,15 +161,6 @@ class TestClusterDeployment:
     def test_cluster_runs_faster(self, result, cluster_result):
         assert cluster_result.total_cycles < 0.5 * result.total_cycles
 
-    def test_cluster_target_needs_xpulpnn(self, small_net):
-        with pytest.raises(KernelError, match="cluster"):
-            NetworkDeployer(small_net, input_shape=(8, 8, 16),
-                            input_bits=4, isa="ri5cy", target="cluster")
-        with pytest.raises(KernelError, match="cluster"):
-            NetworkDeployer(small_net, input_shape=(8, 8, 16),
-                            input_bits=4, isa="ri5cy",
-                            target="xpulpnn-cluster4")
-
     def test_unknown_target_rejected(self, small_net):
         with pytest.raises(TargetError, match="gpu"):
             NetworkDeployer(small_net, input_shape=(8, 8, 16),
@@ -180,11 +172,9 @@ class TestClusterDeployment:
 
 
 class TestBridge:
-    def test_bridge_drops_lsbs(self, small_net, result):
+    def test_bridge_drops_lsbs(self):
         """The 4->2 bit bridge must be a plain LSB drop."""
-        deployer = NetworkDeployer(small_net, input_shape=(8, 8, 16),
-                                   input_bits=4)
         x = np.array([[[15]]], dtype=np.int32)
-        assert deployer._bridge(x, 4, 2)[0, 0, 0] == 3
-        assert deployer._bridge(x, 4, 4)[0, 0, 0] == 15
-        assert deployer._bridge(x, 2, 4)[0, 0, 0] == 15
+        assert bridge_precision(x, 4, 2)[0, 0, 0] == 3
+        assert bridge_precision(x, 4, 4)[0, 0, 0] == 15
+        assert bridge_precision(x, 2, 4)[0, 0, 0] == 15

@@ -16,12 +16,14 @@ import pytest
 
 from repro.asm import Assembler
 from repro.serve import (
+    ConvPointJob,
     ProfileJob,
     ScalingJob,
     array_digest,
     cache_key_parts,
     canonical_json,
     digest_of,
+    execute,
     network_digest,
 )
 from repro.target import get_target
@@ -174,3 +176,50 @@ class TestCacheKeyParts:
             "job = ScalingJob(bits=4, cores=2, out_ch=32, reduction=64)\n"
             "print(digest_of(cache_key_parts(job)))")
         assert got == expected
+
+
+def _spec_point_job():
+    from repro.explore.space import Candidate, variant_spec
+
+    return Candidate(spec=variant_spec(2, 64, 512), bits=4, quant="hw",
+                     out_ch=32, reduction=64).job()
+
+
+class TestKeyProgramRuns:
+    """The key hashes a program the run really loads into a core."""
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        from repro.core.cpu import Cpu
+        from repro.eval import workloads
+
+        workloads._point_for.cache_clear()
+        digests = set()
+        load = Cpu.load_program
+
+        def record(cpu, program):
+            digests.add(program.digest())
+            return load(cpu, program)
+
+        # Cluster.load_program loads every core through Cpu.load_program.
+        monkeypatch.setattr(Cpu, "load_program", record)
+        yield digests
+        workloads._point_for.cache_clear()
+
+    @pytest.mark.parametrize("make_job", [
+        lambda: ProfileJob(kernel="conv_4bit", target=XPULPNN),
+        lambda: ProfileJob(kernel="matmul_4bit", target="xpulpnn-cluster8"),
+        lambda: ProfileJob(kernel="conv_4bit", target=RI5CY),
+        lambda: ProfileJob(kernel="matmul_2bit", trace=True),
+        lambda: ScalingJob(bits=4, cores=2, out_ch=32, reduction=64),
+        _spec_point_job,
+        lambda: ConvPointJob(bits=4, quant="sw", target=RI5CY),
+        lambda: ConvPointJob(bits=8, quant="shift", target=RI5CY),
+    ], ids=["profile", "profile-cluster8", "profile-ri5cy-sw",
+            "profile-trace", "scaling", "specpoint", "convpoint",
+            "convpoint-8bit-ri5cy-alias"])
+    def test_key_program_is_loaded_by_the_run(self, make_job, loaded):
+        job = make_job()
+        execute(job)
+        assert loaded
+        assert cache_key_parts(job)["program"] in loaded

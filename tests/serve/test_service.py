@@ -98,6 +98,24 @@ class TestCacheArtifacts:
         assert second.artifacts == first.artifacts
 
 
+class TestUnbuildableJobs:
+    def test_key_failure_fails_only_that_job(self, tmp_path):
+        """Key derivation builds the job's kernel; a job whose kernel
+        cannot be built fails alone, exactly as it does uncached."""
+        jobs = [ProfileJob(kernel="matmul_4bit", target="ri5cy"),
+                ProfileJob(kernel="conv_4bit", target="ri5cy")]
+        cached = SimulationService(cache=ResultCache(tmp_path / "c")).run(jobs)
+        uncached = SimulationService().run(jobs)
+        for report in (cached, uncached):
+            assert [r.ok for r in report.results] == [False, True]
+            assert report.stats["failed"] == 1
+        failure = cached.results[0]
+        assert failure.error_type == "KernelError"
+        assert (failure.error_type, failure.message) == (
+            uncached.results[0].error_type, uncached.results[0].message)
+        assert cached.results[1].payload == uncached.results[1].payload
+
+
 class TestEvalClients:
     """The rewired harnesses stay bit-identical through the service."""
 
