@@ -269,10 +269,12 @@ def test_block_engine_conv4bit_speedup_floor(results_dir):
 # ---------------------------------------------------------------------------
 # Cluster cores (docs/CLUSTER.md)
 #
-# Every cluster core retires through ``Cpu.step`` (the block engine never
-# runs there), so this is the interpreter's retire path at work under the
-# cluster scheduler and the TCDM ports.  Recorded beside the single-core
-# numbers as ``bench/cluster8_matmul_4bit/*``.
+# Each epoch of a cluster run (here: up to the kernel's barrier, then
+# the halt) runs every core on its block engine and then replays the
+# TCDM arbitration over the logged accesses (``repro.cluster.replay``),
+# so this measures the engine and the replay, not the scheduler.
+# Recorded beside the single-core numbers as
+# ``bench/cluster8_matmul_4bit/*``.
 # ---------------------------------------------------------------------------
 
 

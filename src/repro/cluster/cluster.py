@@ -1,16 +1,31 @@
 """The PULP cluster: N RI5CY+XpulpNN cores on a shared banked L1.
 
-Execution is a conservative discrete-event interleaving of the per-core
-ISS models.  Each core keeps its own cycle clock (its ``perf.cycles``).
-Only loads, stores and ``pv.qnt`` (:data:`SHARED_TIMING_CLASSES`) reach
-the memory system; every other instruction touches its own core alone.
-The scheduler keeps a heap of ``(clock, core id)`` keys, steps the
-smallest one until it passes the next key, then lets that core run
-ahead through private instructions up to its next shared access.  Shared
-accesses therefore reach the arbiters (TCDM banks, event unit, DMA, L2)
-in global ``(clock, core id)`` order, exactly as if the core with the
-smallest clock were stepped one instruction at a time.  Three
-cluster-only effects feed back into the clocks:
+Each core keeps its own cycle clock (its ``perf.cycles``).  Only loads,
+stores and ``pv.qnt`` (:data:`SHARED_TIMING_CLASSES`) reach the memory
+system; every other instruction touches its own core alone.  A run is
+split into *epochs* at barriers and halts, and each epoch takes one of
+two paths that reach the same state:
+
+* **Replay** (the fast path, :mod:`repro.cluster.replay`): every core
+  runs the epoch alone on its block engine against the TCDM bytes,
+  logging each access with its stall-free issue clock; after a check
+  that no core wrote a byte another core touched, the TCDM arbitration
+  is replayed over the logs in ``(clock, core id)`` order and the
+  stalls are charged.  Anything the replay cannot reproduce (a race, L2
+  or peripheral traffic, a cycle-CSR read, a trap, the budget running
+  out) rolls the epoch back and runs it on the scheduler.  A tracer,
+  memory tracer or race recorder makes the whole run decline the
+  replay, since they observe accesses as they happen.
+* **Scheduler** (the fallback and reference): a conservative
+  discrete-event interleaving of the per-core ISS models.  It keeps a
+  heap of ``(clock, core id)`` keys, steps the smallest one until it
+  passes the next key, then lets that core run ahead through private
+  instructions up to its next shared access.  Shared accesses therefore
+  reach the arbiters (TCDM banks, event unit, DMA, L2) in global
+  ``(clock, core id)`` order, exactly as if the core with the smallest
+  clock were stepped one instruction at a time.
+
+Three cluster-only effects feed back into the clocks:
 
 * **TCDM bank conflicts** — a load/store to a bank granted to an earlier
   access stalls until the bank frees (``stall_tcdm_contention``);
@@ -50,6 +65,7 @@ from ..soc.memory import Memory
 from ..target.names import XPULPNN
 from .dma import ClusterDma
 from .event_unit import EventUnit
+from .replay import replay_epoch
 from .tcdm import Tcdm
 
 #: Heap-top clock seen by the last live core: it never has to yield.
@@ -251,6 +267,9 @@ class ClusterRun:
     tcdm_conflict_cycles: int
     dma_cycles: int = 0
     dma_bytes: int = 0
+    #: How the run was executed: ``replayed_epochs``,
+    #: ``rolled_back_epochs``, and one ``declined.<reason>`` or
+    #: ``rolled_back.<reason>`` count per reason the fast path gave.
     detail: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -349,9 +368,12 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def load_program(self, program) -> None:
-        """Point every core at the same linked program (SPMD model)."""
+        """Point every core at the same linked program (SPMD model); the
+        program's digest, which keys the translated blocks, is computed
+        once for all of them."""
+        digest = program.digest()
         for cpu in self.cores:
-            cpu.load_program(program)
+            cpu.load_program(program, digest)
 
     def reset(self) -> None:
         for cpu in self.cores:
@@ -367,7 +389,11 @@ class Cluster:
         entry: Optional[int] = None,
         max_instructions: int = 200_000_000,
     ) -> ClusterRun:
-        """Step all cores to completion (every core halts).
+        """Run all cores to completion (every core halts).
+
+        Each epoch is replayed (see the module docstring) unless the run
+        declines the replay up front or the epoch rolls back; both paths
+        leave the same state, and ``ClusterRun.detail`` counts which ran.
 
         *max_instructions* bounds the total retired across the cluster.
         Raises :class:`SimError` on barrier deadlock (all live cores
@@ -376,20 +402,71 @@ class Cluster:
         a-time run would, but a run that raises may leave cores that ran
         ahead further along than such a run would have.
 
-        While a region profile is attached, first entry into a region is
-        ordered like a shared access, so the table lists regions in the
-        same first-entered order as a one-instruction-at-a-time run.
+        While a region profile is attached, the table lists regions in
+        the same first-entered order as a one-instruction-at-a-time run.
         """
         cores = self.cores
-        eu = self.event_unit
         if entry is not None:
             for cpu in cores:
                 cpu.pc = entry
+        detail = {"replayed_epochs": 0, "rolled_back_epochs": 0}
+        declined = self._replay_declined()
+        if declined is not None:
+            detail["declined." + declined] = 1
+        executed = 0
+        while any(cpu.halted is None for cpu in cores):
+            if declined is None:
+                retired, reason = replay_epoch(
+                    self, max_instructions - executed)
+                if reason is None:
+                    executed += retired
+                    detail["replayed_epochs"] += 1
+                    continue
+                detail["rolled_back_epochs"] += 1
+                key = "rolled_back." + reason
+                detail[key] = detail.get(key, 0) + 1
+            executed = self._schedule_epoch(executed, max_instructions)
+
+        for cpu in cores:
+            cpu._close_region()
+        if self.tracer is not None:
+            for cpu in cores:
+                self.tracer.on_halt(cpu)
+        _publish(detail)
+
+        eu = self.event_unit
+        return ClusterRun(
+            per_core=[cpu.perf.copy() for cpu in self.cores],
+            barriers=eu.barriers_completed,
+            tcdm_accesses=self.tcdm.accesses,
+            tcdm_conflicts=self.tcdm.conflicts,
+            tcdm_conflict_cycles=self.tcdm.conflict_cycles,
+            dma_cycles=self.dma.total_cycles,
+            dma_bytes=self.dma.bytes_moved,
+            detail=detail,
+        )
+
+    def _replay_declined(self) -> Optional[str]:
+        """Why this run cannot replay any epoch (None when it can): a
+        tracer or race recorder must see the accesses as they happen."""
+        if self.tracer is not None or any(
+                cpu.tracer is not None for cpu in self.cores):
+            return "tracer"
+        if self.access_trace is not None:
+            return "access_trace"
+        return None
+
+    def _schedule_epoch(self, executed: int, max_instructions: int) -> int:
+        """Run the scheduler from the current state until a barrier
+        releases or every core halts; returns the cluster's retired
+        count.  Raises :class:`SimError` on deadlock or when the count
+        passes *max_instructions*."""
+        cores = self.cores
+        eu = self.event_unit
         heap = [(cpu.perf.cycles, i) for i, cpu in enumerate(cores)
                 if cpu.halted is None]
         heapq.heapify(heap)
         parked: set = set()
-        executed = 0
 
         while heap:
             _, i = heapq.heappop(heap)
@@ -411,10 +488,8 @@ class Cluster:
                     eu.take_pending_arrival()
                     parked.add(i)
                     if eu.arrive(i, perf.cycles):
-                        for core_id in self._release_barrier():
-                            heapq.heappush(
-                                heap, (cores[core_id].perf.cycles, core_id))
-                        parked.clear()
+                        self._release_barrier()
+                        return executed
                     break
                 if cpu._halted is not None:
                     break
@@ -436,27 +511,12 @@ class Cluster:
                 f"cluster deadlock: cores {sorted(parked)} parked at a "
                 f"barrier that can no longer complete"
             )
-        for cpu in cores:
-            cpu._close_region()
-        if self.tracer is not None:
-            for cpu in cores:
-                self.tracer.on_halt(cpu)
+        return executed
 
-        return ClusterRun(
-            per_core=[cpu.perf.copy() for cpu in self.cores],
-            barriers=eu.barriers_completed,
-            tcdm_accesses=self.tcdm.accesses,
-            tcdm_conflicts=self.tcdm.conflicts,
-            tcdm_conflict_cycles=self.tcdm.conflict_cycles,
-            dma_cycles=self.dma.total_cycles,
-            dma_bytes=self.dma.bytes_moved,
-        )
-
-    def _release_barrier(self) -> List[int]:
+    def _release_barrier(self) -> None:
         """Open the completed barrier: every waiter's clock jumps to the
         release time (the last arrival) and the parked span is charged
-        as idle time to the ``barrier`` region.  Returns the released
-        core ids in ascending order."""
+        as idle time to the ``barrier`` region."""
         eu = self.event_unit
         release = eu.release_time
         released = eu.release()
@@ -472,11 +532,9 @@ class Cluster:
                 barrier = core.regions.counters_for("barrier")
                 barrier.cycles += release - when
                 barrier.idle_cycles += release - when
-        order = sorted(released)
         if self.tracer is not None:
-            for core_id in order:
+            for core_id in sorted(released):
                 self.tracer.on_barrier(core_id, released[core_id], release)
-        return order
 
     def run_program(self, program, **kwargs) -> ClusterRun:
         """Convenience: reset, load on all cores, run to completion."""
@@ -490,3 +548,13 @@ class Cluster:
             f"Cluster({cfg.num_cores}x {cfg.isa}, "
             f"{cfg.num_banks}-bank TCDM {cfg.tcdm_size // 1024} kB)"
         )
+
+
+def _publish(detail: Dict[str, int]) -> None:
+    """Add one run's replay statistics to the telemetry registry as
+    ``cluster.replay.*`` counters."""
+    from ..telemetry import metrics as tmetrics
+
+    for key, count in detail.items():
+        if count:
+            tmetrics.counter("cluster.replay." + key).inc(count)

@@ -44,6 +44,12 @@ DEFAULT_MEM_SIZE = L2_SIZE
 DEFAULT_ENGINE = "block"
 
 
+class ProvisionalClock(SimError):
+    """A cycle CSR was read while the core's clock was provisional: a
+    cluster replay epoch charges TCDM stalls only after every core has
+    run, so the value such a read returns is not known yet."""
+
+
 class Cpu:
     """Cycle-approximate functional model of the (extended) RI5CY core."""
 
@@ -95,6 +101,11 @@ class Cpu:
         self._region: Optional[str] = None
         self._region_acc: Optional[PerfCounters] = None
         self._region_mark: Optional[PerfCounters] = None
+        #: While a cluster replays an epoch on this core: the stall-free
+        #: clock at which the core first entered each region.  Not None
+        #: also marks ``perf.cycles`` as provisional (TCDM stalls come
+        #: later), so reading a cycle CSR raises :class:`ProvisionalClock`.
+        self._epoch: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Tracing
@@ -126,6 +137,8 @@ class Cpu:
         """Close the open region and open *name*: the next instruction
         to retire is charged to it."""
         self._close_region()
+        if self._epoch is not None:
+            self._epoch.setdefault(name, self.perf.cycles)
         self._region = name
         self._region_acc = self.regions.counters_for(name)
         self._region_mark = self.perf.copy()
@@ -141,12 +154,15 @@ class Cpu:
     # Program loading
     # ------------------------------------------------------------------
 
-    def load_program(self, program) -> None:
+    def load_program(self, program, digest: Optional[str] = None) -> None:
         """Attach a linked :class:`~repro.asm.program.Program`.
 
         Instructions are indexed by address for fetch; use
         :meth:`materialize` as well if the run should also place encoded
         bytes into data memory (needed only when code reads itself).
+        *digest* is the program's :meth:`~repro.asm.program.Program.digest`
+        when the caller already has it (a cluster computes it once for
+        all its cores); otherwise the block engine computes it on use.
         """
         imem = {}
         for ins in program.instructions:
@@ -159,7 +175,7 @@ class Cpu:
         self._illegal = frozenset()
         self.pc = program.entry
         self._loaded_program = program
-        self._block_digest = None
+        self._block_digest = digest
         self._imem_version += 1
 
     def materialize(self, program) -> None:
@@ -242,6 +258,9 @@ class Cpu:
         from ..isa import zicsr as z
 
         if addr in (z.CSR_MCYCLE, z.CSR_CYCLE):
+            if self._epoch is not None:
+                raise ProvisionalClock(
+                    f"cycle CSR {addr:#05x} read during a replayed epoch")
             return self.perf.cycles & 0xFFFF_FFFF
         if addr in (z.CSR_MINSTRET, z.CSR_INSTRET):
             return self.perf.instructions & 0xFFFF_FFFF
@@ -290,6 +309,27 @@ class Cpu:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+
+    def checkpoint(self) -> tuple:
+        """The state :meth:`restore` puts back: registers, pc, hardware
+        loops, counters, the pending load-use hazard, the halt reason and
+        the CSRs (a cluster rolls a replayed epoch back with it)."""
+        hw = self.hwloops
+        return (self.regs.snapshot(), self.pc, list(hw.start), list(hw.end),
+                list(hw.count), self.perf.copy(), self._pending_load_rd,
+                self._halted, dict(self._csrs))
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint` (counters are restored in place)."""
+        (regs, self.pc, start, end, count, perf, self._pending_load_rd,
+         self._halted, csrs) = state
+        self.regs = RegisterFile(regs)
+        hw = self.hwloops
+        hw.start[:], hw.end[:], hw.count[:] = start, end, count
+        self.perf.reset()
+        self.perf.merge(perf)
+        self._csrs.clear()
+        self._csrs.update(csrs)
 
     def reset(self, pc: int = 0) -> None:
         self.regs = RegisterFile()
@@ -402,10 +442,14 @@ class Cpu:
         The run is dispatched through the block-translation engine
         (:mod:`repro.engine`) — bit- and cycle-identical to interpreting,
         but only engaged when nothing can observe intermediate state: a
-        tracer or a contended cluster memory port falls back to the
-        interpreter automatically, as does ``engine="interp"``.  An
-        attached region profile does not; both paths charge it, and it
-        is complete when the run returns.
+        plain :class:`~repro.soc.memory.Memory`, or a memory that logs
+        every access for a later arbitration replay (``logs_accesses``:
+        the port a cluster core runs an epoch against, see
+        :mod:`repro.cluster.replay`).  A tracer or any other memory, such
+        as a cluster core's arbitrating TCDM port, falls back to the
+        interpreter, as does ``engine="interp"``.  An attached region
+        profile does not; both paths charge it, and it is complete when
+        the run returns.
         """
         if entry is not None:
             self.pc = entry
@@ -414,7 +458,8 @@ class Cpu:
             if (
                 self.engine == "block"
                 and self._tracer is None
-                and type(self.mem) is Memory
+                and (type(self.mem) is Memory
+                     or getattr(self.mem, "logs_accesses", False))
             ):
                 from ..engine.engine import BlockEngine
 

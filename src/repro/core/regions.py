@@ -51,6 +51,30 @@ class RegionCounters:
             self._order.append(name)
         return self._counters[name]
 
+    def checkpoint(self) -> tuple:
+        """Every region's counters and the first-entered order, for
+        :meth:`restore`."""
+        return ({name: perf.copy() for name, perf in self._counters.items()},
+                list(self._order))
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`: regions first entered since are
+        dropped, the others' counters restored in place."""
+        counters, order = state
+        for name in self._order[len(order):]:
+            del self._counters[name]
+        self._order = list(order)
+        for name, saved in counters.items():
+            perf = self._counters[name]
+            perf.reset()
+            perf.merge(saved)
+
+    def reorder_since(self, start: int, key) -> None:
+        """Sort the regions first entered after the first *start* by
+        *key* (a cluster replaying an epoch learns the global order of
+        first entries only after every core has run)."""
+        self._order[start:] = sorted(self._order[start:], key=key)
+
     @property
     def regions(self) -> List[str]:
         """Region names in first-entered order."""

@@ -14,12 +14,14 @@ hardware-loop bodies executed millions of times — in two tiers:
   :class:`~repro.isa.instruction.InstrSpec`) execute *all* iterations
   at once with numpy array semantics and closed-form cycle accounting.
 
-Anything the engine cannot prove — traps, barriers, cluster TCDM
-arbitration, CSR reads of live counters, attached tracers, quantization
-FSM stalls — side-exits back to the interpreter, which remains the
-reference semantics.  Parity is the contract: identical register and
-memory state and identical :class:`~repro.core.perf.PerfCounters` for
-any program.  Every single-core :meth:`~repro.core.cpu.Cpu.run` goes
-through this engine; ``Cpu(engine="interp")`` keeps the interpreter as
-the test oracle.  See ``docs/ENGINE.md``.
+Anything the engine cannot prove — traps, barriers, CSR reads of live
+counters, attached tracers, quantization FSM stalls — side-exits back to
+the interpreter, which remains the reference semantics.  Parity is the
+contract: identical register and memory state and identical
+:class:`~repro.core.perf.PerfCounters` for any program.  Every
+single-core :meth:`~repro.core.cpu.Cpu.run` goes through this engine,
+and so does every cluster core during a replayed epoch, against a port
+that logs its TCDM accesses for the cluster to arbitrate afterwards
+(:mod:`repro.cluster.replay`); ``Cpu(engine="interp")`` keeps the
+interpreter as the test oracle.  See ``docs/ENGINE.md``.
 """

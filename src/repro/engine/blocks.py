@@ -46,7 +46,7 @@ class Block:
     __slots__ = (
         "addr", "n", "instrs", "execs", "addrs", "fts", "ft_index",
         "addr_index", "srcs", "lu", "prefix", "lu_prefix", "pending",
-        "cls_prefix", "fused",
+        "classes", "cls_prefix", "fused",
     )
 
     def __init__(self, instrs: list) -> None:
@@ -79,8 +79,8 @@ class Block:
             lu_prefix[i + 1] = lu_prefix[i] + lu[i]
         self.prefix = prefix
         self.lu_prefix = lu_prefix
-        self.cls_prefix = _prefix_counts(
-            [ins.spec.timing for ins in instrs])
+        self.classes = [ins.spec.timing for ins in instrs]
+        self.cls_prefix = _prefix_counts(self.classes)
         #: Fused-plan cache: loop-end fall-through address -> FusedPlan,
         #: or a side-exit reason string when fusion was statically
         #: declined (so the analysis never reruns per dispatch).
@@ -102,9 +102,10 @@ class Block:
 
 
 def _prefix_counts(labels: List[str]) -> Dict[str, List[int]]:
+    """Prefix counts per label, keyed in first-occurrence order."""
     out: Dict[str, List[int]] = {}
     n = len(labels)
-    for key in set(labels):
+    for key in dict.fromkeys(labels):
         pref = [0] * (n + 1)
         count = 0
         for i, label in enumerate(labels):

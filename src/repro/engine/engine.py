@@ -19,8 +19,13 @@ granularity:
    execute on the unmodified interpreter ``step()``.
 
 The engine is only engaged when nothing can observe intermediate state:
-no tracer attached and a plain (uncontended) memory — cluster cores with
-TCDM ports keep the interpreter.  A region profile
+no tracer attached and a plain (uncontended) memory, or a memory that
+logs every data access for a later arbitration replay.  A cluster runs
+each core's epoch that way (:mod:`repro.cluster.replay`): tier A and the
+interpreter steps log each access with its stall-free issue clock, a
+fused loop logs all of its iterations' accesses as arrays, and the
+cluster then replays the TCDM bank arbitration over the logs.  A region
+profile
 (:class:`~repro.core.regions.RegionCounters`) keeps the engine on: blocks
 are then translated so that none crosses a region boundary (a fused body
 is a block prefix, so neither does it), and the core's counters are
@@ -46,7 +51,7 @@ class EngineStats:
 
     __slots__ = ("blocks_translated", "block_hits", "interp_steps",
                  "fused_dispatches", "fused_iterations",
-                 "fused_instructions", "side_exit_sites")
+                 "fused_instructions", "side_exit_sites", "_published")
 
     def __init__(self) -> None:
         self.blocks_translated = 0
@@ -57,6 +62,8 @@ class EngineStats:
         self.fused_instructions = 0
         #: (loop body pc, reason) -> side exits declined there
         self.side_exit_sites: Dict[Tuple[int, str], int] = {}
+        #: The totals the last :meth:`publish` reported.
+        self._published: Dict[Tuple[str, str], int] = {}
 
     def side_exit(self, pc: int, reason: str) -> None:
         key = (pc, reason)
@@ -85,21 +92,22 @@ class EngineStats:
         }
 
     def publish(self) -> None:
-        """Add the run's deltas to the process telemetry registry."""
+        """Add what the stats gained since the last publish to the
+        process telemetry registry (a core's engine serves all its
+        runs, so the stats themselves are running totals)."""
         from ..telemetry import metrics as tmetrics
 
-        tmetrics.counter("engine.blocks_translated").inc(
-            self.blocks_translated)
-        tmetrics.counter("engine.block_hits").inc(self.block_hits)
-        tmetrics.counter("engine.interp_steps").inc(self.interp_steps)
-        tmetrics.counter("engine.fused_dispatches").inc(
-            self.fused_dispatches)
-        tmetrics.counter("engine.fused_iterations").inc(
-            self.fused_iterations)
-        tmetrics.counter("engine.fused_instructions").inc(
-            self.fused_instructions)
+        now = {(name, ""): getattr(self, name) for name in (
+            "blocks_translated", "block_hits", "interp_steps",
+            "fused_dispatches", "fused_iterations", "fused_instructions")}
         for reason, count in self.side_exits().items():
-            tmetrics.counter("engine.side_exits", reason=reason).inc(count)
+            now[("side_exits", reason)] = count
+        for (name, reason), total in now.items():
+            delta = total - self._published.get((name, reason), 0)
+            if delta:
+                labels = {"reason": reason} if reason else {}
+                tmetrics.counter("engine." + name, **labels).inc(delta)
+        self._published = now
 
 
 class BlockEngine:
@@ -144,6 +152,8 @@ class BlockEngine:
         start = hw.start
         step = cpu.step
         imem = cpu._imem
+        mem = cpu.mem
+        port = mem if getattr(mem, "logs_accesses", False) else None
         executed = 0
         try:
             while cpu._halted is None:
@@ -173,24 +183,26 @@ class BlockEngine:
                         cpu._enter_region(name)
                 budget = max_instructions - executed
                 if count[0] > 0 and pc == start[0]:
-                    done = self._try_fused(block, 0, budget)
+                    done = self._try_fused(block, 0, budget, port)
                 elif count[1] > 0 and pc == start[1]:
-                    done = self._try_fused(block, 1, budget)
+                    done = self._try_fused(block, 1, budget, port)
                 else:
                     done = 0
                 if done:
                     executed += done
                     continue
-                executed += run_block(cpu, block, budget)
+                executed += run_block(cpu, block, budget, port)
             return cpu.perf
         finally:
             stats.publish()
 
     # ------------------------------------------------------------------
 
-    def _try_fused(self, block: Block, level: int, budget: int) -> int:
+    def _try_fused(self, block: Block, level: int, budget: int,
+                   port) -> int:
         """Dispatch all remaining iterations of loop *level* as one fused
-        superinstruction; returns instructions retired (0 on side exit)."""
+        superinstruction; returns instructions retired (0 on side exit).
+        *port* is the access-logging memory, or None."""
         from .fusion import FUSE_MIN_ITERS, Unfusable, compile_plan, \
             execute_plan
 
@@ -231,7 +243,7 @@ class BlockEngine:
             stats.side_exit(block.addr, plan)
             return 0
         try:
-            retired = execute_plan(cpu, plan, level)
+            retired = execute_plan(cpu, plan, level, port)
         except Unfusable as declined:
             stats.side_exit(block.addr, declined.reason)
             return 0

@@ -16,6 +16,12 @@ and re-raises).
 A *segment* ends where a hardware-loop back-edge can fire: loop counts
 only change at a loop-end fall-through, so every interior instruction
 is provably straight-line and needs no redirect check.
+
+Against a memory that logs its accesses (a cluster core's replay port,
+:mod:`repro.cluster.replay`), the segment also tells the port, before
+each instruction, how many cycles past the segment's start that
+instruction issues, so every access is logged with its stall-free issue
+clock.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from __future__ import annotations
 from ..core.timing import MISALIGNED_PENALTY
 
 
-def run_block(cpu, block, limit: int) -> int:
+def run_block(cpu, block, limit: int, port=None) -> int:
     """Execute *block* from its first instruction; returns the number of
     instructions retired (at most *limit*).  ``cpu.pc`` is left exactly
-    where the interpreter would leave it."""
+    where the interpreter would leave it.  *port* is ``cpu.mem`` when it
+    logs accesses (see the module docstring), else None."""
     hw = cpu.hwloops
     ft_index = block.ft_index
     n = block.n
@@ -50,7 +57,7 @@ def run_block(cpu, block, limit: int) -> int:
             if stop == idx:
                 cpu.pc = block.addrs[idx]
                 return executed
-        _exec_segment(cpu, block, idx, stop)
+        _exec_segment(cpu, block, idx, stop, port)
         executed += stop - idx
         if not at_boundary:
             cpu.pc = block.addrs[stop] if stop < n else block.fts[n - 1]
@@ -71,7 +78,7 @@ def run_block(cpu, block, limit: int) -> int:
         idx = j
 
 
-def _exec_segment(cpu, block, lo: int, hi: int) -> None:
+def _exec_segment(cpu, block, lo: int, hi: int, port=None) -> None:
     execs = block.execs
     instrs = block.instrs
     addrs = block.addrs
@@ -81,9 +88,17 @@ def _exec_segment(cpu, block, lo: int, hi: int) -> None:
     dyn_mis = 0
     dyn_tcdm = 0
     i = lo
+    if port is not None:
+        # Issue offsets: instrs[lo:i] priced, plus the dynamic stalls met.
+        prefix = block.prefix
+        skew = block.price(lo, lo + 1, cpu._pending_load_rd)[0] \
+            - prefix[lo + 1]
     try:
         while i < hi:
             cpu.pc = addrs[i]
+            if port is not None:
+                port.issue_offset = (
+                    prefix[i] + skew + dyn_mis if i > lo else 0)
             execs[i](cpu, instrs[i])
             if cpu._misaligned or cpu._extra_stalls or cpu._tcdm_stalls:
                 mis = (cpu._misaligned * MISALIGNED_PENALTY
@@ -102,6 +117,9 @@ def _exec_segment(cpu, block, lo: int, hi: int) -> None:
         # pc parked on the faulting instruction.
         _flush(cpu, block, lo, i, dyn_mis, dyn_tcdm)
         raise
+    finally:
+        if port is not None:
+            port.issue_offset = 0
     _flush(cpu, block, lo, hi, dyn_mis, dyn_tcdm)
 
 
@@ -114,6 +132,11 @@ def _flush(cpu, block, lo: int, hi: int, dyn_mis: int,
     perf.cycles += cycles + dyn_mis + dyn_tcdm
     perf.instructions += hi - lo
     by_class = perf.by_class
+    if not by_class.keys() >= block.cls_prefix.keys():
+        # A class's first retire fixes its place in the counter, as on
+        # the interpreter: enter the segment's new classes in its order.
+        for cls in block.classes[lo:hi]:
+            by_class[cls] += 0
     for cls, pref in block.cls_prefix.items():
         delta = pref[hi] - pref[lo]
         if delta:

@@ -45,6 +45,12 @@ always invisible.  The cycles are ``first + steady * (n - 1)``, both
 priced by :meth:`~repro.engine.blocks.Block.price`: the first iteration
 after whatever retired before the loop, the steady one after the body's
 own last instruction.
+
+Against an access-logging memory (a cluster core's replay port) a
+dispatch also hands the port every load and store of every iteration as
+arrays of byte offsets and stall-free issue clocks, priced the same way;
+a misaligned access there is a side exit, since its penalty would shift
+the clocks of the iterations after it.
 """
 
 from __future__ import annotations
@@ -234,9 +240,9 @@ class _Ctx:
 
     __slots__ = ("n", "mem", "data", "data16", "data32", "env", "affine",
                  "contribs", "mis", "stores", "load_ranges",
-                 "store_ranges", "streams")
+                 "store_ranges", "streams", "log")
 
-    def __init__(self, n: int, mem, body_len: int) -> None:
+    def __init__(self, n: int, mem, body_len: int, logging: bool) -> None:
         self.n = n
         self.mem = mem
         buf = mem._data
@@ -255,6 +261,9 @@ class _Ctx:
         #: affine store streams ``(addr0, delta, size)``, keyed by the
         #: index of their range in ``store_ranges``
         self.streams: Dict[int, Tuple[int, int, int]] = {}
+        #: ``(body index, byte offset, delta, size, is_write)`` per memory
+        #: op, kept only for an access-logging memory
+        self.log: Optional[List[Tuple]] = [] if logging else None
 
     def get(self, reg: int):
         value = self.env[reg]
@@ -262,6 +271,13 @@ class _Ctx:
             base, delta = self.affine[reg]
             value = self.env[reg] = (base + delta * _iota(self.n)) & MASK32
         return value
+
+    def note(self, index: int, offset, size: int, write: bool,
+             delta: int = 0) -> None:
+        """Log one memory op: iteration ``i`` accesses byte ``offset +
+        delta * i``, or ``offset[i]`` when *offset* is an array."""
+        if self.log is not None:
+            self.log.append((index, offset, delta, size, write))
 
     def bump(self, reg: int, imm: int) -> None:
         base, delta = self.affine[reg]
@@ -336,6 +352,7 @@ def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
             _check_range(ctx, lo, hi, size, ctx.store_ranges)
             ctx.load_ranges.append((lo, hi + size))
             off0 = addr0 - ctx.mem.base
+            ctx.note(index, off0, size, False, delta)
             if delta == 0:
                 ctx.env[rd] = scalar_load(ctx.data, off0, size, signed)
                 if size > 1 and addr0 % size:
@@ -364,6 +381,7 @@ def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
                 lo, hi = int(addr.min()), int(addr.max())
                 _check_range(ctx, lo, hi, size, ctx.store_ranges)
                 ctx.load_ranges.append((lo, hi + size))
+                ctx.note(index, addr - ctx.mem.base, size, False)
                 ctx.env[rd] = gather(ctx.data, addr - ctx.mem.base,
                                      size, signed)
                 if size > 1:
@@ -371,6 +389,7 @@ def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
             else:
                 _check_range(ctx, addr, addr, size, ctx.store_ranges)
                 ctx.load_ranges.append((addr, addr + size))
+                ctx.note(index, addr - ctx.mem.base, size, False)
                 ctx.env[rd] = scalar_load(ctx.data, addr - ctx.mem.base,
                                           size, signed)
                 if size > 1 and addr % size:
@@ -402,6 +421,7 @@ def _make_store(index: int, rs1: int, rs2: int, imm: int, size: int,
             ctx.store_ranges.append((lo, hi + size))
             values = ctx.get(rs2)
             off0 = addr0 - ctx.mem.base
+            ctx.note(index, off0, size, True, delta)
             if delta == 0:
                 last_value = int(values[-1]) \
                     if isinstance(values, np.ndarray) else values
@@ -438,6 +458,7 @@ def _make_store(index: int, rs1: int, rs2: int, imm: int, size: int,
                 _check_range(ctx, lo, hi, size,
                              ctx.store_ranges + ctx.load_ranges)
                 ctx.store_ranges.append((lo, hi + size))
+                ctx.note(index, addr - ctx.mem.base, size, True)
                 strides = np.diff(addr)
                 if len(strides) and not ((strides >= size).all()
                                          or (strides <= -size).all()):
@@ -450,6 +471,7 @@ def _make_store(index: int, rs1: int, rs2: int, imm: int, size: int,
                 _check_range(ctx, addr, addr, size,
                              ctx.store_ranges + ctx.load_ranges)
                 ctx.store_ranges.append((addr, addr + size))
+                ctx.note(index, addr - ctx.mem.base, size, True)
                 last_value = int(values[-1]) \
                     if isinstance(values, np.ndarray) else values
                 ctx.stores.append(
@@ -694,14 +716,15 @@ def compile_plan(block, body_len: int) -> FusedPlan:
     return FusedPlan(block, body_len)
 
 
-def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
+def execute_plan(cpu, plan: FusedPlan, level: int, port=None) -> int:
     """Run all remaining iterations of the active loop *level* under
     *plan*; returns instructions retired.  Raises :class:`Unfusable`
-    (with no state mutated) when a dynamic precondition fails."""
+    (with no state mutated) when a dynamic precondition fails.  *port*
+    is ``cpu.mem`` when it logs accesses, else None."""
     hw = cpu.hwloops
     n = hw.count[level]
     regs = cpu.regs
-    ctx = _Ctx(n, cpu.mem, plan.body_len)
+    ctx = _Ctx(n, cpu.mem, plan.body_len, port is not None)
     env = ctx.env
     for reg in plan.invariants:
         env[reg] = regs[reg]
@@ -710,6 +733,8 @@ def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
         env[reg] = None
     for handler in plan.handlers:
         handler(ctx)
+    if port is not None and any(ctx.mis):
+        raise Unfusable("misaligned")
 
     # -- every check passed: commit ------------------------------------
     data = ctx.data
@@ -743,6 +768,9 @@ def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
     perf = cpu.perf
     cycles, load_use = plan.block.price(0, plan.body_len,
                                         cpu._pending_load_rd)
+    if port is not None:
+        _log_accesses(port, plan, ctx, perf.cycles, cpu._pending_load_rd,
+                      cycles)
     steady_cycles, steady_load_use = plan.steady
     mis_cycles = sum(ctx.mis) * MISALIGNED_PENALTY
     perf.cycles += cycles + steady_cycles * (n - 1) + mis_cycles
@@ -756,3 +784,20 @@ def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
     hw.count[level] = 0
     cpu.pc = hw.end[level]
     return plan.body_len * n
+
+
+def _log_accesses(port, plan: FusedPlan, ctx: _Ctx, start: int,
+                  pending: Optional[int], first: int) -> None:
+    """Hand *port* every logged access with its stall-free issue clock:
+    iteration 0 issues body instruction ``k`` at ``start`` plus the price
+    of the ``k`` instructions before it (after *pending*), iteration
+    ``i >= 1`` at ``start + first + steady * (i - 1)`` plus that price
+    after the body's own last instruction."""
+    block = plan.block
+    steady = plan.steady[0]
+    for index, offset, delta, size, write in ctx.log:
+        lead0 = block.price(0, index, pending)[0] if index else 0
+        lead = block.price(0, index, plan.pending_after)[0] if index else 0
+        port.log_stream(ctx.n, start + lead0, start + first - steady + lead,
+                        steady, offset, delta, size, write,
+                        block.addrs[index])

@@ -1,4 +1,4 @@
-"""Event-driven cluster scheduler vs the min-clock reference stepper.
+"""Cluster replay and event-driven scheduler vs the min-clock stepper.
 
 Hypothesis generates SPMD programs that every core runs: ``mhartid``-
 dependent branches, hardware loops, loads and stores to words all cores
@@ -6,7 +6,15 @@ share and to per-core words that land in the same bank, ``pv.qnt`` on a
 TCDM threshold tree, DMA launches with ``DMA_STATUS`` polls, and one to
 three barriers.  Each program must leave exactly the same state under
 :meth:`Cluster.run` as under :func:`~tests.cluster.oracle.min_clock_run`
-(see :func:`~tests.cluster.oracle.run_both`).
+(see :func:`~tests.cluster.oracle.run_both`).  With the race recorder
+attached :meth:`Cluster.run` schedules; without it, it replays each epoch
+or rolls it back (these programs poll DMA, read L2 and read ``mcycle``).
+
+The affine sweeps are hardware-loop streams the block engine fuses, run
+in lockstep or with hart-staggered starts: each core on its own banks
+(conflict-free), every core on one shared stream (conflicting), or every
+core writing one shared row (racy, so the epoch must roll back).  The
+first two must replay every epoch.
 """
 
 import json
@@ -77,32 +85,39 @@ def _quantize(draw):
 
 _SIMPLE = (_alu, _addi, _hartid_mix, _cycle_read, _shared_load,
            _shared_store, _bank_access, _l2_load, _quantize)
+#: The ops an epoch replays without rolling back: no cycle reads, no L2,
+#: no stores to the words every core reads.  Misaligned shared loads,
+#: same-bank traffic and ``pv.qnt`` keep the arbitration busy.
+_REPLAYABLE = (_alu, _hartid_mix, _shared_load, _shared_load,
+               _bank_access, _bank_access, _quantize)
 
 
-def _simple_ops(draw, max_size):
+def _simple_ops(draw, max_size, pool=_SIMPLE):
     ops = []
     for _ in range(draw(st.integers(1, max_size))):
-        ops += draw(st.sampled_from(_SIMPLE))(draw)
+        ops += draw(st.sampled_from(pool))(draw)
     return ops
 
 
 @st.composite
-def segment(draw, label, regions):
+def segment(draw, label, regions, pool=_SIMPLE):
     """One top-level piece of the program; *label* keeps labels unique.
     With *regions*, the code only some harts run is a region of its own,
-    so cores enter regions in hart-dependent order."""
-    kind = draw(st.sampled_from(("ops", "branch", "loop", "dma")))
+    so cores enter regions in hart-dependent order.  *pool* is the ops
+    to draw from; DMA segments come only with the full pool."""
+    kinds = ("ops", "branch", "loop") + (("dma",) if pool is _SIMPLE else ())
+    kind = draw(st.sampled_from(kinds))
     if kind == "ops":
-        return _simple_ops(draw, 5)
+        return _simple_ops(draw, 5, pool)
     if kind == "branch":
         mask = draw(st.sampled_from((1, 2, 3)))
-        body = _simple_ops(draw, 4)
+        body = _simple_ops(draw, 4, pool)
         if regions:
             body = [f".region only{label}"] + body + [".endregion"]
         return ([f"andi t2, s11, {mask}", f"bnez t2, skip{label}"]
                 + body + [f"skip{label}:"])
     if kind == "loop":
-        body = _simple_ops(draw, 4)
+        body = _simple_ops(draw, 4, pool)
         count = draw(st.integers(0, 5))
         return ([f"lp.setupi 0, {count}, end{label}"] + body[:-1]
                 + [f"end{label}:", body[-1]])
@@ -139,9 +154,9 @@ BARRIER = [f"li t0, {EU_BARRIER_WAIT:#x}", "lw t1, 0(t0)"]
 
 
 @st.composite
-def spmd_program(draw, regions=False):
+def spmd_program(draw, regions=False, pool=_SIMPLE):
     num_cores = draw(st.sampled_from((2, 3, 4, 8)))
-    pieces = [draw(segment(i, regions))
+    pieces = [draw(segment(i, regions, pool))
               for i in range(draw(st.integers(1, 5)))]
     if regions:
         pieces = [[f".region seg{i}"] + p + [".endregion"]
@@ -173,10 +188,10 @@ def _program(source):
     return assemble(source, isa="xpulpnn", base=TCDM_BASE)
 
 
-def _check_spmd(case, image):
+def _check_spmd(case, image, race_trace=True):
     num_cores, source = case
     state = run_both(_program(source), num_cores=num_cores,
-                     setup=_stager(image))
+                     setup=_stager(image), race_trace=race_trace)
     assert state["error"] is None, state["error"]
     assert state["barriers"] >= 1
 
@@ -194,19 +209,142 @@ def test_spmd_program_parity_deep(case, image):
     _check_spmd(case, image)
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=spmd_program(), image=memory_image())
+def test_spmd_program_parity_replayed(case, image):
+    """No race recorder: epochs replay or roll back to the scheduler."""
+    _check_spmd(case, image, race_trace=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=spmd_program(pool=_REPLAYABLE), image=memory_image())
+def test_replayable_spmd_program_parity(case, image):
+    """Programs whose epochs replay (unless a core's post-incremented
+    same-bank pointer walks into a neighbour's words: a race)."""
+    _check_spmd(case, image, race_trace=False)
+
+
+@pytest.mark.slow
+@settings(max_examples=600, deadline=None)
+@given(case=spmd_program(pool=_REPLAYABLE), image=memory_image())
+def test_replayable_spmd_program_parity_deep(case, image):
+    _check_spmd(case, image, race_trace=False)
+
+
 @settings(max_examples=30, deadline=None)
-@given(case=spmd_program(regions=True), image=memory_image())
-def test_spmd_program_parity_profiled(case, image):
-    """A region profile attached: same tables, same first-entered order."""
+@given(case=spmd_program(regions=True), image=memory_image(),
+       race_trace=st.booleans())
+def test_spmd_program_parity_profiled(case, image, race_trace):
+    """A region profile attached: same tables, same first-entered order,
+    scheduled or replayed."""
     num_cores, source = case
     run_both(_program(source), num_cores=num_cores, setup=_stager(image),
-             profile=True)
+             profile=True, race_trace=race_trace)
 
 
-def test_region_first_entry_order():
-    """Hart 0 reaches its region later in cycles but, running ahead
-    through private code, earlier in host order than the others reach
-    theirs.  The table must still list regions by cycle of first entry."""
+SWEEP_IN = TCDM_BASE + 0x5000   # s4: the streams the sweeps load
+SWEEP_OUT = TCDM_BASE + 0x6000  # s5: the rows the sweeps store
+ROW = 128                       # bytes of one core's output row
+#: Loop-body ops between the load into a0 and the store of a2: fusable
+#: ALU and dot-product forms, and an accumulating dot product that the
+#: store then reads (a recurrence the engine runs in tier A).
+MIXES = ("add a2, a0, a3", "xor a2, a0, s11", "pv.dotsp.b a2, a0, a3",
+         "pv.sdotsp.b a2, a0, a0")
+
+
+@st.composite
+def sweep(draw, label, kind, num_cores):
+    """One affine hardware-loop sweep (see the module docstring)."""
+    banks = 2 * num_cores
+    lines = [f"li s4, {SWEEP_IN:#x}", f"li s5, {SWEEP_OUT:#x}"]
+    if kind == "free":
+        # Core h loads bank h and stores bank h + num_cores, always.
+        load, stride, store = "p.lw", 4 * banks, 4 * banks
+        skew = (SWEEP_OUT - SWEEP_IN) % stride
+        lines += ["slli t1, s11, 2", "add s4, s4, t1", "add s5, s5, t1",
+                  f"addi s5, s5, {4 * num_cores - skew}"]
+    else:
+        load, size = draw(st.sampled_from(
+            (("p.lw", 4), ("p.lh", 2), ("p.lbu", 1))))
+        stride, store = size * draw(st.integers(1, 3)), 4
+        if kind == "conflict":
+            lines += [f"li t1, {ROW}", "mul t1, t1, s11", "add s5, s5, t1"]
+    count = draw(st.integers(2, 24))
+    body = [f"{load} a0, {stride}(s4!)", draw(st.sampled_from(MIXES)),
+            f"p.sw a2, {store}(s5!)"]
+    return lines + [f".region sweep{label}",
+                    f"lp.setupi 0, {count}, end{label}", *body[:-1],
+                    f"end{label}:", body[-1], ".endregion"]
+
+
+@st.composite
+def sweep_program(draw, kind):
+    num_cores = draw(st.sampled_from((2, 3, 4, 8)))
+    lines = ["csrr s11, 0xF14", "li a2, 0", "li a3, 0x01020304"]
+    if draw(st.booleans()):
+        # A hart-dependent prologue delay staggers the cores' starts.
+        lines += [f"li t0, {draw(st.integers(1, 5))}", "mul t0, t0, s11",
+                  "stagger:", "beqz t0, go", "addi t0, t0, -1",
+                  "j stagger", "go:"]
+    for label in range(draw(st.integers(1, 2))):
+        if label or draw(st.booleans()):
+            lines += BARRIER
+        lines += draw(sweep(label, kind, num_cores))
+    return num_cores, "\n".join(lines + ["ebreak"]) + "\n"
+
+
+def _check_sweep(kind, case, stream, profile):
+    num_cores, source = case
+
+    def setup(cluster):
+        cluster.mem.write_bytes(SWEEP_IN, stream)
+
+    state = run_both(_program(source), num_cores=num_cores, setup=setup,
+                     profile=profile, race_trace=False)
+    assert state["error"] is None, state["error"]
+    detail = state["detail"]
+    if kind == "racy":
+        assert detail["rolled_back.race"] >= 1, detail
+    else:
+        assert detail["replayed_epochs"] > 0, detail
+        assert detail["rolled_back_epochs"] == 0, detail
+    if kind == "free":
+        assert state["run"]["tcdm_conflicts"] == 0
+
+
+_streams = st.binary(min_size=2048, max_size=2048)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(("free", "conflict", "racy")),
+       case=st.data(), stream=_streams, profile=st.booleans())
+def test_affine_sweep_parity(kind, case, stream, profile):
+    _check_sweep(kind, case.draw(sweep_program(kind)), stream, profile)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("free", "conflict", "racy")),
+       case=st.data(), stream=_streams, profile=st.booleans())
+def test_affine_sweep_parity_deep(kind, case, stream, profile):
+    _check_sweep(kind, case.draw(sweep_program(kind)), stream, profile)
+
+
+def test_lockstep_shared_stream_conflicts_and_replays():
+    """Eight cores in lockstep on one stream collide, and the replay
+    charges the same stalls as the reference."""
+    lines = ["csrr s11, 0xF14", "li a3, 7", f"li s4, {SWEEP_IN:#x}",
+             f"li s5, {SWEEP_OUT:#x}", f"li t1, {ROW}", "mul t1, t1, s11",
+             "add s5, s5, t1", ".region sweep", "lp.setupi 0, 16, end",
+             "p.lw a0, 4(s4!)", "add a2, a0, a3", "end:", "p.sw a2, 4(s5!)",
+             ".endregion", "ebreak"]
+    state = run_both(_program("\n".join(lines) + "\n"), num_cores=8,
+                     profile=True, race_trace=False)
+    assert state["run"]["tcdm_conflicts"] > 0
+    assert state["detail"] == {"replayed_epochs": 1, "rolled_back_epochs": 0}
+
+
+def _check_first_entry_order(race_trace):
     source = "\n".join([
         "csrr s11, 0xF14",
         "bnez s11, late",
@@ -221,9 +359,22 @@ def test_region_first_entry_order():
         "ebreak",
         ".endregion",
     ]) + "\n"
-    state = run_both(_program(source), num_cores=2, profile=True)
+    state = run_both(_program(source), num_cores=2, profile=True,
+                     race_trace=race_trace)
     assert [name for name, _ in state["regions"]] == [
         "other", "others", "hart0"]
+
+
+def test_region_first_entry_order():
+    """Hart 0 reaches its region later in cycles but, running ahead
+    through private code, earlier in host order than the others reach
+    theirs.  The table must still list regions by cycle of first entry."""
+    _check_first_entry_order(race_trace=True)
+
+
+def test_region_first_entry_order_replayed():
+    """The same program replayed: hart 0 runs first in host order."""
+    _check_first_entry_order(race_trace=False)
 
 
 def test_budget_exhaustion_matches():

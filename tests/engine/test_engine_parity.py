@@ -171,7 +171,9 @@ class TestUnpackEdgeCases:
 
 def test_published_counters_match_stats():
     """Every count in ``cpu.engine_stats`` reaches the telemetry
-    registry, fused instructions and per-reason side exits included."""
+    registry, fused instructions and per-reason side exits included,
+    once: the stats are running totals over the core's runs, and each
+    run publishes only what it added."""
     from repro.asm import assemble
     from repro.telemetry import MetricsRegistry, use_registry
 
@@ -188,6 +190,8 @@ def test_published_counters_match_stats():
     """, isa="xpulpnn")
     cpu = Cpu(isa="xpulpnn")
     with use_registry(MetricsRegistry()) as registry:
+        cpu.run_program(program)
+        cpu.regs[8] = 0
         cpu.run_program(program)
     stats = cpu.engine_stats
     assert stats["fused_instructions"] > 0 and stats["side_exits"]
@@ -212,9 +216,9 @@ class TestEligibility:
         assert cpu.engine_stats is None
 
     def test_contended_memory_forces_interpreter(self):
-        """Any Memory subclass (the cluster's contention-modelled TCDM)
-        keeps the interpreter: fused execution can't replay per-access
-        arbitration."""
+        """Any Memory subclass that does not log its accesses (like the
+        cluster's arbitrating TCDM port) keeps the interpreter: the
+        engine cannot arbitrate each access as it runs."""
         from repro.asm import assemble
 
         class PortedMemory(Memory):

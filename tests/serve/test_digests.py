@@ -197,9 +197,9 @@ class TestKeyProgramRuns:
         digests = set()
         load = Cpu.load_program
 
-        def record(cpu, program):
+        def record(cpu, program, *digest):
             digests.add(program.digest())
-            return load(cpu, program)
+            return load(cpu, program, *digest)
 
         # Cluster.load_program loads every core through Cpu.load_program.
         monkeypatch.setattr(Cpu, "load_program", record)
