@@ -1,150 +1,44 @@
-"""Enumeration of the programs emitted by the built-in kernel builders.
+"""The programs the static verifier and cost analyzer sweep.
 
-``repro lint --kernels`` and the analysis integration tests verify every
-program the kernel generators can emit — MatMul, convolution, depthwise,
-pooling, linear and ReLU layers at 8/4/2-bit, on both cores, serial and
-cluster-parallel.  Keeping the enumeration here means a new builder (or
-a new configuration axis) gets verifier coverage by adding one entry.
-
-:func:`catalog_kernel` resolves one entry to its built kernel object (for
-harness execution), :func:`kernel_program` to its linked program, and
-:func:`compiled_network_programs` extends the sweep to the programs the
-network compiler lowers — so lowering regressions are caught statically.
+``repro lint --kernels`` and ``repro cost`` cover the catalog points of
+the kernel matrix (:mod:`repro.eval.matrix`) at its lint geometry, plus
+(:func:`compiled_network_programs`) the programs the network compiler
+lowers, so lowering regressions are caught statically;
+:func:`run_race_check` runs a parallel catalog point under TCDM access
+tracing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from dataclasses import replace
+from typing import Dict, Iterator, List, Tuple
 
 from ..asm.program import Program
-from ..qnn.layers import ConvGeometry
-from ..target.names import RI5CY, XPULPNN
-
-#: Geometry satisfying every kernel's packing constraints at 8/4/2-bit.
-LINT_GEOMETRY = ConvGeometry(in_h=6, in_w=6, in_ch=16, out_ch=8,
-                             kh=3, kw=3, stride=1, pad=1)
-
-#: Cluster shard count used for the parallel variants (small, fast).
-LINT_CORES = 2
-
-
-def _kernel_builders() -> List[Tuple[str, Callable[[], object]]]:
-    """``(name, thunk)`` for every shipped kernel builder configuration.
-
-    The thunk builds and returns the kernel object (whose ``.program`` is
-    the linked image) so callers can either lint the program or execute
-    the kernel through its data harness.
-    """
-    from ..kernels.conv import ConvConfig, ConvKernel
-    from ..kernels.depthwise import DepthwiseConfig, DepthwiseConvKernel
-    from ..kernels.linear import LinearConfig, LinearKernel
-    from ..kernels.matmul import MatmulConfig, MatmulKernel
-    from ..kernels.parallel import (
-        ParallelConvConfig,
-        ParallelConvKernel,
-        ParallelMatmulConfig,
-        ParallelMatmulKernel,
-    )
-    from ..kernels.pooling import PoolConfig, PoolKernel
-    from ..kernels.relu import ReluConfig, ReluKernel
-    from ..soc.memmap import TCDM_BASE
-
-    g = LINT_GEOMETRY
-    builders: List[Tuple[str, Callable[[], object]]] = []
-
-    # -- MatMul microkernels (the paper's Fig. 6 sweep) -------------------
-    matmul_cases = [
-        ("matmul-8b-xpulpnn-shift", dict(bits=8, isa=XPULPNN, quant="shift")),
-        ("matmul-8b-ri5cy-shift", dict(bits=8, isa=RI5CY, quant="shift")),
-        ("matmul-4b-xpulpnn-hw", dict(bits=4, isa=XPULPNN, quant="hw")),
-        ("matmul-4b-xpulpnn-sw", dict(bits=4, isa=XPULPNN, quant="sw")),
-        ("matmul-4b-ri5cy-sw", dict(bits=4, isa=RI5CY, quant="sw")),
-        ("matmul-2b-xpulpnn-hw", dict(bits=2, isa=XPULPNN, quant="hw")),
-        ("matmul-2b-ri5cy-sw", dict(bits=2, isa=RI5CY, quant="sw")),
-        ("matmul-4b-xpulpnn-4x2", dict(bits=4, isa=XPULPNN, quant="none",
-                                       blocking="4x2")),
-    ]
-    for name, kwargs in matmul_cases:
-        builders.append((name, lambda kwargs=kwargs: MatmulKernel(
-            MatmulConfig(reduction=g.reduction, out_ch=g.out_ch, **kwargs))))
-
-    # -- Convolution layers ----------------------------------------------
-    conv_cases = [
-        ("conv-8b-xpulpnn-shift", dict(bits=8, isa=XPULPNN, quant="shift")),
-        ("conv-8b-ri5cy-shift", dict(bits=8, isa=RI5CY, quant="shift")),
-        ("conv-4b-xpulpnn-hw", dict(bits=4, isa=XPULPNN, quant="hw")),
-        ("conv-4b-ri5cy-sw", dict(bits=4, isa=RI5CY, quant="sw")),
-        ("conv-2b-xpulpnn-hw", dict(bits=2, isa=XPULPNN, quant="hw")),
-    ]
-    for name, kwargs in conv_cases:
-        builders.append((name, lambda kwargs=kwargs: ConvKernel(
-            ConvConfig(geometry=g, **kwargs))))
-
-    # -- Depthwise (8-bit) ------------------------------------------------
-    builders.append(("depthwise-8b", lambda: DepthwiseConvKernel(
-        DepthwiseConfig(in_h=6, in_w=6, channels=8))))
-
-    # -- Pooling ----------------------------------------------------------
-    for bits in (8, 4, 2):
-        for op in ("max", "avg"):
-            builders.append((
-                f"pool-{op}-{bits}b",
-                lambda bits=bits, op=op: PoolKernel(PoolConfig(
-                    in_h=4, in_w=4, channels=32 // bits * 4,
-                    bits=bits, op=op)),
-            ))
-
-    # -- Linear / ReLU ----------------------------------------------------
-    builders.append(("linear-8b", lambda: LinearKernel(
-        LinearConfig(in_features=16, out_features=8, bits=8))))
-    for bits in (8, 4, 2):
-        builders.append((f"relu-{bits}b", lambda bits=bits: ReluKernel(
-            ReluConfig(elements=32, bits=bits))))
-
-    # -- Cluster-parallel variants ---------------------------------------
-    builders.append(("parallel-matmul-4b", lambda: ParallelMatmulKernel(
-        ParallelMatmulConfig(reduction=g.reduction, out_ch=g.out_ch,
-                             bits=4, num_cores=LINT_CORES, quant="hw"))))
-    builders.append(("parallel-matmul-8b", lambda: ParallelMatmulKernel(
-        ParallelMatmulConfig(reduction=g.reduction, out_ch=g.out_ch,
-                             bits=8, num_cores=LINT_CORES, quant="shift"))))
-    builders.append(("parallel-conv-4b", lambda: ParallelConvKernel(
-        ParallelConvConfig(geometry=g, bits=4, quant="hw",
-                           num_cores=LINT_CORES), base=TCDM_BASE)))
-    return builders
 
 
 def catalog_kernel_names() -> List[str]:
-    """Names of every catalog entry, in enumeration order."""
-    return [name for name, _ in _kernel_builders()]
+    """Names of every catalog point, in catalog order."""
+    from ..eval.matrix import catalog_points
 
-
-def catalog_kernel(name: str):
-    """Build the catalog kernel object registered under *name*."""
-    from ..errors import ReproError
-
-    for entry, thunk in _kernel_builders():
-        if entry == name:
-            return thunk()
-    raise ReproError(
-        f"unknown catalog kernel {name!r}; available: "
-        f"{', '.join(catalog_kernel_names())}")
+    return [point.name for point in catalog_points()]
 
 
 def kernel_program(name: str) -> Program:
-    """The linked program of the catalog kernel registered under *name*."""
-    return catalog_kernel(name).program
+    """The linked program of the catalog point named *name*."""
+    from ..eval.matrix import LINT_GEOMETRY, build, catalog_point
+
+    return build(catalog_point(name), LINT_GEOMETRY).program
 
 
 def builtin_kernel_programs() -> Iterator[Tuple[str, Program]]:
-    """Yield ``(name, linked_program)`` for every shipped kernel builder."""
-    for name, thunk in _kernel_builders():
-        yield name, thunk().program
+    """Yield ``(name, linked_program)`` for every catalog point."""
+    for name in catalog_kernel_names():
+        yield name, kernel_program(name)
 
 
 def compiled_network_programs(
     network: str = "mixed3",
-    cores: int = LINT_CORES,
+    cores: int = 2,
 ) -> Iterator[Tuple[str, Program]]:
     """Yield the distinct programs the network compiler lowers for *network*.
 
@@ -168,51 +62,23 @@ def compiled_network_programs(
         yield f"{network}/{name}", program
 
 
-def run_race_check(kernel: str = "matmul", cores: int = LINT_CORES,
-                   seed: int = 0):
-    """Run a shipped cluster-parallel kernel under TCDM access tracing.
+def run_race_check(kernel: str = "matmul", cores: int = 2):
+    """Run a parallel catalog point under TCDM access tracing.
 
-    Builds the 4-bit parallel MatMul or convolution, executes it on a
-    traced cluster with deterministic random tensors, and returns the
+    Runs ``parallel-matmul-4b`` or ``parallel-conv-4b`` sharded over
+    *cores* on the matrix's seeded tensors and returns the
     :class:`~repro.analysis.race.RaceReport` of the recorded trace.
     """
-    import numpy as np
-
-    from ..cluster import Cluster
     from ..errors import ReproError
-    from ..qnn import random_threshold_table
+    from ..eval.matrix import LINT_GEOMETRY, catalog_point, run
     from .race import detect_races
 
-    g = LINT_GEOMETRY
-    bits = 4
-    rng = np.random.default_rng(seed)
-    table = random_threshold_table(g.out_ch, bits, spread=600, rng=rng)
-    if kernel == "matmul":
-        from ..kernels.parallel import ParallelMatmulConfig, ParallelMatmulKernel
-
-        cfg = ParallelMatmulConfig(reduction=g.reduction, out_ch=g.out_ch,
-                                   bits=bits, num_cores=cores, quant="hw")
-        kern = ParallelMatmulKernel(cfg)
-        w = rng.integers(-8, 8, (g.out_ch, g.reduction)).astype(np.int32)
-        x0 = rng.integers(0, 16, g.reduction).astype(np.int32)
-        x1 = rng.integers(0, 16, g.reduction).astype(np.int32)
-        cluster = Cluster(num_cores=cores, isa=cfg.isa)
-        trace = cluster.enable_access_trace()
-        kern.run(w, x0, x1, thresholds=table, cluster=cluster)
-    elif kernel == "conv":
-        from ..kernels.parallel import ParallelConvConfig, ParallelConvKernel
-        from ..soc.memmap import TCDM_BASE
-
-        cfg = ParallelConvConfig(geometry=g, bits=bits, quant="hw",
-                                 num_cores=cores)
-        kern = ParallelConvKernel(cfg, base=TCDM_BASE)
-        w = rng.integers(-8, 8, (g.out_ch, g.kh, g.kw, g.in_ch)).astype(np.int32)
-        acts = rng.integers(0, 16, (g.in_h, g.in_w, g.in_ch)).astype(np.int32)
-        cluster = Cluster(num_cores=cores, isa=cfg.isa)
-        trace = cluster.enable_access_trace()
-        kern.run(w, acts, thresholds=table, cluster=cluster)
-    else:
+    if kernel not in ("matmul", "conv"):
         raise ReproError(
             f"unknown race target {kernel!r}; choose 'matmul' or 'conv'")
-    return detect_races(
-        trace, name=f"parallel-{kernel}-{bits}b-{cores}core")
+    if cores < 2:
+        raise ReproError("a race check needs a cluster of at least 2 cores")
+    point = replace(catalog_point(f"parallel-{kernel}-4b"), cores=cores)
+    execution = run(point, LINT_GEOMETRY,
+                    lambda program, cluster: cluster.enable_access_trace())
+    return detect_races(execution.observer, name=f"{point.name}-{cores}core")

@@ -16,7 +16,7 @@ share one set of simulations.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -26,7 +26,6 @@ from ..asm.builder import KernelBuilder
 from ..asm.program import Program
 from ..core.perf import PerfCounters
 from ..errors import ReproError
-from ..kernels import ConvConfig, ConvKernel
 from ..target.names import RI5CY, XPULPNN
 from ..qnn import (
     PAPER_LAYER,
@@ -37,6 +36,7 @@ from ..qnn import (
     requantize_shift,
     thresholds_from_accumulators,
 )
+from .matrix import POINTS, Point, region_table, run
 
 #: 1/8-scale benchmark layer (same kernel/stride/pad shape, same channel
 #: packing constraints at every bitwidth).
@@ -82,16 +82,10 @@ class ConvPoint:
         return (self.bits, self.isa, self.quant)
 
 
-#: The full kernel matrix of the evaluation.
-SUITE_CONFIGS = (
-    (8, XPULPNN, "shift"),
-    (4, XPULPNN, "hw"),
-    (4, XPULPNN, "sw"),
-    (4, RI5CY, "sw"),
-    (2, XPULPNN, "hw"),
-    (2, XPULPNN, "sw"),
-    (2, RI5CY, "sw"),
-)
+#: ``(bits, isa, quant)`` of the kernel matrix's conv suite points
+#: (:mod:`repro.eval.matrix`), in table order: widest first.
+SUITE_CONFIGS = tuple((p.bits, p.isa, p.quant) for p in POINTS
+                      if p.kind == "conv" and "suite" in p.lists)
 
 
 def conv_workload(geometry: ConvGeometry, bits: int):
@@ -111,43 +105,24 @@ def conv_workload(geometry: ConvGeometry, bits: int):
     return weights, acts, acc, thresholds
 
 
-def suite_kernel(geometry: ConvGeometry, bits: int, isa: str,
-                 quant: str) -> ConvKernel:
-    """The single-core conv kernel of one suite point."""
-    return ConvKernel(ConvConfig(geometry=geometry, bits=bits, isa=isa,
-                                 quant=quant))
-
-
-def _run_one(geometry: ConvGeometry, bits: int, isa: str, quant: str) -> ConvPoint:
-    kernel = suite_kernel(geometry, bits, isa, quant)
-    weights, acts, acc, thresholds = conv_workload(geometry, bits)
-    run = kernel.run(weights, acts, thresholds=thresholds, shift=8,
-                     profile_quant=True)
-    if thresholds is None:
-        expected = requantize_shift(acc, 8, 8, signed=False)
-    else:
-        expected = thresholds.quantize(acc, channel_axis=-1)
-    verified = bool(np.array_equal(run.output, expected))
-    if not verified:
+@lru_cache(maxsize=64)
+def _point_for(geometry: ConvGeometry, bits: int, isa: str,
+               quant: str) -> ConvPoint:
+    execution = run(Point("conv", bits, isa, quant), geometry, region_table)
+    result, regions = execution.result, execution.observer
+    _, _, acc, thresholds = conv_workload(geometry, bits)
+    expected = (requantize_shift(acc, 8, 8, signed=False) if thresholds is None
+                else thresholds.quantize(acc, channel_axis=-1))
+    if not np.array_equal(result.output, expected):
         raise ReproError(
             f"conv kernel {bits}-bit/{isa}/{quant} diverged from the golden model"
         )
     return ConvPoint(
-        bits=bits,
-        isa=isa,
-        quant=quant,
-        cycles=run.cycles,
-        instructions=run.instructions,
-        macs=geometry.macs,
-        verified=verified,
-        quant_cycles=run.detail.get("quant_cycles", 0),
-        perf=run.perf,
+        bits=bits, isa=isa, quant=quant, cycles=result.cycles,
+        instructions=result.instructions, macs=geometry.macs, verified=True,
+        quant_cycles=regions["quant"].cycles if "quant" in regions else 0,
+        perf=result.perf,
     )
-
-
-@lru_cache(maxsize=64)
-def _point_for(geom_key: tuple, bits: int, isa: str, quant: str) -> ConvPoint:
-    return _run_one(ConvGeometry(*geom_key), bits, isa, quant)
 
 
 def conv_point(geometry: ConvGeometry, bits: int, isa: str,
@@ -158,32 +133,17 @@ def conv_point(geometry: ConvGeometry, bits: int, isa: str,
     subset), so the RI5CY baseline point aliases the extended core's
     measurement, exactly as :func:`conv_suite` reports it.
     """
-    key = (geometry.in_h, geometry.in_w, geometry.in_ch, geometry.out_ch,
-           geometry.kh, geometry.kw, geometry.stride, geometry.pad)
     if bits == 8 and isa == RI5CY and quant == "shift":
-        ext8 = _point_for(key, 8, XPULPNN, "shift")
-        return ConvPoint(
-            bits=8, isa=RI5CY, quant="shift", cycles=ext8.cycles,
-            instructions=ext8.instructions, macs=ext8.macs, verified=True,
-            quant_cycles=ext8.quant_cycles, perf=ext8.perf,
-        )
-    return _point_for(key, bits, isa, quant)
-
-
-def _suite_for(geom_key: tuple) -> Dict[Tuple[int, str, str], ConvPoint]:
-    geometry = ConvGeometry(*geom_key)
-    points = {}
-    for bits, isa, quant in SUITE_CONFIGS + ((8, RI5CY, "shift"),):
-        point = conv_point(geometry, bits, isa, quant)
-        points[point.key] = point
-    return points
+        return replace(_point_for(geometry, 8, XPULPNN, "shift"), isa=RI5CY)
+    return _point_for(geometry, bits, isa, quant)
 
 
 def conv_suite(geometry: ConvGeometry | None = None) -> Dict[Tuple[int, str, str], ConvPoint]:
     """Run (once) and return the verified kernel matrix for *geometry*."""
     g = geometry or benchmark_geometry()
-    key = (g.in_h, g.in_w, g.in_ch, g.out_ch, g.kh, g.kw, g.stride, g.pad)
-    return _suite_for(key)
+    points = [conv_point(g, *config)
+              for config in SUITE_CONFIGS + ((8, RI5CY, "shift"),)]
+    return {point.key: point for point in points}
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,6 @@ class KernelRun:
     output: np.ndarray
     perf: PerfCounters
     layout: KernelLayout
-    detail: Dict[str, int] = field(default_factory=dict)
 
     @property
     def cycles(self) -> int:

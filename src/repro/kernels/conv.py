@@ -40,7 +40,6 @@ import numpy as np
 
 from ..asm.builder import KernelBuilder
 from ..core.cpu import Cpu
-from ..core.regions import RegionCounters
 from ..errors import KernelError
 from ..qnn import ThresholdTable, pack, tree_stride, unpack
 from ..qnn.layers import ConvGeometry
@@ -388,7 +387,6 @@ class ConvKernel:
         shift: int = 0,
         bias: Optional[np.ndarray] = None,
         cpu: Optional[Cpu] = None,
-        profile_quant: bool = False,
     ) -> KernelRun:
         """Run the layer.
 
@@ -446,8 +444,6 @@ class ConvKernel:
 
         cpu.reset()
         cpu.load_program(self.program)
-        if profile_quant:
-            cpu.regions = RegionCounters(program=self.program)
         cpu.regs[10] = lay.addr("weights")   # a0
         cpu.regs[11] = lay.addr("im2col0")   # a1
         cpu.regs[12] = lay.addr("im2col1")   # a2
@@ -469,9 +465,4 @@ class ConvKernel:
         flat = unpack(data, cfg.bits, signed=False,
                       count=g.out_pixels * g.out_ch)
         output = flat.reshape(g.out_h, g.out_w, g.out_ch)
-        detail = {}
-        if profile_quant:
-            regions, cpu.regions = cpu.regions, None
-            detail["quant_cycles"] = (
-                regions["quant"].cycles if "quant" in regions else 0)
-        return KernelRun(output=output, perf=perf.copy(), layout=lay, detail=detail)
+        return KernelRun(output=output, perf=perf.copy(), layout=lay)

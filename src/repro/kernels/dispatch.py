@@ -88,6 +88,24 @@ def _select_matmul(bits, spec, quant, cluster_fallback, kwargs):
         bits=bits, isa=spec.isa, quant=quant, **kwargs)), 1
 
 
+def _select_layer(op, bits, spec, kwargs):
+    """The single-core layer kernels.  Cores without sub-byte SIMD run
+    linear/pool/ReLU on widened 8-bit operands; depthwise is 8-bit only
+    (no bits/quant knobs)."""
+    from .depthwise import DepthwiseConfig, DepthwiseConvKernel
+    from .linear import LinearConfig, LinearKernel
+    from .pooling import PoolConfig, PoolKernel
+    from .relu import ReluConfig, ReluKernel
+
+    if op == "depthwise":
+        return DepthwiseConvKernel(DepthwiseConfig(isa=spec.isa, **kwargs))
+    config, kernel = {"linear": (LinearConfig, LinearKernel),
+                      "pool": (PoolConfig, PoolKernel),
+                      "relu": (ReluConfig, ReluKernel)}[op]
+    widened = bits if bits == 8 or spec.subbyte_simd else 8
+    return kernel(config(bits=widened, isa=spec.isa, **kwargs))
+
+
 def select(op: str, bits: int, target, /, quant: str = None,
            cluster_fallback: bool = False, **kwargs) -> KernelSelection:
     """Build the kernel implementing *op* at *bits* on *target*.
@@ -116,33 +134,7 @@ def select(op: str, bits: int, target, /, quant: str = None,
     elif op == "matmul":
         kernel, cores = _select_matmul(
             bits, spec, resolved_quant, cluster_fallback, kwargs)
-    elif op == "linear":
-        from .linear import LinearConfig, LinearKernel
-
-        # Cores without sub-byte SIMD run on widened 8-bit operands.
-        lin_bits = bits if bits == 8 or spec.subbyte_simd else 8
-        kernel = LinearKernel(LinearConfig(
-            bits=lin_bits, isa=spec.isa, **kwargs))
-        cores = 1
-    elif op == "pool":
-        from .pooling import PoolConfig, PoolKernel
-
-        pool_bits = bits if bits == 8 or spec.subbyte_simd else 8
-        kernel = PoolKernel(PoolConfig(
-            bits=pool_bits, isa=spec.isa, **kwargs))
-        cores = 1
-    elif op == "relu":
-        from .relu import ReluConfig, ReluKernel
-
-        relu_bits = bits if bits == 8 or spec.subbyte_simd else 8
-        kernel = ReluKernel(ReluConfig(
-            bits=relu_bits, isa=spec.isa, **kwargs))
-        cores = 1
-    else:  # depthwise (8-bit only; no bits/quant knobs)
-        from .depthwise import DepthwiseConfig, DepthwiseConvKernel
-
-        kernel = DepthwiseConvKernel(DepthwiseConfig(
-            isa=spec.isa, **kwargs))
-        cores = 1
+    else:
+        kernel, cores = _select_layer(op, bits, spec, kwargs), 1
     return KernelSelection(op=op, bits=bits, spec=spec,
                            quant=resolved_quant, cores=cores, kernel=kernel)

@@ -156,9 +156,9 @@ class ProfileJob(Job):
 
     def validate(self) -> None:
         from ..target import get_target
-        from ..trace.profile import CONV_SPECS, MATMUL_SPECS
+        from ..eval.matrix import suite_points
 
-        if self.kernel not in CONV_SPECS and self.kernel not in MATMUL_SPECS:
+        if self.kernel not in [p.suite_name for p in suite_points()]:
             raise ServeError(f"unknown kernel {self.kernel!r}")
         spec = get_target(self.target)
         if not spec.riscv:

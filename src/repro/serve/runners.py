@@ -16,13 +16,13 @@ every cacheable result::
      "config":  canonical job config}     # everything else
 
 The key's program is built by the same constructor the run calls
-(``trace.profile.build_kernel``, ``eval.spec_point.spec_point_kernel``,
-``eval.workloads.suite_kernel``); nothing here constructs a kernel of
-its own, so the hashed program is the one that runs and any codegen
-change re-keys every affected result automatically.  Building a kernel
-just to hash its program costs milliseconds; the simulation it lets us
-skip costs seconds.  A job whose kernel cannot be built raises here as
-it would in its run; the service runs it uncached so it fails as a job.
+(``eval.matrix.build``, ``eval.spec_point.spec_point_kernel``); nothing
+here constructs a kernel of its own, so the hashed program is the one
+that runs and any codegen change re-keys every affected result
+automatically.  Building a kernel just to hash its program costs
+milliseconds; the simulation it lets us skip costs seconds.  A job whose
+kernel cannot be built raises here as it would in its run; the service
+runs it uncached so it fails as a job.
 """
 
 from __future__ import annotations
@@ -113,18 +113,17 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
     from ..target import get_target
 
     if isinstance(job, ProfileJob):
-        from ..trace.profile import build_kernel, resolve_kernel
+        from ..eval.matrix import build, resolve
 
-        kind, resolved, cores = resolve_kernel(
-            job.kernel, job.cores or 1, job.target)
-        bits, isa, quant = resolved
-        config = {"kernel": job.kernel, "bits": bits, "isa": isa,
-                  "quant": quant, "cores": cores, "trace": job.trace}
+        point, geometry = resolve(job.kernel, job.cores or 1, job.target)
+        config = {"kernel": job.kernel, "bits": point.bits,
+                  "isa": point.isa, "quant": point.quant,
+                  "cores": point.cores, "trace": job.trace}
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
             "spec": get_target(job.target).digest(),
-            "program": build_kernel(kind, resolved, cores).program.digest(),
+            "program": build(point, geometry).program.digest(),
             "config": canonical_json(config),
         }
     if isinstance(job, CompileJob):
@@ -161,7 +160,7 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
             "config": canonical_json(config),
         }
     if isinstance(job, ConvPointJob):
-        from ..eval.workloads import suite_kernel
+        from ..eval.matrix import Point, build
 
         geometry, bits, isa, quant = _suite_point(job)
         config = {"bits": bits, "quant": quant, "isa": isa,
@@ -173,8 +172,8 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
             "spec": get_target(job.target).digest(),
-            "program": suite_kernel(geometry, bits, isa,
-                                    quant).program.digest(),
+            "program": build(Point("conv", bits, isa, quant),
+                             geometry).program.digest(),
             "config": canonical_json(config),
         }
     if isinstance(job, CostJob):

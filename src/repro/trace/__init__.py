@@ -16,7 +16,7 @@ Per-region counters need no tracer: attach a :class:`RegionCounters`
 from :mod:`repro.core.regions`) and the core charges it directly, on the
 block engine too.  That table is the ``repro profile`` output.
 
-The kernel catalog behind ``repro profile --kernel`` lives in
+``repro profile --kernel`` runs a kernel matrix point through
 :mod:`repro.trace.profile`; it is imported lazily (not here) because it
 pulls in the kernel generators, which themselves import the core.
 """

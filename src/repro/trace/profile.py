@@ -1,16 +1,12 @@
-"""Kernel catalog for ``repro profile`` / ``repro trace``.
+"""Kernel profiles and traces for ``repro profile`` / ``repro trace``.
 
-Each named built-in kernel (the configurations of the paper's Fig 6
-sweep plus the standalone / cluster-parallel MatMuls) goes through one
-path: :func:`resolve_kernel` maps the name, core count and target to
-``(kind, (bits, isa, quant), cores)``, :func:`build_kernel` constructs
-the kernel, and one runner feeds it the benchmark suite's seeded tensors
-with a region profile or a tracer attached.  The serve layer keys its
-``profile`` jobs on ``build_kernel(...).program``, so the cached program
-is the one that ran.  Single-core conv kernels run at the benchmark
-geometry (``REPRO_FULL=1`` switches to the paper's exact layer), so the
-reported quantization share is the number Fig 6 plots; MatMuls use the
-scaling experiment's tile.
+The names are the suite points of the kernel matrix
+(:mod:`repro.eval.matrix`): :func:`~repro.eval.matrix.resolve` maps a
+name, core count and target to a point (or rejects it by name), and
+:func:`~repro.eval.matrix.run` feeds its kernel the seeded tensors with
+a region table or a tracer attached.  Conv kernels run at the benchmark
+geometry, so the reported quantization share is the number Fig 6 plots;
+MatMuls run at the scaling experiment's tile.
 """
 
 from __future__ import annotations
@@ -18,164 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..core.cpu import Cpu
 from ..core.regions import RegionCounters
-from ..errors import TraceError
-from ..target.names import RI5CY, XPULPNN
 from .tracer import EventTracer
-
-_SEED = 2020  # DATE 2020 (matches the benchmark suite's data)
-
-#: name -> (bits, isa, quant) for the convolution-layer kernels.
-CONV_SPECS: Dict[str, Tuple[int, str, str]] = {
-    "conv_8bit": (8, XPULPNN, "shift"),
-    "conv_4bit": (4, XPULPNN, "hw"),
-    "conv_2bit": (2, XPULPNN, "hw"),
-    "conv_4bit_sw": (4, XPULPNN, "sw"),
-    "conv_2bit_sw": (2, XPULPNN, "sw"),
-    "conv_4bit_ri5cy": (4, RI5CY, "sw"),
-    "conv_2bit_ri5cy": (2, RI5CY, "sw"),
-}
-
-#: name -> (bits, isa, quant) for the standalone MatMul microkernels
-#: (the cluster-scaling tile: 64 filters over a 256-deep reduction).
-MATMUL_SPECS: Dict[str, Tuple[int, str, str]] = {
-    "matmul_8bit": (8, XPULPNN, "shift"),
-    "matmul_4bit": (4, XPULPNN, "hw"),
-    "matmul_2bit": (2, XPULPNN, "hw"),
-}
-
-MATMUL_OUT_CH = 64
-MATMUL_REDUCTION = 256
 
 
 def kernel_catalog() -> List[Tuple[str, str]]:
     """``(name, description)`` for every profilable built-in kernel."""
-    entries = []
-    for name, (bits, isa, quant) in CONV_SPECS.items():
-        entries.append((
-            name,
-            f"conv layer, {bits}-bit on {isa} ({quant} quant), "
-            f"benchmark geometry"))
-    for name, (bits, isa, quant) in MATMUL_SPECS.items():
-        entries.append((
-            name,
-            f"matmul tile {MATMUL_OUT_CH}x{MATMUL_REDUCTION}, {bits}-bit on "
-            f"{isa} ({quant} quant); --cores N shards it on a cluster"))
-    return entries
+    from ..eval.matrix import MATMUL_TILE, suite_points
 
+    def describe(p):
+        where = f"{p.bits}-bit on {p.isa} ({p.quant} quant)"
+        if p.kind == "conv":
+            return f"conv layer, {where}, benchmark geometry"
+        return (f"matmul tile {MATMUL_TILE.out_ch}x{MATMUL_TILE.reduction}, "
+                f"{where}; --cores N shards it on a cluster")
 
-def resolve_kernel(name: str, cores: int = 1,
-                   target=None) -> Tuple[str, Tuple[int, str, str], int]:
-    """``(kind, (bits, isa, quant), cores)`` the named kernel runs as.
-
-    The catalog names fix *what* runs (bits + quantization ablation);
-    *target* decides *where*: the ISA comes from the spec, hardware
-    quantization degrades to the software staircase on cores without
-    ``pv.qnt``, and a cluster target's core count replaces *cores*.
-    """
-    if name in CONV_SPECS:
-        kind, spec = "conv", CONV_SPECS[name]
-    elif name in MATMUL_SPECS:
-        kind, spec = "matmul", MATMUL_SPECS[name]
-    else:
-        known = ", ".join(sorted(CONV_SPECS) + sorted(MATMUL_SPECS))
-        raise TraceError(f"unknown kernel {name!r}; choose from: {known}")
-    if target is not None:
-        from ..target import get_target
-
-        tspec = get_target(target)
-        if not tspec.riscv:
-            raise TraceError(
-                f"target {tspec.name!r} is a cost-model baseline; built-in "
-                f"kernels profile on RISC-V targets only")
-        bits, _, quant = spec
-        if quant == "hw" and not tspec.hw_quant:
-            quant = "sw"
-        spec = (bits, tspec.isa, quant)
-        if tspec.cluster:
-            cores = tspec.cores
-    return kind, spec, cores
-
-
-def build_kernel(kind: str, spec: Tuple[int, str, str], cores: int,
-                 geometry=None):
-    """The kernel a resolved catalog entry runs: conv layers at *geometry*
-    (default: the benchmark geometry; one core runs the suite's kernel),
-    MatMuls at the scaling tile, both sharded over a cluster when *cores*
-    > 1."""
-    from ..kernels import (
-        MatmulConfig,
-        MatmulKernel,
-        ParallelConvConfig,
-        ParallelConvKernel,
-        ParallelMatmulConfig,
-        ParallelMatmulKernel,
-    )
-
-    bits, isa, quant = spec
-    if kind == "conv":
-        from ..eval.workloads import benchmark_geometry, suite_kernel
-
-        geometry = geometry or benchmark_geometry()
-        if cores > 1:
-            return ParallelConvKernel(ParallelConvConfig(
-                geometry=geometry, bits=bits, isa=isa, quant=quant,
-                num_cores=cores))
-        return suite_kernel(geometry, bits, isa, quant)
-    if cores > 1:
-        return ParallelMatmulKernel(ParallelMatmulConfig(
-            reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
-            num_cores=cores, isa=isa, quant=quant))
-    return MatmulKernel(MatmulConfig(
-        reduction=MATMUL_REDUCTION, out_ch=MATMUL_OUT_CH, bits=bits,
-        isa=isa, quant=quant))
-
-
-def _run_kernel(name: str, cores: int, target, observer_factory,
-                geometry=None):
-    """Run a catalog kernel on its seeded tensors with the observer
-    ``observer_factory(program)`` attached to the core or cluster.
-
-    Returns ``(cores, run, observer, sim)``; *sim* is the core or
-    cluster it ran on.
-    """
-    kind, spec, cores = resolve_kernel(name, cores, target)
-    bits, isa, _ = spec
-    kernel = build_kernel(kind, spec, cores, geometry)
-    observer = observer_factory(kernel.program)
-    if kind == "conv":
-        from ..eval.workloads import conv_workload
-
-        weights, acts, _, thresholds = conv_workload(
-            kernel.config.geometry, bits)
-        operands = (weights, acts)
-    else:
-        from ..eval.cluster_scaling import matmul_workload
-
-        *operands, thresholds = matmul_workload(
-            bits, MATMUL_OUT_CH, MATMUL_REDUCTION, _SEED + bits)
-    if cores > 1:
-        from ..cluster import Cluster
-
-        sim, sim_arg = Cluster(num_cores=cores, isa=isa), "cluster"
-    elif kind == "conv":
-        from ..soc.memmap import L2_SIZE
-        from ..soc.memory import Memory
-
-        needed = kernel.layout.end + 4096
-        sim, sim_arg = Cpu(isa=isa, mem=Memory(max(needed, L2_SIZE))), "cpu"
-    else:
-        sim, sim_arg = Cpu(isa=isa), "cpu"
-    if isinstance(observer, RegionCounters):
-        sim.regions = observer
-    elif cores > 1:
-        sim.attach_tracer(observer)
-    else:
-        sim.tracer = observer
-    run = kernel.run(*operands, thresholds=thresholds, shift=8,
-                     **{sim_arg: sim})
-    return cores, run, observer, sim
+    return [(p.suite_name, describe(p)) for p in suite_points()]
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +96,22 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
     """Run the named built-in kernel with a :class:`RegionCounters`
     profile attached (single-core runs stay on the block engine).
 
-    *target* retargets the catalog entry to a registered target name
+    *target* retargets the suite point to a registered target name
     (``repro targets``): the ISA, core count, and quantization capability
-    come from the spec.  Without it, the catalog's own ISA runs, and
-    *cores* > 1 shards the kernel on a cluster.
+    come from the spec.  Without it, the point's own ISA runs, and
+    *cores* > 1 shards the kernel on a cluster.  *geometry* replaces the
+    point's (:func:`~repro.eval.matrix.suite_geometry`).
     """
     from ..engine.engine import merge_side_exits
+    from ..eval.matrix import region_table, resolve, run as run_point
 
-    cores, run, regions, sim = _run_kernel(name, cores, target,
-                                           RegionCounters, geometry)
+    point, geometry = resolve(name, cores, target, geometry)
+    execution = run_point(point, geometry, region_table)
+    sim, run = execution.sim, execution.result
     side_exits = merge_side_exits(
         cpu.engine_stats for cpu in getattr(sim, "cores", [sim]))
     detail: Dict[str, int] = {}
-    if cores > 1:
+    if point.cores > 1:
         cycles = run.cycles
         instructions = run.run.aggregate.instructions
         detail = {
@@ -267,8 +124,8 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
         instructions = run.perf.instructions
     return KernelProfile(
         name=name, description=dict(kernel_catalog())[name], cycles=cycles,
-        instructions=instructions, registry=regions,
-        cores=cores, detail=detail, side_exits=side_exits)
+        instructions=instructions, registry=execution.observer,
+        cores=point.cores, detail=detail, side_exits=side_exits)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +139,16 @@ def trace_kernel(name: str, cores: int = 1, detail: str = "spans",
     ``cores > 1`` (or a cluster *target*) shards the kernel over a
     cluster of that many cores (the 8-core timeline of the evaluation).
     """
-    def factory(program):
-        return EventTracer(program=program, detail=detail)
+    from ..eval.matrix import resolve, run
 
-    return _run_kernel(name, cores, target, factory)[2]
+    point, geometry = resolve(name, cores, target)
+
+    def attach(program, sim):
+        tracer = EventTracer(program=program, detail=detail)
+        if point.cores > 1:
+            sim.attach_tracer(tracer)
+        else:
+            sim.tracer = tracer
+        return tracer
+
+    return run(point, geometry, attach).observer

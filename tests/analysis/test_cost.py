@@ -1,31 +1,32 @@
-"""Static cycle analyzer: unit semantics + simulator parity.
+"""The kernel matrix's three-way oracle, and the static cost analyzer.
 
-The parity suite is the analyzer's acceptance bar: on every
-straight-line/hwloop catalog kernel the static estimate must equal the
-simulator's active cycle count *bit-exactly* (and agree on instruction
-count, hwloop back-edges, stall taxonomy, and per-class breakdown); on
-the branchy software-quantization kernels the interval must contain the
-measurement with a midpoint within 5%.
+One parametrisation over the kernel matrix (:mod:`repro.eval.matrix`)
+holds the oracle, every point run by the matrix's one ``run``:
+
+* static interval vs simulated cycles, over the catalog points: on every
+  straight-line/hwloop kernel the static estimate must equal the
+  simulator's active cycle count *bit-exactly* (and agree on instruction
+  count, hwloop back-edges, stall taxonomy, per-class breakdown and, on
+  one core, every region); on the branchy software-quantization kernels
+  the interval must contain the measurement with a midpoint within 5%;
+* interpreter vs block engine, over the suite points' profiles;
+* replay/scheduler vs the min-clock stepper and the reference retire
+  step, over the suite points' 8-core profiles.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import analyze_cost
-from repro.analysis.catalog import (
-    LINT_CORES,
-    catalog_kernel,
-    catalog_kernel_names,
-    compiled_network_programs,
-)
+from repro.analysis.catalog import compiled_network_programs, kernel_program
 from repro.analysis.cost import COST_SCHEMA_VERSION, Interval
 from repro.asm import assemble
+from repro.cluster import Cluster
 from repro.core import Cpu, RegionCounters
-from repro.qnn import random_threshold_table
-from repro.soc.memmap import L2_SIZE
-from repro.soc.memory import Memory
+from repro.eval.matrix import LINT_GEOMETRY, catalog_points, run, suite_points
+from tests.cluster.oracle import min_clock_run
+from tests.core.oracle import reference_step
 
-#: Catalog kernels whose cycle count is data-dependent (software
+#: Catalog points whose cycle count is data-dependent (software
 #: threshold-tree quantization): the analyzer reports an interval.
 BOUNDED = [
     "matmul-4b-xpulpnn-sw",
@@ -34,8 +35,14 @@ BOUNDED = [
     "conv-4b-ri5cy-sw",
 ]
 
+CATALOG = {point.name: point for point in catalog_points()}
+
 #: Everything else must be bit-exact — the enumerated exact set.
-EXACT = [n for n in catalog_kernel_names() if n not in BOUNDED]
+EXACT = [name for name in CATALOG if name not in BOUNDED]
+
+#: Tier-1 pins these profiles; the rest of the suite is marked slow (CI's
+#: engine-parity job runs it).
+PINNED_PROFILES = ("conv_4bit", "matmul_4bit")
 
 
 def active(perf) -> int:
@@ -43,116 +50,123 @@ def active(perf) -> int:
     return perf.cycles - perf.idle_cycles - perf.stall_tcdm_contention
 
 
-def run_catalog(name, kern, cpu=None):
-    """Execute catalog kernel *kern* with deterministic representative
-    data (single-core kernels on *cpu* when given); returns
-    ``[(hart_id, PerfCounters)]`` (one pair per core)."""
-    cfg = kern.config
-    rng = np.random.default_rng(0)
-    bits = getattr(cfg, "bits", 8)
+def execute(name, attach=None):
+    """Run catalog point *name*; returns the execution and
+    ``[(hart_id, PerfCounters)]``, one pair per core."""
+    execution = run(CATALOG[name], LINT_GEOMETRY, attach)
+    cores = getattr(execution.sim, "cores", [execution.sim])
+    return execution, [(hart, core.perf) for hart, core in enumerate(cores)]
 
-    def signed(shape):
-        return rng.integers(-(1 << bits - 1), 1 << bits - 1,
-                            shape).astype(np.int32)
-
-    def unsigned(shape):
-        return rng.integers(0, 1 << bits, shape).astype(np.int32)
-
-    def thresholds(out_ch):
-        if getattr(cfg, "quant", "") in ("hw", "sw"):
-            return random_threshold_table(out_ch, bits, spread=2500,
-                                          rng=rng)
-        return None
-
-    if name.startswith("parallel"):
-        from repro.cluster import Cluster
-
-        cluster = Cluster(num_cores=cfg.num_cores, isa=cfg.isa)
-        if "matmul" in name:
-            kern.run(signed((cfg.out_ch, cfg.reduction)),
-                     unsigned(cfg.reduction), unsigned(cfg.reduction),
-                     thresholds=thresholds(cfg.out_ch), cluster=cluster)
-        else:
-            g = cfg.geometry
-            kern.run(signed((g.out_ch, g.kh, g.kw, g.in_ch)),
-                     unsigned((g.in_h, g.in_w, g.in_ch)),
-                     thresholds=thresholds(g.out_ch), cluster=cluster)
-        return [(h, core.perf) for h, core in enumerate(cluster.cores)]
-    if name.startswith("matmul"):
-        run = kern.run(signed((cfg.out_ch, cfg.reduction)),
-                       unsigned(cfg.reduction), unsigned(cfg.reduction),
-                       thresholds=thresholds(cfg.out_ch), cpu=cpu)
-    elif name.startswith("conv"):
-        g = cfg.geometry
-        run = kern.run(signed((g.out_ch, g.kh, g.kw, g.in_ch)),
-                       unsigned((g.in_h, g.in_w, g.in_ch)),
-                       thresholds=thresholds(g.out_ch), cpu=cpu)
-    elif name.startswith("depthwise"):
-        run = kern.run(signed((cfg.kh, cfg.kw, cfg.channels)),
-                       unsigned((cfg.in_h, cfg.in_w, cfg.channels)), cpu=cpu)
-    elif name.startswith("pool"):
-        run = kern.run(unsigned((cfg.in_h, cfg.in_w, cfg.channels)), cpu=cpu)
-    elif name.startswith("linear"):
-        run = kern.run(signed((cfg.out_features, cfg.in_features)),
-                       unsigned(cfg.in_features), cpu=cpu)
-    elif name.startswith("relu"):
-        run = kern.run(signed(cfg.elements), cpu=cpu)
-    else:
-        raise AssertionError(f"no harness recipe for {name}")
-    return [(0, run.perf)]
-
-
-# ---------------------------------------------------------------------------
-# Simulator parity over the kernel catalog
-# ---------------------------------------------------------------------------
 
 class TestCatalogParity:
     def test_exact_set_covers_at_least_80_percent(self):
-        assert len(EXACT) + len(BOUNDED) == len(catalog_kernel_names())
-        assert len(EXACT) / len(catalog_kernel_names()) >= 0.80
+        assert len(EXACT) + len(BOUNDED) == len(CATALOG)
+        assert len(EXACT) / len(CATALOG) >= 0.80
 
     @pytest.mark.parametrize("name", EXACT)
     def test_exact_kernels_match_the_simulator_bit_exactly(self, name):
-        kern = catalog_kernel(name)
-        for hart, perf in run_catalog(name, kern):
-            report = analyze_cost(kern.program, name=name, hart_id=hart)
+        execution, harts = execute(name)
+        for hart, perf in harts:
+            report = analyze_cost(execution.kernel.program, name=name,
+                                  hart_id=hart)
             assert report.exact, report.render()
             mismatches = report.compare(perf)
             assert not mismatches, (hart, mismatches)
 
     @pytest.mark.parametrize("name", BOUNDED)
     def test_branchy_kernels_are_bounded_within_5_percent(self, name):
-        kern = catalog_kernel(name)
-        ((_, perf),) = run_catalog(name, kern)
-        report = analyze_cost(kern.program, name=name)
+        execution, ((_, perf),) = execute(name)
+        report = analyze_cost(execution.kernel.program, name=name)
         measured = active(perf)
         assert not report.exact and report.bounded, report.render()
         assert report.cycles.contains(measured), (report.cycles, measured)
         assert report.relative_error(measured) <= 0.05
 
     @pytest.mark.parametrize(
-        "name", [n for n in EXACT if not n.startswith("parallel")])
+        "name", [n for n in EXACT if CATALOG[n].cores == 1])
     def test_exact_kernels_price_every_region_exactly(self, name):
         """Static per-region cycles equal the simulated active cycles of
         every region.  Parallel kernels are left out: one region table
         would be shared by all harts."""
-        kern = catalog_kernel(name)
-        cpu = Cpu(isa=kern.config.isa,
-                  mem=Memory(max(kern.layout.end + 4096, L2_SIZE)))
-        cpu.regions = RegionCounters(program=kern.program,
-                                     default_region="-")
-        run_catalog(name, kern, cpu=cpu)
-        report = analyze_cost(kern.program, name=name)
-        simulated = {region: active(cpu.regions[region])
-                     for region in cpu.regions.regions}
+        def attach(program, cpu):
+            cpu.regions = RegionCounters(program=program, default_region="-")
+            return cpu.regions
+
+        execution, _ = execute(name, attach)
+        report = analyze_cost(execution.kernel.program, name=name)
+        regions = execution.observer
+        simulated = {region: active(regions[region])
+                     for region in regions.regions}
         assert {region: cycles.to_json()
                 for region, cycles in report.by_region.items()} == simulated
 
     def test_mixed3_lowered_programs_are_exact(self):
         for name, program in compiled_network_programs():
-            for hart in range(LINT_CORES):
+            for hart in range(2):  # the cores it lowers for
                 report = analyze_cost(program, name=name, hart_id=hart)
                 assert report.exact, (name, hart, report.render())
+
+
+class TestSuiteParity:
+    @pytest.mark.parametrize("kernel", [
+        pytest.param(point.suite_name, marks=()
+                     if point.suite_name in PINNED_PROFILES
+                     else pytest.mark.slow)
+        for point in suite_points()])
+    def test_profile_is_engine_invariant(self, kernel, monkeypatch):
+        """The full region/stall profile is engine-invariant, and the
+        default side really runs (and on the pinned kernels fuses) on the
+        engine; the interpreter side swaps the module default
+        ``profile_kernel`` uses."""
+        import repro.core.cpu
+        from repro.telemetry import MetricsRegistry, use_registry
+        from repro.trace.profile import profile_kernel
+
+        def profile():
+            with use_registry(MetricsRegistry()) as registry:
+                result = profile_kernel(kernel).to_dict()
+            return result, [registry.counter_total(f"engine.{name}")
+                            for name in ("blocks_translated",
+                                         "fused_dispatches")]
+
+        block, (translated, fused) = profile()
+        assert translated > 0 and (fused > 0 or kernel not in PINNED_PROFILES)
+        monkeypatch.setattr(repro.core.cpu, "DEFAULT_ENGINE", "interp")
+        interp, engaged = profile()
+        assert engaged == [0, 0]
+        assert interp == block
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kernel",
+                             [point.suite_name for point in suite_points()])
+    def test_cluster_profile_matches_the_oracles(self, kernel, capsys,
+                                                 monkeypatch):
+        """``repro profile --kernel K --cores 8`` (text and JSON) prints
+        the same bytes under the replay, under the min-clock reference
+        stepper (but for the engine's side-exit table: the stepper never
+        dispatches on the engine) and under the reference retire step.
+        The baseline-ISA convs are rejected the same way."""
+        from repro.cli import main
+
+        def outputs():
+            runs = []
+            for flags in ([], ["--json"]):
+                status = main(["profile", "--kernel", kernel, "--cores", "8",
+                               *flags])
+                out = capsys.readouterr()
+                runs.append((status, out.out, out.err))
+            return runs
+
+        def no_side_exits(runs):
+            return [(status, text.split("\nengine side exits")[0], err)
+                    for status, text, err in runs]
+
+        replayed = outputs()
+        with monkeypatch.context() as patch:
+            patch.setattr(Cluster, "run", min_clock_run)
+            assert no_side_exits(outputs()) == no_side_exits(replayed)
+        monkeypatch.setattr(Cpu, "step", reference_step)
+        assert outputs() == replayed
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +300,12 @@ class TestReportShape:
                                       "stall_jump"}
 
     def test_by_region_accounts_marked_code(self):
-        kern = catalog_kernel("linear-8b")
-        report = analyze_cost(kern.program, name="linear-8b")
+        report = analyze_cost(kernel_program("linear-8b"), name="linear-8b")
         assert "dotprod" in report.by_region
         marked = sum(v.lo for v in report.by_region.values())
         assert 0 < marked <= report.cycles.lo
 
     def test_render_mentions_exactness(self):
-        kern = catalog_kernel("relu-8b")
-        text = analyze_cost(kern.program, name="relu-8b").render()
+        text = analyze_cost(kernel_program("relu-8b"), name="relu-8b").render()
         assert "relu-8b" in text
         assert "exact" in text

@@ -28,7 +28,7 @@ from repro.errors import SimError
 from repro.soc.memmap import DMA_BASE, EU_BARRIER_WAIT, L2_BASE, TCDM_BASE
 from repro.telemetry import MetricsRegistry, use_registry
 from repro.trace.perfetto import chrome_trace
-from repro.trace.profile import kernel_catalog, trace_kernel
+from repro.trace.profile import trace_kernel
 from tests.cluster.oracle import run_one, min_clock_run, run_both
 
 SHARED = TCDM_BASE + 0x1000     # s0: words every core reads and writes
@@ -474,30 +474,4 @@ def test_trace_export_is_scheduler_independent(monkeypatch):
     got = json.dumps(chrome_trace(trace_kernel("matmul_4bit", cores=8)))
     monkeypatch.setattr(Cluster, "run", min_clock_run)
     want = json.dumps(chrome_trace(trace_kernel("matmul_4bit", cores=8)))
-    assert got == want
-
-
-def _profile_output(capsys, kernel, *flags):
-    from repro.cli import main
-
-    status = main(["profile", "--kernel", kernel, "--cores", "8", *flags])
-    out = capsys.readouterr()
-    # The block engine's side-exit table says how the replay's engine
-    # runs dispatched, which the reference stepper never does.
-    text = out.out.split("\nengine side exits")[0]
-    return status, text, out.err
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("kernel", [name for name, _ in kernel_catalog()])
-def test_profile_kernel_cluster_parity(kernel, capsys, monkeypatch):
-    """``repro profile --kernel K --cores 8`` (text and JSON) prints the
-    same bytes under both schedulers, but for the engine's side-exit
-    table.  The baseline-ISA convs refuse to shard; they must refuse the
-    same way."""
-    got = [_profile_output(capsys, kernel),
-           _profile_output(capsys, kernel, "--json")]
-    monkeypatch.setattr(Cluster, "run", min_clock_run)
-    want = [_profile_output(capsys, kernel),
-            _profile_output(capsys, kernel, "--json")]
     assert got == want

@@ -23,7 +23,7 @@ from repro.cluster import Cluster
 from repro.core import Cpu, RegionCounters
 from repro.isa.registers import parse_register
 from repro.trace.perfetto import chrome_trace
-from repro.trace.profile import kernel_catalog, trace_kernel
+from repro.trace.profile import trace_kernel
 from tests.cluster.oracle import cluster_state
 from tests.cluster.test_scheduler_parity import (
     _program,
@@ -218,7 +218,7 @@ def test_spmd_program_parity_deep(case, image):
 
 
 # ---------------------------------------------------------------------------
-# Catalog kernels
+# Suite kernels
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
@@ -230,25 +230,4 @@ def test_trace_export_matches_oracle(kernel, cores, monkeypatch):
     got = json.dumps(chrome_trace(trace_kernel(kernel, cores=cores)))
     monkeypatch.setattr(Cpu, "step", reference_step)
     want = json.dumps(chrome_trace(trace_kernel(kernel, cores=cores)))
-    assert got == want
-
-
-def _profile_output(capsys, kernel, *flags):
-    from repro.cli import main
-
-    status = main(["profile", "--kernel", kernel, "--cores", "8", *flags])
-    out = capsys.readouterr()
-    return status, out.out, out.err
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("kernel", [name for name, _ in kernel_catalog()])
-def test_profile_kernel_cluster_matches_oracle(kernel, capsys, monkeypatch):
-    """``repro profile --kernel K --cores 8`` (text and JSON) prints the
-    same bytes under both retire paths."""
-    got = [_profile_output(capsys, kernel),
-           _profile_output(capsys, kernel, "--json")]
-    monkeypatch.setattr(Cpu, "step", reference_step)
-    want = [_profile_output(capsys, kernel),
-            _profile_output(capsys, kernel, "--json")]
     assert got == want

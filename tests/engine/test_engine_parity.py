@@ -3,16 +3,15 @@
 The hypothesis suite (test_engine_property) sweeps random programs; this
 file pins the named edge cases from the fusion legality rules — shared
 loop ends, zero-trip loops, redirect priority — and proves the contract
-on real workloads: every tiny-geometry conv configuration and the
-benchmark-geometry catalog kernels retire bit- and cycle-identically
-under both engines.
+on real workloads: every tiny-geometry conv configuration retires bit-
+and cycle-identically under both engines (the kernel matrix's profiles
+are checked in ``tests/analysis/test_cost.py``).
 """
 
 import pytest
 
 from repro.core import Cpu
 from repro.soc.memory import Memory
-from repro.trace.profile import kernel_catalog
 
 from tests.conftest import TINY_GEOMETRY
 from tests.engine.conftest import run_both, state_of
@@ -412,37 +411,6 @@ def test_ri5cy_unpack_conv_fuses(bits):
     assert stats["fused_instructions"] >= 0.9 * out.perf.instructions
     assert "unsupported-op" not in stats["side_exits"]
     assert "mem-alias" not in stats["side_exits"]
-
-
-#: Tier-1 pins these profiles; the rest of the single-core kernel catalog
-#: is marked slow (CI's engine-parity job runs it).
-PINNED_PROFILES = ("conv_4bit", "matmul_4bit")
-
-
-@pytest.mark.parametrize("kernel", [
-    pytest.param(name, marks=() if name in PINNED_PROFILES
-                 else pytest.mark.slow)
-    for name, _ in kernel_catalog()])
-def test_profile_kernel_parity(kernel, monkeypatch):
-    """The full region/stall profile is engine-invariant, and the default
-    side really runs (and on the pinned kernels fuses) on the engine; the
-    interpreter side swaps the module default ``profile_kernel`` uses."""
-    import repro.core.cpu
-    from repro.telemetry import MetricsRegistry, use_registry
-    from repro.trace.profile import profile_kernel
-
-    def profile():
-        with use_registry(MetricsRegistry()) as registry:
-            result = profile_kernel(kernel).to_dict()
-        return result, [registry.counter_total(f"engine.{name}") for name
-                        in ("blocks_translated", "fused_dispatches")]
-
-    block, (translated, fused) = profile()
-    assert translated > 0 and (fused > 0 or kernel not in PINNED_PROFILES)
-    monkeypatch.setattr(repro.core.cpu, "DEFAULT_ENGINE", "interp")
-    interp, engaged = profile()
-    assert engaged == [0, 0]
-    assert interp == block
 
 
 def test_example_listing_parity():

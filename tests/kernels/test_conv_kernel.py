@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import RegionCounters
 from repro.errors import KernelError
+from repro.eval import matrix
+from repro.eval.workloads import SUITE_CONFIGS, conv_workload
 from repro.kernels import ConvConfig, ConvKernel
 from repro.qnn import (
     ConvGeometry,
@@ -15,43 +18,32 @@ from repro.qnn import (
 )
 from tests.conftest import TINY_GEOMETRY
 
-CONFIGS = [
-    (8, "ri5cy", "shift"),
-    (8, "xpulpnn", "shift"),
-    (4, "xpulpnn", "hw"),
-    (4, "xpulpnn", "sw"),
-    (4, "ri5cy", "sw"),
-    (2, "xpulpnn", "hw"),
-    (2, "xpulpnn", "sw"),
-    (2, "ri5cy", "sw"),
-]
+CONFIGS = [(8, "ri5cy", "shift"), *SUITE_CONFIGS]
 
 
 @pytest.fixture(scope="module")
 def runs():
-    """Run the whole kernel matrix once on the tiny geometry."""
-    rng = np.random.default_rng(11)
-    g = TINY_GEOMETRY
+    """Run the whole kernel matrix once on the tiny geometry: ``(run,
+    expected output, quant-region cycles)`` per configuration."""
+    def attach(program, cpu):
+        cpu.regions = RegionCounters(program=program)
+        return cpu.regions
+
     results = {}
     for bits, isa, quant in CONFIGS:
-        w = random_weights((g.out_ch, g.kh, g.kw, g.in_ch), bits, rng)
-        x = random_activations((g.in_h, g.in_w, g.in_ch), bits, rng)
-        acc = conv2d_golden(x, w, stride=g.stride, pad=g.pad)
-        kern = ConvKernel(ConvConfig(geometry=g, bits=bits, isa=isa, quant=quant))
-        if quant == "shift":
-            run = kern.run(w, x, shift=8, profile_quant=True)
-            expected = requantize_shift(acc, 8, 8, signed=False)
-        else:
-            table = thresholds_from_accumulators(acc, bits)
-            run = kern.run(w, x, thresholds=table, profile_quant=True)
-            expected = table.quantize(acc, channel_axis=-1)
-        results[(bits, isa, quant)] = (run, expected)
+        execution = matrix.run(matrix.Point("conv", bits, isa, quant),
+                               TINY_GEOMETRY, attach)
+        _, _, acc, table = conv_workload(TINY_GEOMETRY, bits)
+        expected = (requantize_shift(acc, 8, 8, signed=False) if table is None
+                    else table.quantize(acc, channel_axis=-1))
+        results[(bits, isa, quant)] = (execution.result, expected,
+                                       execution.observer["quant"].cycles)
     return results
 
 
 @pytest.mark.parametrize("key", CONFIGS, ids=lambda k: f"{k[0]}b-{k[1]}-{k[2]}")
 def test_bit_exact_vs_golden(runs, key):
-    run, expected = runs[key]
+    run, expected, _ = runs[key]
     assert np.array_equal(run.output, expected)
 
 
@@ -85,16 +77,13 @@ class TestCycleShape:
             assert 1.05 <= sw / hw <= 1.5
 
     def test_quant_share_small_with_pv_qnt(self, runs):
-        run4 = runs[(4, "xpulpnn", "hw")][0]
-        share = run4.detail["quant_cycles"] / run4.cycles
-        assert 0.02 <= share <= 0.12
+        run4, _, quant4 = runs[(4, "xpulpnn", "hw")]
+        assert 0.02 <= quant4 / run4.cycles <= 0.12
 
     def test_quant_share_larger_at_2bit(self, runs):
-        run4 = runs[(4, "xpulpnn", "hw")][0]
-        run2 = runs[(2, "xpulpnn", "hw")][0]
-        assert (run2.detail["quant_cycles"] / run2.cycles) > (
-            run4.detail["quant_cycles"] / run4.cycles
-        )
+        run4, _, quant4 = runs[(4, "xpulpnn", "hw")]
+        run2, _, quant2 = runs[(2, "xpulpnn", "hw")]
+        assert quant2 / run2.cycles > quant4 / run4.cycles
 
     def test_baseline_mac_per_cycle_below_one(self, runs):
         g = TINY_GEOMETRY

@@ -2,13 +2,12 @@
 
 The static cost analyzer charges cycles block by block; if a block ever
 dropped or double-counted an instruction, the per-block breakdown would
-silently disagree with the totals.  Checked over the full kernel catalog
-and over hypothesis-generated control-flow soups (random branch/jump
-targets, hardware loops, unreachable tails).
+silently disagree with the totals.  Checked over every catalog point of
+the kernel matrix and over hypothesis-generated control-flow soups
+(random branch/jump targets, hardware loops, unreachable tails).
 """
 
-from functools import lru_cache
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,15 +31,9 @@ def assert_blocks_partition(program):
             assert prev + size == nxt, "non-contiguous block"
 
 
-@lru_cache(maxsize=None)
-def _program(name):
-    return kernel_program(name)
-
-
-@given(st.sampled_from(catalog_kernel_names()))
-@settings(deadline=None, max_examples=25)
-def test_catalog_programs_partition(name):
-    assert_blocks_partition(_program(name))
+@pytest.mark.parametrize("name", catalog_kernel_names())
+def test_every_catalog_program_partitions(name):
+    assert_blocks_partition(kernel_program(name))
 
 
 @st.composite

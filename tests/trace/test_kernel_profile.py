@@ -1,4 +1,4 @@
-"""Kernel catalog behind ``repro profile`` / ``repro trace``.
+"""The suite points behind ``repro profile`` / ``repro trace``.
 
 The convolution entries run at the benchmark geometry, so the asserted
 quantization shares are the Fig. 6 numbers the acceptance spec pins
@@ -7,22 +7,59 @@ quantization shares are the Fig. 6 numbers the acceptance spec pins
 
 import pytest
 
-from repro.errors import TraceError
+import repro.kernels
+from repro.errors import KernelError, TraceError
+from repro.eval.matrix import build, caveats, resolve, suite_points
+from repro.target.names import CLUSTER_PREFIX, RI5CY
 from repro.trace import validate_chrome_trace, chrome_trace
-from repro.trace.profile import (
-    CONV_SPECS,
-    MATMUL_SPECS,
-    kernel_catalog,
-    profile_kernel,
-    trace_kernel,
-)
+from repro.trace.profile import kernel_catalog, profile_kernel, trace_kernel
+
+#: ``repro profile --kernel K`` with each of these: 10 names x 4 = 40.
+RETARGETS = {"c1": {"cores": 1}, "c8": {"cores": 8},
+             RI5CY: {"target": RI5CY},
+             "cl8": {"target": f"{CLUSTER_PREFIX}8"}}
 
 
 class TestCatalog:
     def test_every_entry_described(self):
         names = [name for name, _ in kernel_catalog()]
-        assert names == list(CONV_SPECS) + list(MATMUL_SPECS)
+        assert names == [point.suite_name for point in suite_points()]
         assert all(desc for _, desc in kernel_catalog())
+
+    def test_table_answer_matches_the_build(self, monkeypatch):
+        """Every point the table supports builds; every point it rejects
+        raises KernelError naming it before a kernel is built, and the
+        kernel generator refuses it too."""
+        from repro.eval import matrix
+
+        rejected = []
+        for name, _ in kernel_catalog():
+            for label, flags in RETARGETS.items():
+                try:
+                    point, geometry = resolve(name, **flags)
+                except KernelError as exc:
+                    assert str(exc).startswith(f"{name} on ")
+                    rejected.append((name, label))
+                else:
+                    assert build(point, geometry).program
+        assert rejected == [("conv_4bit_ri5cy", "c8"),
+                            ("conv_2bit_ri5cy", "c8"),
+                            ("matmul_4bit", RI5CY)]
+        assert sum(len(caveats(p)) for p in suite_points()) == 3
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a rejected point reached the build")
+
+        for name, label in rejected:
+            with monkeypatch.context() as patch:
+                patch.setattr(repro.kernels, "select", no_build)
+                with pytest.raises(KernelError, match=name):
+                    profile_kernel(name, **RETARGETS[label])
+            with monkeypatch.context() as patch:
+                patch.setattr(matrix, "unsupported", lambda *args: None)
+                point, geometry = resolve(name, **RETARGETS[label])
+            with pytest.raises(KernelError):
+                build(point, geometry)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(TraceError, match="unknown kernel"):
