@@ -178,11 +178,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     if args.list:
         from .eval.matrix import caveats, suite_points
-        from .trace.profile import kernel_catalog
 
-        for point, (name, description) in zip(suite_points(),
-                                              kernel_catalog()):
-            print(f"  {name:<18s} {description}")
+        for point in suite_points():
+            print(f"  {point.suite_name:<18s} {point.description}")
             for note in caveats(point):
                 print(f"  {'':<18s} {note}")
         return 0

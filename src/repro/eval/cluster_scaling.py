@@ -95,8 +95,9 @@ class ClusterScalingResult:
 def matmul_workload(bits: int, out_ch: int, reduction: int, seed: int):
     """Seeded ``(w, x0, x1, thresholds)`` for one MatMul tile.
 
-    The scaling sweep and explore points draw from seed 7; 8-bit tiles
-    requantize by shift (``thresholds`` is None).
+    The scaling sweep and explore points draw from seed 7, the kernel
+    matrix's MatMul points from 2020+bits; 8-bit tiles requantize by
+    shift (``thresholds`` is None).
     """
     rng = np.random.default_rng(seed)
     lo, hi = -(1 << (bits - 1)), 1 << (bits - 1)

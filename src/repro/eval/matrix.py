@@ -67,6 +67,15 @@ class Point:
                   else "_sw" if self.quant == "sw" else "")
         return f"{self.kind}_{self.bits}bit{suffix}"
 
+    @property
+    def description(self) -> str:
+        """What the suite point runs, for ``repro profile --list``."""
+        where = f"{self.bits}-bit on {self.isa} ({self.quant} quant)"
+        if self.kind == "conv":
+            return f"conv layer, {where}, benchmark geometry"
+        return (f"matmul tile {MATMUL_TILE.out_ch}x{MATMUL_TILE.reduction}, "
+                f"{where}; --cores N shards it on a cluster")
+
 
 def _points() -> Tuple[Point, ...]:
     x, r = XPULPNN, RI5CY
@@ -138,18 +147,14 @@ def suite_geometry(point: Point) -> ConvGeometry:
 
 
 def unsupported(point: Point, geometry: ConvGeometry) -> Optional[str]:
-    """Why *point* has no kernel at *geometry*, or None.  The baseline
-    sub-byte kernels pack and unpack in software: they stay single-core,
-    and the MatMul's loop count is an immediate (31 packed words)."""
-    if point.bits == 8 or point.isa == XPULPNN:
-        return None
-    if point.cores > 1:
-        return "baseline sub-byte kernels stay single-core"
-    words = geometry.reduction * point.bits // 32
-    if point.kind == "matmul" and words > 31:
-        return (f"the packed reduction is {words} words; the baseline "
-                f"MatMul's immediate loop count holds 31")
-    return None
+    """Why *point* has no kernel at *geometry*, or None: the kernels'
+    own rule (:func:`repro.kernels.matmul.baseline_limit`), asked before
+    anything is built."""
+    from ..kernels.matmul import baseline_limit
+
+    return baseline_limit(
+        point.bits, point.isa, parallel=point.cores > 1,
+        reduction=geometry.reduction if point.kind == "matmul" else 0)
 
 
 def retarget(point: Point, target, cores: int = 1) -> Point:
@@ -235,29 +240,24 @@ def build(point: Point, geometry: ConvGeometry):
                   **shape).kernel
 
 
-def _operands(point: Point, c) -> Tuple[tuple, dict]:
-    """Seeded ``(args, kwargs)`` for the kernel of config *c*: weights,
-    then activations, from seed 2020+bits; a sub-byte MatMul's staircase
-    is fitted to its accumulators, as the conv draw's is."""
+def _operands(point: Point, c) -> Tuple[tuple, tuple, dict]:
+    """Seeded ``(draw, args, kwargs)`` for the kernel of config *c*, all
+    from seed 2020+bits.  *draw* is what was drawn: the conv's ``(w, x,
+    acc, thresholds)``, weights then activations, with the golden
+    accumulators and (sub-byte) the staircase fitted to them; the
+    MatMul's ``matmul_workload`` tuple ``(w, x0, x1, thresholds)``; the
+    layer kernels' operands."""
     import numpy as np
 
-    from ..qnn import random_activations, random_weights
+    from ..qnn import conv2d_golden, random_activations, random_weights
     from ..qnn import thresholds_from_accumulators
 
-    if point.kind == "conv":
-        from .workloads import conv_workload
-
-        w, x, _, table = conv_workload(c.geometry, point.bits)
-        return (w, x), {"thresholds": table, "shift": 8}
     if point.kind == "matmul":
         from .cluster_scaling import matmul_workload
 
-        w, x0, x1, table = matmul_workload(point.bits, c.out_ch,
-                                           c.reduction, _SEED + point.bits)
-        if table is not None:
-            table = thresholds_from_accumulators(np.stack([w @ x0, w @ x1]),
-                                                 point.bits)
-        return (w, x0, x1), {"thresholds": table, "shift": 8}
+        draw = matmul_workload(point.bits, c.out_ch, c.reduction,
+                               _SEED + point.bits)
+        return draw, draw[:3], {"thresholds": draw[3], "shift": 8}
     rng = np.random.default_rng(_SEED + point.bits)
 
     def signed(*shape):
@@ -266,14 +266,23 @@ def _operands(point: Point, c) -> Tuple[tuple, dict]:
     def unsigned(*shape):
         return random_activations(shape, point.bits, rng)
 
-    return {
+    if point.kind == "conv":
+        g = c.geometry
+        w = signed(g.out_ch, g.kh, g.kw, g.in_ch)
+        x = unsigned(g.in_h, g.in_w, g.in_ch)
+        acc = conv2d_golden(x, w, stride=g.stride, pad=g.pad)
+        table = (None if point.bits == 8
+                 else thresholds_from_accumulators(acc, point.bits))
+        return (w, x, acc, table), (w, x), {"thresholds": table, "shift": 8}
+    args = {
         "depthwise": lambda: (signed(c.kh, c.kw, c.channels),
                               unsigned(c.in_h, c.in_w, c.channels)),
         "pool": lambda: (unsigned(c.in_h, c.in_w, c.channels),),
         "linear": lambda: (signed(c.out_features, c.in_features),
                            unsigned(c.in_features)),
         "relu": lambda: (signed(c.elements),),
-    }[point.kind](), {}
+    }[point.kind]()
+    return args, args, {}
 
 
 def region_table(program, sim):
@@ -286,23 +295,28 @@ def region_table(program, sim):
 
 class Execution(NamedTuple):
     """One run of a matrix point: the kernel, the Cpu or Cluster it ran
-    on, its ``KernelRun`` / ``ClusterKernelRun`` and what *attach*
-    returned."""
+    on, its ``KernelRun`` / ``ClusterKernelRun``, what *attach* returned
+    and the seeded draw it ran on (see :func:`_operands`)."""
 
     kernel: Any
     sim: Any
     result: Any
     observer: Any
+    draw: tuple
 
 
-def run(point: Point, geometry: ConvGeometry, attach=None) -> Execution:
+def run(point: Point, geometry: ConvGeometry, attach=None,
+        thresholds=None) -> Execution:
     """Build *point* at *geometry* and run it on its seeded tensors, on
     a Cluster when multi-core, else on a Cpu sized to the kernel's layout.
     ``attach(program, sim)`` runs first: it attaches an observer (a
     region table, a tracer, ``sim.enable_access_trace()``) and returns
-    it."""
+    it.  *thresholds* replaces the draw's staircase (a sub-byte conv or
+    MatMul quantizes with it instead)."""
     kernel = build(point, geometry)
-    args, kwargs = _operands(point, kernel.config)
+    draw, args, kwargs = _operands(point, kernel.config)
+    if thresholds is not None:
+        kwargs["thresholds"] = thresholds
     if point.cores > 1:
         from ..cluster import Cluster
 
@@ -316,4 +330,5 @@ def run(point: Point, geometry: ConvGeometry, attach=None) -> Execution:
         size = max(kernel.layout.end + 4096, L2_SIZE)
         sim = kwargs["cpu"] = Cpu(isa=point.isa, mem=Memory(size))
     observer = attach(kernel.program, sim) if attach else None
-    return Execution(kernel, sim, kernel.run(*args, **kwargs), observer)
+    return Execution(kernel, sim, kernel.run(*args, **kwargs), observer,
+                     draw)

@@ -27,23 +27,13 @@ from ..asm.program import Program
 from ..core.perf import PerfCounters
 from ..errors import ReproError
 from ..target.names import RI5CY, XPULPNN
-from ..qnn import (
-    PAPER_LAYER,
-    ConvGeometry,
-    conv2d_golden,
-    random_activations,
-    random_weights,
-    requantize_shift,
-    thresholds_from_accumulators,
-)
+from ..qnn import PAPER_LAYER, ConvGeometry, requantize_shift
 from .matrix import POINTS, Point, region_table, run
 
 #: 1/8-scale benchmark layer (same kernel/stride/pad shape, same channel
 #: packing constraints at every bitwidth).
 SCALED_LAYER = ConvGeometry(in_h=8, in_w=8, in_ch=32, out_ch=16, kh=3, kw=3,
                             stride=1, pad=1)
-
-_SEED = 2020  # DATE 2020
 
 
 def use_full_layer() -> bool:
@@ -88,29 +78,12 @@ SUITE_CONFIGS = tuple((p.bits, p.isa, p.quant) for p in POINTS
                       if p.kind == "conv" and "suite" in p.lists)
 
 
-def conv_workload(geometry: ConvGeometry, bits: int):
-    """Seeded ``(weights, acts, acc, thresholds)`` for one conv layer.
-
-    Weights then activations are drawn from seed 2020+bits; ``acc`` is the
-    golden accumulator tensor, and sub-byte layers get the staircase fitted
-    to it (8-bit layers requantize by shift: ``thresholds`` is None).
-    """
-    g = geometry
-    rng = np.random.default_rng(_SEED + bits)
-    weights = random_weights((g.out_ch, g.kh, g.kw, g.in_ch), bits, rng)
-    acts = random_activations((g.in_h, g.in_w, g.in_ch), bits, rng)
-    acc = conv2d_golden(acts, weights, stride=g.stride, pad=g.pad)
-    thresholds = (None if bits == 8
-                  else thresholds_from_accumulators(acc, bits))
-    return weights, acts, acc, thresholds
-
-
 @lru_cache(maxsize=64)
 def _point_for(geometry: ConvGeometry, bits: int, isa: str,
                quant: str) -> ConvPoint:
     execution = run(Point("conv", bits, isa, quant), geometry, region_table)
     result, regions = execution.result, execution.observer
-    _, _, acc, thresholds = conv_workload(geometry, bits)
+    _, _, acc, thresholds = execution.draw
     expected = (requantize_shift(acc, 8, 8, signed=False) if thresholds is None
                 else thresholds.quantize(acc, channel_axis=-1))
     if not np.array_equal(result.output, expected):

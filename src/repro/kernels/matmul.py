@@ -40,6 +40,24 @@ from .unpack import emit_load_unpack_constants, emit_unpack
 SUFFIX = {8: "b", 4: "n", 2: "c"}
 
 
+def baseline_limit(bits: int, isa: str, parallel: bool = False,
+                   reduction: int = 0) -> Optional[str]:
+    """Why no *bits*-bit kernel exists on *isa*, or None.  Without native
+    sub-byte SIMD the kernels pack and unpack in software: they stay
+    single-core (no *parallel* variant), and the MatMul's loop count is
+    an immediate, so its packed *reduction* must fit 31 words."""
+    if bits == 8 or isa == XPULPNN:
+        return None
+    if parallel:
+        return ("without native sub-byte SIMD the baseline kernels stay "
+                "single-core")
+    words = reduction * bits // 32
+    if words > 31:
+        return (f"the packed reduction is {words} words; the baseline "
+                f"MatMul's immediate loop count holds 31")
+    return None
+
+
 def k_words(reduction: int, bits: int) -> int:
     """Packed 32-bit words per filter / im2col column."""
     total_bits = reduction * bits
@@ -402,6 +420,9 @@ class MatmulConfig:
             raise KernelError("pv.qnt requires the XpulpNN ISA")
         if self.bits != 8 and self.isa == RI5CY and self.quant == "hw":
             raise KernelError("the baseline core has no hardware quantization")
+        reason = baseline_limit(self.bits, self.isa, reduction=self.reduction)
+        if reason:
+            raise KernelError(reason)
 
     @property
     def native(self) -> bool:
@@ -482,11 +503,6 @@ class MatmulKernel:
         b.li("tp", cfg.out_ch // 2)
         use_count_reg = self._k_words > 31
         if use_count_reg:
-            if not cfg.native:
-                raise KernelError(
-                    "baseline sub-byte MatMul needs the packed reduction to "
-                    "fit an immediate loop count (<= 31 words)"
-                )
             b.li("t6", self._k_words)
 
         b.label("pair_loop")

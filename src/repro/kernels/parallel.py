@@ -34,6 +34,7 @@ from .conv import ConvConfig, ConvKernel
 from .im2col import im2col_buffer_bytes, padded_row_bytes
 from .matmul import (
     MatmulRegs,
+    baseline_limit,
     emit_acc_clear,
     emit_inner_loop,
     emit_pair_epilogue,
@@ -108,10 +109,9 @@ class ParallelMatmulConfig:
     def __post_init__(self) -> None:
         if self.bits not in (2, 4, 8):
             raise KernelError(f"unsupported operand width {self.bits}")
-        if not (self.bits == 8 or self.isa == XPULPNN):
-            raise KernelError(
-                "parallel sub-byte kernels are native-SIMD only; the "
-                "baseline pack/unpack variants stay single-core")
+        reason = baseline_limit(self.bits, self.isa, parallel=True)
+        if reason:
+            raise KernelError(reason)
         if self.bits == 8 and self.quant != "shift":
             raise KernelError("8-bit kernels use shift requantization")
         if self.bits != 8 and self.quant not in ("hw", "sw"):
@@ -315,10 +315,9 @@ class ParallelConvConfig(ConvConfig):
         super().__post_init__()
         if self.num_cores < 1:
             raise KernelError("need at least one core")
-        if not self.native:
-            raise KernelError(
-                "parallel conv kernels are native-SIMD only; baseline "
-                "pack/unpack variants stay single-core")
+        reason = baseline_limit(self.bits, self.isa, parallel=True)
+        if reason:
+            raise KernelError(reason)
         if self.geometry.out_h % self.num_cores:
             raise KernelError(
                 f"out_h={self.geometry.out_h} does not split evenly "

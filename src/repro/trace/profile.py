@@ -20,16 +20,9 @@ from .tracer import EventTracer
 
 def kernel_catalog() -> List[Tuple[str, str]]:
     """``(name, description)`` for every profilable built-in kernel."""
-    from ..eval.matrix import MATMUL_TILE, suite_points
+    from ..eval.matrix import suite_points
 
-    def describe(p):
-        where = f"{p.bits}-bit on {p.isa} ({p.quant} quant)"
-        if p.kind == "conv":
-            return f"conv layer, {where}, benchmark geometry"
-        return (f"matmul tile {MATMUL_TILE.out_ch}x{MATMUL_TILE.reduction}, "
-                f"{where}; --cores N shards it on a cluster")
-
-    return [(p.suite_name, describe(p)) for p in suite_points()]
+    return [(p.suite_name, p.description) for p in suite_points()]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import RegionCounters
 from repro.errors import KernelError
 from repro.eval import matrix
-from repro.eval.workloads import SUITE_CONFIGS, conv_workload
+from repro.eval.workloads import SUITE_CONFIGS
 from repro.kernels import ConvConfig, ConvKernel
 from repro.qnn import (
     ConvGeometry,
@@ -25,15 +24,11 @@ CONFIGS = [(8, "ri5cy", "shift"), *SUITE_CONFIGS]
 def runs():
     """Run the whole kernel matrix once on the tiny geometry: ``(run,
     expected output, quant-region cycles)`` per configuration."""
-    def attach(program, cpu):
-        cpu.regions = RegionCounters(program=program)
-        return cpu.regions
-
     results = {}
     for bits, isa, quant in CONFIGS:
         execution = matrix.run(matrix.Point("conv", bits, isa, quant),
-                               TINY_GEOMETRY, attach)
-        _, _, acc, table = conv_workload(TINY_GEOMETRY, bits)
+                               TINY_GEOMETRY, matrix.region_table)
+        _, _, acc, table = execution.draw
         expected = (requantize_shift(acc, 8, 8, signed=False) if table is None
                     else table.quantize(acc, channel_axis=-1))
         results[(bits, isa, quant)] = (execution.result, expected,
