@@ -43,6 +43,7 @@ also backs host-side tensor staging and the DMA's functional copies.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -151,10 +152,13 @@ class CoreMemPort:
     model expects; TCDM accesses arbitrate for banks, cluster-peripheral
     accesses hit the event unit / DMA register files, everything else
     falls through to the untimed decoder.
+
+    The port refers to its cluster and its core weakly (the cluster owns
+    both), so a finished cluster is freed by reference counting alone.
     """
 
     def __init__(self, cluster: "Cluster", core_id: int) -> None:
-        self._cluster = cluster
+        self._cluster = weakref.proxy(cluster)
         self._core_id = core_id
         self.cpu: Optional[Cpu] = None  # wired by the Cluster constructor
         tcdm = cluster.tcdm
@@ -315,7 +319,7 @@ class Cluster:
         for core_id in range(cfg.num_cores):
             port = CoreMemPort(self, core_id)
             cpu = Cpu(isa=cfg.isa, mem=port, hart_id=core_id)
-            port.cpu = cpu
+            port.cpu = weakref.proxy(cpu)
             self.cores.append(cpu)
 
     @property

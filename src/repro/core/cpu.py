@@ -464,8 +464,8 @@ class Cpu:
                 from ..engine.engine import BlockEngine
 
                 if self._block_engine is None:
-                    self._block_engine = BlockEngine(self)
-                return self._block_engine.run(max_instructions)
+                    self._block_engine = BlockEngine()
+                return self._block_engine.run(self, max_instructions)
             step = self.step
             for _ in range(max_instructions):
                 step()

@@ -10,7 +10,7 @@ the interpreter.
 Blocks are decoded once into flat per-instruction tables — semantics,
 fall-through addresses, static cycle/stall prefix sums, per-class
 retirement counts — so the executors in :mod:`repro.engine.fastblock`
-and :mod:`repro.engine.fusion` never touch a dict-per-instruction fetch
+and :mod:`repro.engine.nest` never touch a dict-per-instruction fetch
 or allocate a :class:`~repro.core.timing.StepTiming` again.
 :meth:`Block.price` is the one rule that prices a straight-line run,
 entry load-use hazard included; the fast blocks, the fused loops and
@@ -46,7 +46,7 @@ class Block:
     __slots__ = (
         "addr", "n", "instrs", "execs", "addrs", "fts", "ft_index",
         "addr_index", "srcs", "lu", "prefix", "lu_prefix", "pending",
-        "classes", "cls_prefix", "fused",
+        "classes", "cls_prefix",
     )
 
     def __init__(self, instrs: list) -> None:
@@ -81,10 +81,6 @@ class Block:
         self.lu_prefix = lu_prefix
         self.classes = [ins.spec.timing for ins in instrs]
         self.cls_prefix = _prefix_counts(self.classes)
-        #: Fused-plan cache: loop-end fall-through address -> FusedPlan,
-        #: or a side-exit reason string when fusion was statically
-        #: declined (so the analysis never reruns per dispatch).
-        self.fused: Dict[int, object] = {}
 
     def price(self, lo: int, hi: int,
               pending: Optional[int]) -> Tuple[int, int]:
@@ -143,15 +139,16 @@ class ProgramBlockCache:
     Keys are ``(program digest, ISA name[, region partition])``; the value
     is the per-program ``{start addr: Block | None}`` map (``None``
     records interpreter-only start addresses so repeated dispatches skip
-    re-discovery).
+    re-discovery), which also holds the loop shapes of
+    :mod:`repro.engine.nest` under ``(start, end, level, other end)``.
     """
 
     def __init__(self, max_programs: int = MAX_CACHED_PROGRAMS) -> None:
-        self._programs: OrderedDict[Tuple, Dict[int, Optional[Block]]] = (
+        self._programs: OrderedDict[Tuple, Dict[object, object]] = (
             OrderedDict())
         self.max_programs = max_programs
 
-    def map_for(self, key: Tuple) -> Dict[int, Optional[Block]]:
+    def map_for(self, key: Tuple) -> Dict[object, object]:
         try:
             blocks = self._programs[key]
             self._programs.move_to_end(key)

@@ -8,15 +8,16 @@ granularity:
    for digest-keyed programs, per-core for ``load_from_memory`` images).
    A miss runs :func:`~repro.engine.blocks.discover` once and caches the
    result — including negative results for interpreter-only addresses.
-2. If ``pc`` starts the body of an active hardware loop, attempt a
-   fused dispatch: compile (once, cached on the block) and execute all
-   remaining iterations as one vectorized superinstruction
-   (:mod:`repro.engine.fusion`) — for an ``lp1`` body made of
-   straight-line runs and complete ``lp0`` loops, the whole loop nest
-   (:mod:`repro.engine.nest`).  Any static or dynamic decline is a
-   *side exit*, recorded by reason and site, and falls through to
-   tier A (or, for a body that starts with an ``lp.setup``, to the
-   interpreter).
+2. If ``pc`` starts the body of an active hardware loop, dispatch all
+   remaining iterations under the loop's plan (:mod:`repro.engine.nest`,
+   with the batch semantics of :mod:`repro.engine.fusion`): the body is
+   walked once into straight-line runs and inner loops — one run for a
+   one-level loop, runs and complete ``lp0`` loops for an ``lp1`` loop
+   nest — and its shape, with a plan per tuple of inner trip counts, is
+   cached in the block map under the loop's start, end, level and the
+   other loop's end.  Any static or dynamic decline is a *side exit*,
+   recorded by reason and site, and falls through to tier A (or, for a
+   body that starts with an ``lp.setup``, to the interpreter).
 3. Otherwise run the block instruction-at-a-time from its flat tables
    (:mod:`repro.engine.fastblock`).
 4. Terminators (branches, jumps, ``lp.*`` setup, CSR, system) always
@@ -31,9 +32,9 @@ fused loop logs all of its iterations' accesses as arrays, and the
 cluster then replays the TCDM bank arbitration over the logs.  A region
 profile
 (:class:`~repro.core.regions.RegionCounters`) keeps the engine on: blocks
-are then translated so that none crosses a region boundary (a fused body
-is a block prefix, so neither does it), and the core's counters are
-charged to a region whenever dispatch enters another one.
+are then translated so that none crosses a region boundary (a loop
+body that does side-exits), and the core's counters are charged to a
+region whenever dispatch enters another one.
 
 Statistics are plain integers during the run and are published to the
 telemetry registry (``engine.*`` counters) when the run ends.
@@ -46,6 +47,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..errors import SimError
 from .blocks import GLOBAL_CACHE, Block, discover
 from .fastblock import run_block
+from .fusion import FUSE_MIN_ITERS, Unfusable
+from .nest import execute, walk
 
 _MISSING = object()
 
@@ -137,21 +140,21 @@ def merge_side_exits(stats: Iterable[Optional[dict]]) -> List[dict]:
 
 
 class BlockEngine:
-    """Block-granular dispatcher bound to one :class:`Cpu`."""
+    """Block-granular dispatcher for one :class:`Cpu`, which it is handed
+    on each :meth:`run` (it keeps no reference to the core, so a core
+    and its engine are freed together)."""
 
-    def __init__(self, cpu) -> None:
-        self.cpu = cpu
+    def __init__(self) -> None:
         self.stats = EngineStats()
         # Fallback block map for load_from_memory images (no digest).
-        self._local_map: Dict[int, Optional[Block]] = {}
+        self._local_map: Dict[object, object] = {}
         self._local_key: Optional[tuple] = None
         #: The side-exit site whose fallback dispatch runs next.
         self._exit_site: Optional[list] = None
 
     # ------------------------------------------------------------------
 
-    def _block_map(self, regions) -> Dict[int, Optional[Block]]:
-        cpu = self.cpu
+    def _block_map(self, cpu, regions) -> Dict[object, object]:
         partition = regions.key if regions is not None else None
         program = cpu._loaded_program
         if program is not None:
@@ -168,20 +171,19 @@ class BlockEngine:
             self._local_key = local_key
         return self._local_map
 
-    def _side_exit(self, pc: int, reason: str) -> None:
+    def _side_exit(self, cpu, pc: int, reason: str) -> None:
         """Count a side exit at *pc*; the dispatch it falls back to
         reports its instructions to the site (see :meth:`run`)."""
         sites = self.stats.side_exit_sites
         site = sites.get((pc, reason))
         if site is None:
-            site = sites[(pc, reason)] = [0, 0, self._region_name(pc)]
+            site = sites[(pc, reason)] = [0, 0, self._region_name(cpu, pc)]
         site[0] += 1
         self._exit_site = site
 
-    def _region_name(self, pc: int) -> str:
+    def _region_name(self, cpu, pc: int) -> str:
         """The region of *pc*: the attached profile's, else the loaded
         program's markers' (looked up once per new site)."""
-        cpu = self.cpu
         if cpu.regions is not None:
             return cpu.regions.region_of(pc)
         program = cpu._loaded_program
@@ -190,10 +192,9 @@ class BlockEngine:
 
     # ------------------------------------------------------------------
 
-    def run(self, max_instructions: int):
-        cpu = self.cpu
+    def run(self, cpu, max_instructions: int):
         regions = cpu.regions
-        blocks = self._block_map(regions)
+        blocks = self._block_map(cpu, regions)
         stats = self.stats
         hw = cpu.hwloops
         count = hw.count
@@ -225,7 +226,8 @@ class BlockEngine:
                     # Terminator or fetch fault: one interpreter step,
                     # unless it opens an outer loop body that fuses.
                     if count[1] > 0 and pc == start[1] and count[0] == 0:
-                        done = self._try_nest(blocks, pc, budget, port)
+                        done = self._try_loop(cpu, blocks, pc, 1, budget,
+                                              port)
                         if done:
                             executed += done
                             continue
@@ -241,9 +243,9 @@ class BlockEngine:
                     if name != cpu._region:
                         cpu._enter_region(name)
                 if count[0] > 0 and pc == start[0]:
-                    done = self._try_fused(blocks, block, 0, budget, port)
+                    done = self._try_loop(cpu, blocks, pc, 0, budget, port)
                 elif count[1] > 0 and pc == start[1]:
-                    done = self._try_fused(blocks, block, 1, budget, port)
+                    done = self._try_loop(cpu, blocks, pc, 1, budget, port)
                 else:
                     done = 0
                 if done:
@@ -260,72 +262,23 @@ class BlockEngine:
 
     # ------------------------------------------------------------------
 
-    def _try_fused(self, blocks, block: Block, level: int, budget: int,
-                   port) -> int:
-        """Dispatch all remaining iterations of loop *level* as one fused
-        superinstruction; returns instructions retired (0 on side exit).
-        *port* is the access-logging memory, or None."""
-        from .fusion import FUSE_MIN_ITERS, Unfusable, execute_plan
-
-        cpu = self.cpu
+    def _try_loop(self, cpu, blocks, pc: int, level: int, budget: int,
+                  port) -> int:
+        """Dispatch all remaining iterations of the active loop *level*,
+        whose body starts at *pc*, under its loop plan
+        (:mod:`repro.engine.nest`); returns instructions retired (0 on
+        side exit).  *port* is the access-logging memory, or None."""
         hw = cpu.hwloops
-        stats = self.stats
         n = hw.count[level]
         if n < FUSE_MIN_ITERS:
             return 0
-        end = hw.end[level]
-        j = block.ft_index.get(end, -1)
-        if j < 0:
-            # The loop body is not a prefix of this block: an outer loop
-            # may still fuse as a nest of straight-line runs and lp0s.
-            if level == 1 and hw.count[0] == 0:
-                return self._try_nest(blocks, block.addr, budget, port)
-            self._side_exit(block.addr, "loop-shape")
-            return 0
         other = 1 - level
-        if hw.count[other] > 0:
-            jo = block.ft_index.get(hw.end[other], -1)
-            if 0 <= jo < j or (jo == j and level == 1):
-                # The other loop's back-edge would fire inside (or, for
-                # level 1 sharing the end address, *instead of* — level 0
-                # has redirect priority) this loop's body.
-                self._side_exit(block.addr, "nested-loop-end")
-                return 0
-        body_len = j + 1
-        if n * body_len > budget:
-            self._side_exit(block.addr, "budget")
-            return 0
-        plan = _plan(block, body_len)
-        if isinstance(plan, str):
-            self._side_exit(block.addr, plan)
-            return 0
-        try:
-            retired = execute_plan(cpu, plan, level, port)
-        except Unfusable as declined:
-            self._side_exit(block.addr, declined.reason)
-            return 0
-        stats.fused_dispatches += 1
-        stats.fused_iterations += n
-        stats.fused_instructions += retired
-        return retired
-
-    def _try_nest(self, blocks, pc: int, budget: int, port) -> int:
-        """Dispatch all remaining iterations of the active ``lp1`` loop,
-        whose body starts at *pc*, as one fused loop nest
-        (:mod:`repro.engine.nest`); returns instructions retired (0 on
-        side exit)."""
-        from .fusion import FUSE_MIN_ITERS, Unfusable
-        from .nest import NestPlan, NestShape, execute_nest
-
-        cpu = self.cpu
-        hw = cpu.hwloops
-        n = hw.count[1]
-        if n < FUSE_MIN_ITERS:
-            return 0
-        regions = cpu.regions
-        key = ("nest", pc, hw.end[1])
+        other_end = hw.end[other] if hw.count[other] > 0 else None
+        key = (pc, hw.end[level], level, other_end)
         shape = blocks.get(key)
         if shape is None:
+            regions = cpu.regions
+
             def block_at(addr: int) -> Optional[Block]:
                 block = blocks.get(addr, _MISSING)
                 if block is _MISSING:
@@ -335,62 +288,35 @@ class BlockEngine:
                 return block
 
             try:
-                shape = NestShape(cpu._imem, pc, hw.end[1], block_at,
-                                  regions)
+                shape = walk(cpu._imem, pc, hw.end[level], level, other_end,
+                             block_at, regions)
             except Unfusable as declined:
                 shape = declined.reason
             blocks[key] = shape
         if isinstance(shape, str):
-            self._side_exit(pc, shape)
+            self._side_exit(cpu, pc, shape)
             return 0
         trips = shape.trips(cpu.regs)
-        plan = shape.plans.get(trips)
-        if plan is None:
-            def inner_plan(block: Block, body_len: int):
-                inner = _plan(block, body_len)
-                if isinstance(inner, str):
-                    raise Unfusable(inner)
-                return inner
-
-            try:
-                plan = NestPlan(shape, trips, inner_plan)
-            except Unfusable as declined:
-                plan = declined.reason
-            shape.plans[trips] = plan
+        if n * shape.instructions(trips) > budget:
+            self._side_exit(cpu, pc, "budget")
+            return 0
+        plan = shape.plan(trips)
         if isinstance(plan, str):
-            self._side_exit(pc, plan)
+            self._side_exit(cpu, pc, plan)
             return 0
-        if n * plan.row_instructions > budget:
-            self._side_exit(pc, "budget")
-            return 0
-        if regions is not None:
-            name = regions.region_of(pc)
+        if cpu.regions is not None:
+            name = cpu.regions.region_of(pc)
             if name != cpu._region:
                 cpu._enter_region(name)
         try:
-            retired = execute_nest(cpu, plan, port)
+            retired = execute(cpu, plan, level, port)
         except Unfusable as declined:
-            self._side_exit(pc, declined.reason)
+            self._side_exit(cpu, pc, declined.reason)
             return 0
         stats = self.stats
         stats.fused_dispatches += 1
-        stats.nest_dispatches += 1
+        if plan.inner_loop is not None:
+            stats.nest_dispatches += 1
         stats.fused_iterations += n
         stats.fused_instructions += retired
         return retired
-
-
-def _plan(block: Block, body_len: int):
-    """The fused plan of ``block.instrs[:body_len]`` as a loop body, or
-    the reason it cannot fuse (compiled once, cached on the block)."""
-    from .fusion import Unfusable, compile_plan
-
-    end = block.fts[body_len - 1]
-    plan = block.fused.get(end)
-    if plan is None:
-        try:
-            plan = compile_plan(block, body_len)
-        except Unfusable as declined:
-            plan = declined.reason
-        block.fused[end] = plan
-    return plan

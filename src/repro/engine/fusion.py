@@ -1,20 +1,17 @@
-"""Hardware-loop fusion: compile a loop body into one superinstruction.
+"""Hardware-loop fusion: the batch semantics of a loop body.
 
-When dispatch lands on the start of an active hardware loop whose body
-is a single straight-line block, the body is compiled into a *fused
-plan*: a register classification plus a list of numpy batch handlers
-that execute all ``N`` remaining iterations in one pass.
-
-Classification (per register, from the per-op ``fusion`` access roles):
+A loop plan (:mod:`repro.engine.nest`) runs all ``N`` remaining
+iterations of a hardware loop as one numpy pass over these handlers.
+The body's registers are classified once, from the per-op ``fusion``
+access roles:
 
 * **invariant** — read but never written; one scalar for all iterations.
 * **induction** — every write is a constant self-increment (post-
   increment writeback, ``addi r, r, imm``); its value at iteration
   ``i`` is the affine ``entry + delta*i``.  Induction values stay
-  *symbolic* — a ``(base, delta)`` pair — so streaming loads and stores
-  through them compile to (strided) array slices instead of gathers
-  whenever the pointer steps forward by a multiple of the access size
-  from an aligned base, and the address array is never materialized
+  *symbolic* — ``(base, delta, row_delta)`` — so streaming loads and
+  stores through them compile to strided slices or typed-view gathers
+  instead of byte gathers, and the address array is never materialized
   unless an ALU/dot-product op reads the pointer as data.
 * **accumulator** — only ever read and written by accumulating
   dot-product/MAC ops (``rd += f(i)``); per-iteration contributions are
@@ -24,6 +21,13 @@ Classification (per register, from the per-op ``fusion`` access roles):
   lane (``pv.insert``) counts as written once its *insert chain* has
   covered every lane; a full read before that, or a chain left open at
   the end of the body, is a recurrence.
+
+The ``N`` iterations form ``rows`` rows of ``cols``: one row for a
+loop's own body, one row per outer iteration for an inner loop of a
+nest.  An induction stream there is ``base + row_delta * row + delta *
+col``; it is one affine run when ``rows == 1`` or ``row_delta == delta
+* cols``, and then a load or store of it is a scalar access (``delta ==
+0``) or a strided slice where it can be, a gather otherwise.
 
 Besides memory, ALU, MAC and dot-product ops, the batch handlers cover
 the RI5CY unpack idioms: ``p.extract(u)``, ``pv.insert``,
@@ -39,29 +43,21 @@ block-at-a-time execution, as do dynamic conditions checked per
 dispatch: out-of-bounds addresses (the interpreter must raise at the
 exact faulting iteration), overlapping load/store ranges, and stores
 with non-affine address patterns.  Two affine store streams with one
-stride are disjoint exactly when their residues modulo the stride leave
-room for both accesses, however their ranges overlap, and a load of
-exactly the stream an earlier store wrote reads the stored values back
-(a spill slot); every other pair of ranges must not overlap at all.  A
+stride ``|delta|``, each stepping by multiples of it along both axes,
+are disjoint exactly when their residues modulo the stride leave room
+for both accesses, however their ranges overlap, and a load of exactly
+the stream an earlier store wrote reads the stored values back (a spill
+slot); every other pair of ranges must not overlap at all.  A
 ``pv.qnt`` on an odd threshold base side-exits: its FSM stalls on every
-read.  Handlers never mutate CPU or memory
-state before every check has passed; commits (register file, memory
-scatters, cycle accounting) happen only on success, so a side exit is
-always invisible.  The cycles are ``first + steady * (n - 1)``, both
-priced by :meth:`~repro.engine.blocks.Block.price`: the first iteration
-after whatever retired before the loop, the steady one after the body's
-own last instruction.
+read.  Handlers never mutate CPU or memory state before every check has
+passed; commits (register file, memory scatters) happen only on
+success, so a side exit is always invisible.
 
-Against an access-logging memory (a cluster core's replay port) a
-dispatch also hands the port every load and store of every iteration as
-arrays of byte offsets and stall-free issue clocks, priced the same way;
-a misaligned access there is a side exit, since its penalty would shift
+Against an access-logging memory (a cluster core's replay port) every
+memory op also notes its accesses — an affine stream or the gathered
+byte offsets — for the plan to hand over with their issue clocks; a
+misaligned access there is a side exit, since its penalty would shift
 the clocks of the iterations after it.
-
-A two-level loop nest (:mod:`repro.engine.nest`) reuses the classifier,
-the handlers and the commit: its outer body runs on one context, each
-inner loop on a :meth:`_Ctx.child` with one row of iterations per outer
-iteration.
 """
 
 from __future__ import annotations
@@ -70,7 +66,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.timing import MISALIGNED_PENALTY
 from .vector import (
     ALU_OPS,
     MASK32,
@@ -174,14 +169,6 @@ def _accesses(ins) -> List[Tuple]:
     raise Unfusable("unsupported-op")
 
 
-def _classify(instrs) -> Tuple[Dict[int, str], Dict[int, int]]:
-    """Register classes and induction deltas for one loop body."""
-    for ins in instrs:
-        if ins.spec.fusion is None:
-            raise Unfusable("unsupported-op")
-    return classify_ops([_accesses(ins) for ins in instrs])
-
-
 def classify_ops(ops) -> Tuple[Dict[int, str], Dict[int, int]]:
     """Register classes and induction deltas for a loop body given as one
     access list per op (see :func:`_accesses`).
@@ -262,12 +249,10 @@ class _Ctx:
     ``stores`` until every handler has succeeded.
 
     The ``N`` iterations form ``rows`` rows of ``cols`` in execution
-    order.  A loop's own dispatch has one row; the inner loop of a nest
-    (:mod:`repro.engine.nest`) has one row per outer iteration, and an
-    induction there is ``base + row_delta * row + delta * col``, where
-    *base* may also be one value per row.  A nest's inner context is a
-    :meth:`child` sharing its parent's memory views, deferred stores and
-    access ranges, so alias checks and commits span the whole nest.
+    order (see the module docstring); *base* may also be one value per
+    row.  An inner loop's context is a :meth:`child` sharing its
+    parent's memory views, deferred stores and access ranges, so alias
+    checks and commits span the whole nest.
     """
 
     __slots__ = ("n", "rows", "cols", "mem", "data", "data16", "data32",
@@ -294,9 +279,9 @@ class _Ctx:
         #: per store range: ``(stream key, values)`` of an affine store,
         #: which a later load of exactly that stream reads back, or None
         self.sources: List[Optional[Tuple]] = []
-        #: affine store streams ``(addr0, delta, size)``, keyed by the
-        #: index of their range in ``store_ranges``
-        self.streams: Dict[int, Tuple[int, int, int]] = {}
+        #: affine store streams ``(addr0, delta, row_delta, size)``, keyed
+        #: by the index of their range in ``store_ranges``
+        self.streams: Dict[int, Tuple[int, int, int, int]] = {}
         #: ``(body index, byte offset, delta, size, is_write, row_delta)``
         #: per memory op, kept only for an access-logging memory
         self.log: Optional[List[Tuple]] = [] if logging else None
@@ -321,6 +306,18 @@ class _Ctx:
             return base + delta * _iota(self.n)
         row = np.asarray(base + row_delta * _iota(self.rows))
         return (row[:, None] + delta * _iota(self.cols)).reshape(-1)
+
+    def one_run(self, delta: int, row_delta: int) -> bool:
+        """Whether a stream with these strides is one affine run of all
+        ``n`` iterations, ``delta`` apart."""
+        return self.rows == 1 or row_delta == delta * self.cols
+
+    def span(self, addr0: int, delta: int, row_delta: int) -> Tuple[int, int]:
+        """The lowest and highest address of an affine stream."""
+        col_span = delta * (self.cols - 1)
+        row_span = row_delta * (self.rows - 1)
+        return (addr0 + min(0, col_span) + min(0, row_span),
+                addr0 + max(0, col_span) + max(0, row_span))
 
     def get(self, reg: int):
         value = self.env[reg]
@@ -365,17 +362,20 @@ class _Ctx:
         return None
 
 
-def _interleaved(a: Optional[Tuple[int, int, int]],
-                 b: Optional[Tuple[int, int, int]]) -> bool:
-    """True when two affine store streams ``(addr0, delta, size)`` with
-    one stride never share a byte: every address gap between them is
-    congruent to ``(b0 - a0) mod |delta|``, and that residue leaves room
-    for both accesses."""
+def _interleaved(a: Optional[Tuple[int, int, int, int]],
+                 b: Optional[Tuple[int, int, int, int]]) -> bool:
+    """True when two affine store streams ``(addr0, delta, row_delta,
+    size)`` with one stride never share a byte: when both step by
+    multiples of ``|delta|`` along both axes, every address gap between
+    them is congruent to ``(b0 - a0) mod |delta|``, and that residue
+    leaves room for both accesses."""
     if a is None or b is None or a[1] != b[1]:
         return False
     stride = abs(a[1])
+    if a[2] % stride or b[2] % stride:
+        return False
     gap = (b[0] - a[0]) % stride
-    return a[2] <= gap <= stride - b[2]
+    return a[3] <= gap <= stride - b[3]
 
 
 def _check_range(ctx: _Ctx, lo: int, hi: int, size: int,
@@ -406,40 +406,48 @@ def _strided(off: int, size: int, delta: int, n: int) -> slice:
     return slice(first, first + step * (n - 1) + 1, step)
 
 
-def _strided_load(ctx: _Ctx, off: int, size: int, signed: bool,
-                  delta: int, n: int):
-    value = _view(ctx, size)[_strided(off, size, delta, n)].astype(np.int64)
-    # Sign-extending a full word into the u32 domain is the identity.
+def _sign(value, size: int, signed: bool):
+    """Sign-extend *size*-byte values into the u32 domain (a full word is
+    already there)."""
     if signed and size < 4:
         sign_bit = 1 << (size * 8 - 1)
         value = ((value ^ sign_bit) - sign_bit) & MASK32
     return value
 
 
-def _affine_mis(addr0: int, delta: int, n: int, size: int) -> int:
-    """Misaligned accesses among ``addr0 + delta * i`` for ``i < n``."""
+def _affine_mis(ctx: _Ctx, addr0: int, delta: int, row_delta: int,
+                size: int) -> int:
+    """Misaligned accesses of an affine stream."""
     if size == 1:
         return 0
-    if delta % size == 0:
-        return n if addr0 % size else 0
-    return int(np.count_nonzero((addr0 + delta * _iota(n)) % size))
+    if delta % size == 0 and row_delta % size == 0:
+        return ctx.n if addr0 % size else 0
+    return int(np.count_nonzero(
+        ctx.addresses(addr0, delta, row_delta) % size))
 
 
-def _extend(values, size: int, signed: bool):
-    """What a *size*-byte load reads back where a store of that size
-    wrote the u32 *values*."""
-    if size == 4:
-        return values
-    values = values & ((1 << (8 * size)) - 1)
-    if signed:
-        sign_bit = 1 << (size * 8 - 1)
-        values = ((values ^ sign_bit) - sign_bit) & MASK32
-    return values
+def _read(ctx: _Ctx, off0: int, delta: int, row_delta: int, size: int,
+          signed: bool):
+    """The values of an affine stream starting at byte *off0*."""
+    if ctx.one_run(delta, row_delta):
+        if delta == 0:
+            return scalar_load(ctx.data, off0, size, signed)
+        if delta > 0 and delta % size == 0 and off0 % size == 0:
+            value = _view(ctx, size)[_strided(off0, size, delta, ctx.n)]
+            return _sign(value.astype(np.int64), size, signed)
+    if off0 % size or delta % size or row_delta % size:
+        return gather(ctx.data, ctx.addresses(off0, delta, row_delta),
+                      size, signed)
+    # Every access aligned: one gather from the typed view.
+    value = _view(ctx, size)[ctx.addresses(
+        off0 // size, delta // size, row_delta // size)]
+    return _sign(value.astype(np.int64), size, signed)
 
 
-def _load_rows(ctx: _Ctx, index: int, rd: int, addr0, delta: int,
-               row_delta: int, size: int, signed: bool) -> None:
-    """An induction load over a nest's ``rows x cols`` iterations."""
+def _load(ctx: _Ctx, index: int, rd: int, addr0, delta: int,
+          row_delta: int, size: int, signed: bool) -> None:
+    """An induction load: iteration ``(row, col)`` reads ``addr0 +
+    row_delta * row + delta * col``."""
     if isinstance(addr0, np.ndarray):
         # One base per row: gather every address.
         addrs = ctx.addresses(addr0, delta, row_delta)
@@ -452,64 +460,79 @@ def _load_rows(ctx: _Ctx, index: int, rd: int, addr0, delta: int,
             ctx.mis[index] = int(np.count_nonzero(addrs % size))
         ctx.note(index, offsets, size, False)
         return
-    col_span = delta * (ctx.cols - 1)
-    row_span = row_delta * (ctx.rows - 1)
-    lo = addr0 + min(0, col_span) + min(0, row_span)
-    hi = addr0 + max(0, col_span) + max(0, row_span)
+    lo, hi = ctx.span(addr0, delta, row_delta)
     off0 = addr0 - ctx.mem.base
     values = ctx.forwarded(lo, hi + size,
                            (id(ctx), addr0, delta, row_delta, size))
     if values is not None:
         if not ctx.mem.contains(lo, hi - lo + size):
             raise Unfusable("mem-bounds")
-        ctx.env[rd] = _extend(values, size, signed)
+        # What a load reads back where a store of its size wrote the
+        # u32 values.
+        if size < 4:
+            values = _sign(values & ((1 << (8 * size)) - 1), size, signed)
+        ctx.env[rd] = values
     else:
         _check_range(ctx, lo, hi, size, ctx.store_ranges)
         ctx.load_ranges.append((lo, hi + size))
-        if off0 % size or delta % size or row_delta % size:
-            ctx.env[rd] = gather(ctx.data, ctx.addresses(
-                off0, delta, row_delta), size, signed)
-        else:
-            # Every access aligned: one gather from the typed view.
-            value = _view(ctx, size)[ctx.addresses(
-                off0 // size, delta // size, row_delta // size)]
-            value = value.astype(np.int64)
-            if signed and size < 4:
-                sign_bit = 1 << (size * 8 - 1)
-                value = ((value ^ sign_bit) - sign_bit) & MASK32
-            ctx.env[rd] = value
-    if size > 1 and (addr0 % size or delta % size or row_delta % size):
-        ctx.mis[index] = int(np.count_nonzero(
-            ctx.addresses(addr0, delta, row_delta) % size))
+        ctx.env[rd] = _read(ctx, off0, delta, row_delta, size, signed)
+    ctx.mis[index] = _affine_mis(ctx, addr0, delta, row_delta, size)
     ctx.note(index, off0, size, False, delta, row_delta)
 
 
-def _store_rows(ctx: _Ctx, index: int, addr0, delta: int, row_delta: int,
-                size: int, values) -> None:
-    """An induction store over a nest's ``rows x cols`` iterations."""
-    addrs = ctx.addresses(addr0, delta, row_delta)
-    lo, hi = int(addrs.min()), int(addrs.max())
-    affine = not isinstance(addr0, np.ndarray)
-    _check_range(ctx, lo, hi, size, ctx.store_ranges + ctx.load_ranges)
-    key = (id(ctx), addr0, delta, row_delta, size)
-    ctx.add_store(lo, hi + size, (key, values) if affine else None)
-    offsets = addrs - ctx.mem.base
-    if affine and delta == 0 and row_delta == 0:
+def _store(ctx: _Ctx, index: int, addr0, delta: int, row_delta: int,
+           size: int, values) -> None:
+    """An induction store: iteration ``(row, col)`` writes ``addr0 +
+    row_delta * row + delta * col``."""
+    if isinstance(addr0, np.ndarray):
+        addrs = ctx.addresses(addr0, delta, row_delta)
+        lo, hi = int(addrs.min()), int(addrs.max())
+        _check_range(ctx, lo, hi, size, ctx.store_ranges + ctx.load_ranges)
+        ctx.add_store(lo, hi + size)
+        offsets = addrs - ctx.mem.base
+        _scatter(ctx, offsets, size, values)
+        if size > 1:
+            ctx.mis[index] = int(np.count_nonzero(addrs % size))
+        ctx.note(index, offsets, size, True)
+        return
+    lo, hi = ctx.span(addr0, delta, row_delta)
+    stream = (addr0, delta, row_delta, size) if delta else None
+    # Same-stride streams may share a range without a byte.
+    stores = [r for i, r in enumerate(ctx.store_ranges)
+              if not _interleaved(stream, ctx.streams.get(i))]
+    _check_range(ctx, lo, hi, size, stores + ctx.load_ranges)
+    if stream:
+        ctx.streams[len(ctx.store_ranges)] = stream
+    ctx.add_store(lo, hi + size,
+                  ((id(ctx), addr0, delta, row_delta, size), values))
+    off0 = addr0 - ctx.mem.base
+    if not ctx.one_run(delta, row_delta):
+        _scatter(ctx, ctx.addresses(off0, delta, row_delta), size, values)
+    elif delta == 0:
         last_value = int(values[-1]) \
             if isinstance(values, np.ndarray) else values
-        ctx.stores.append(("scalar", int(offsets[0]), size, last_value))
+        ctx.stores.append(("scalar", off0, size, last_value))
+    elif delta > 0 and delta % size == 0 and off0 % size == 0:
+        ctx.stores.append(("strided", _strided(off0, size, delta, ctx.n),
+                           size, values))
+    elif delta >= size or delta <= -size:
+        ctx.stores.append(("gather", off0 + delta * _iota(ctx.n), size,
+                           values))
     else:
-        # Iterations that share a byte would need the interpreter's
-        # write order.
-        if (np.diff(np.sort(offsets)) < size).any():
-            raise Unfusable("store-pattern")
-        ctx.stores.append(("gather", offsets, size, values))
-    if size > 1:
-        ctx.mis[index] = int(np.count_nonzero(addrs % size))
-    if affine:
-        ctx.note(index, addr0 - ctx.mem.base, size, True, delta, row_delta)
-    else:
-        ctx.note(index, offsets, size, True)
+        # Iterations overlap (0 < |stride| < size): a scatter cannot
+        # reproduce the interpreter's write order.
+        raise Unfusable("store-pattern")
+    ctx.mis[index] = _affine_mis(ctx, addr0, delta, row_delta, size)
+    ctx.note(index, off0, size, True, delta, row_delta)
+
+
+def _scatter(ctx: _Ctx, offsets: np.ndarray, size: int, values) -> None:
+    """Defer a store to the byte *offsets* of every iteration."""
+    # Iterations that share a byte would need the interpreter's write
+    # order.
+    if (np.diff(np.sort(offsets)) < size).any():
+        raise Unfusable("store-pattern")
+    ctx.stores.append(("gather", offsets, size, values))
 
 
 def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
@@ -519,37 +542,8 @@ def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
     if rs1_induction:
         def step(ctx: _Ctx) -> None:
             base, delta, row_delta = ctx.affine[rs1]
-            addr0 = base + imm_off
-            if ctx.rows > 1:
-                _load_rows(ctx, index, rd, addr0, delta, row_delta, size,
-                           signed)
-                if post:
-                    ctx.bump(rs1, imm)
-                return
-            n = ctx.n
-            last = addr0 + delta * (n - 1)
-            lo, hi = (addr0, last) if delta >= 0 else (last, addr0)
-            off0 = addr0 - ctx.mem.base
-            values = ctx.forwarded(lo, hi + size,
-                                   (id(ctx), addr0, delta, 0, size))
-            if values is not None:
-                if not ctx.mem.contains(lo, hi - lo + size):
-                    raise Unfusable("mem-bounds")
-                ctx.env[rd] = _extend(values, size, signed)
-            else:
-                _check_range(ctx, lo, hi, size, ctx.store_ranges)
-                ctx.load_ranges.append((lo, hi + size))
-                if delta == 0:
-                    ctx.env[rd] = scalar_load(ctx.data, off0, size, signed)
-                elif delta > 0 and delta % size == 0 \
-                        and addr0 % size == 0 and off0 % size == 0:
-                    ctx.env[rd] = _strided_load(ctx, off0, size, signed,
-                                                delta, n)
-                else:
-                    ctx.env[rd] = gather(ctx.data, off0 + delta * _iota(n),
-                                         size, signed)
-            ctx.note(index, off0, size, False, delta)
-            ctx.mis[index] = _affine_mis(addr0, delta, n, size)
+            _load(ctx, index, rd, base + imm_off, delta, row_delta, size,
+                  signed)
             if post:
                 ctx.bump(rs1, imm)
     else:
@@ -586,44 +580,8 @@ def _make_store(index: int, rs1: int, rs2: int, imm: int, size: int,
     if rs1_induction:
         def step(ctx: _Ctx) -> None:
             base, delta, row_delta = ctx.affine[rs1]
-            addr0 = base + imm_off
-            values = ctx.get(rs2)
-            if ctx.rows > 1:
-                _store_rows(ctx, index, addr0, delta, row_delta, size,
-                            values)
-                if post:
-                    ctx.bump(rs1, imm)
-                return
-            n = ctx.n
-            last = addr0 + delta * (n - 1)
-            lo, hi = (addr0, last) if delta >= 0 else (last, addr0)
-            stream = (addr0, delta, size) if delta else None
-            # Same-stride streams may share a range without a byte.
-            stores = [r for i, r in enumerate(ctx.store_ranges)
-                      if not _interleaved(stream, ctx.streams.get(i))]
-            _check_range(ctx, lo, hi, size, stores + ctx.load_ranges)
-            if stream:
-                ctx.streams[len(ctx.store_ranges)] = stream
-            key = (id(ctx), addr0, delta, 0, size)
-            ctx.add_store(lo, hi + size, (key, values))
-            off0 = addr0 - ctx.mem.base
-            ctx.note(index, off0, size, True, delta)
-            if delta == 0:
-                last_value = int(values[-1]) \
-                    if isinstance(values, np.ndarray) else values
-                ctx.stores.append(("scalar", off0, size, last_value))
-            elif delta > 0 and delta % size == 0 and addr0 % size == 0 \
-                    and off0 % size == 0:
-                ctx.stores.append(("strided", _strided(off0, size, delta, n),
-                                   size, values))
-            elif delta >= size or delta <= -size:
-                ctx.stores.append(("gather", off0 + delta * _iota(n), size,
-                                   values))
-            else:
-                # Iterations overlap (0 < |stride| < size): a scatter
-                # cannot reproduce the interpreter's write order.
-                raise Unfusable("store-pattern")
-            ctx.mis[index] = _affine_mis(addr0, delta, n, size)
+            _store(ctx, index, base + imm_off, delta, row_delta, size,
+                   ctx.get(rs2))
             if post:
                 ctx.bump(rs1, imm)
     else:
@@ -773,7 +731,7 @@ def _make_insert(rd: int, rs1: int, index: int, width: int) -> Callable:
 
     def step(ctx: _Ctx) -> None:
         # An insert chain's first lane finds rd unset: its old lanes are
-        # dead (see _classify), so it starts from zero.
+        # dead (see classify_ops), so it starts from zero.
         ctx.env[rd] = (ctx.env.get(rd, 0) & keep) \
             | ((ctx.get(rs1) & lane_mask) << shift)
 
@@ -942,65 +900,13 @@ def _compile_handlers(instrs, classes, first: int = 0) -> List[Callable]:
 
 
 # ---------------------------------------------------------------------------
-# The plan
+# Entry and commit
 # ---------------------------------------------------------------------------
 
-class FusedPlan:
-    """A compiled loop body plus its steady-state price."""
-
-    __slots__ = (
-        "body_len", "handlers", "invariants", "inductions", "acc_regs",
-        "committed_regs", "block", "steady", "cls_counts", "pending_after",
-        "_leads",
-    )
-
-    def __init__(self, block, body_len: int) -> None:
-        instrs = block.instrs[:body_len]
-        classes, deltas = _classify(instrs)
-        self.body_len = body_len
-        self.handlers = _compile_handlers(instrs, classes)
-        self.invariants = sorted(
-            r for r, c in classes.items() if c == "invariant")
-        self.inductions = sorted(
-            (r, deltas[r]) for r, c in classes.items() if c == "induction")
-        self.acc_regs = sorted(
-            r for r, c in classes.items() if c == "acc")
-        self.committed_regs = sorted(
-            r for r, c in classes.items() if c in ("induction", "local"))
-
-        self.block = block
-        self.pending_after = block.pending[body_len - 1]
-        # From iteration 2 on, the "previous" instruction is the body's
-        # last one: the hardware-loop back-edge is a pure fetch redirect,
-        # so its load-use hazard wraps around.
-        self.steady = block.price(0, body_len, self.pending_after)
-        self.cls_counts = {
-            cls: pref[body_len]
-            for cls, pref in block.cls_prefix.items() if pref[body_len]
-        }
-        self._leads: Dict[Optional[int], List[int]] = {}
-
-    def leads(self, pending: Optional[int]) -> List[int]:
-        """Cycles from the body's start to each of its instructions'
-        issue, entered after an instruction that loaded *pending*."""
-        leads = self._leads.get(pending)
-        if leads is None:
-            block = self.block
-            leads = self._leads[pending] = [0] + [
-                block.price(0, k, pending)[0]
-                for k in range(1, self.body_len)]
-        return leads
-
-
-def compile_plan(block, body_len: int) -> FusedPlan:
-    """Compile the first *body_len* instructions of *block* as a loop
-    body; raises :class:`Unfusable` on any statically-unprovable shape."""
-    return FusedPlan(block, body_len)
-
-
 def enter(cpu, plan, n: int, logging: bool) -> _Ctx:
-    """A context for *n* iterations of *plan* (a :class:`FusedPlan` or a
-    nest's outer level) entered with the core's registers."""
+    """A context for *n* iterations of *plan* (a
+    :class:`~repro.engine.nest.LoopPlan`) entered with the core's
+    registers."""
     regs = cpu.regs
     ctx = _Ctx(n, cpu.mem, plan.body_len, logging)
     env = ctx.env
@@ -1045,55 +951,3 @@ def commit(cpu, plan, ctx: _Ctx) -> None:
         else:
             total = contribution * n
         regs[reg] = (regs[reg] + total) & MASK32
-
-
-def execute_plan(cpu, plan: FusedPlan, level: int, port=None) -> int:
-    """Run all remaining iterations of the active loop *level* under
-    *plan*; returns instructions retired.  Raises :class:`Unfusable`
-    (with no state mutated) when a dynamic precondition fails.  *port*
-    is ``cpu.mem`` when it logs accesses, else None."""
-    hw = cpu.hwloops
-    n = hw.count[level]
-    ctx = enter(cpu, plan, n, port is not None)
-    for handler in plan.handlers:
-        handler(ctx)
-    if port is not None and any(ctx.mis):
-        raise Unfusable("misaligned")
-    commit(cpu, plan, ctx)
-
-    perf = cpu.perf
-    cycles, load_use = plan.block.price(0, plan.body_len,
-                                        cpu._pending_load_rd)
-    if port is not None:
-        _log_accesses(port, plan, ctx.log, perf.cycles, cpu._pending_load_rd,
-                      cycles, n)
-    steady_cycles, steady_load_use = plan.steady
-    mis_cycles = sum(ctx.mis) * MISALIGNED_PENALTY
-    perf.cycles += cycles + steady_cycles * (n - 1) + mis_cycles
-    perf.instructions += plan.body_len * n
-    perf.hwloop_backedges += n - 1
-    perf.stall_load_use += load_use + steady_load_use * (n - 1)
-    perf.stall_misaligned += mis_cycles
-    for cls, count in plan.cls_counts.items():
-        perf.by_class[cls] += count * n
-    cpu._pending_load_rd = plan.pending_after
-    hw.count[level] = 0
-    cpu.pc = hw.end[level]
-    return plan.body_len * n
-
-
-def _log_accesses(port, plan: FusedPlan, log: List[Tuple], start: int,
-                  pending: Optional[int], first: int, n: int) -> None:
-    """Hand *port* every access in *log* with its stall-free issue clock:
-    iteration 0 issues body instruction ``k`` at ``start`` plus the price
-    of the ``k`` instructions before it (after *pending*), iteration
-    ``i >= 1`` at ``start + first + steady * (i - 1)`` plus that price
-    after the body's own last instruction."""
-    addrs = plan.block.addrs
-    steady = plan.steady[0]
-    leads0 = plan.leads(pending)
-    leads = plan.leads(plan.pending_after)
-    after = start + first - steady
-    for index, offset, delta, size, write, _ in log:
-        port.log_stream(n, start + leads0[index], after + leads[index],
-                        steady, offset, delta, size, write, addrs[index])

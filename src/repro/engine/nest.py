@@ -1,42 +1,53 @@
-"""Two-level hardware-loop nests: one dispatch per outer loop.
+"""Loop plans: one dispatch for all remaining iterations of a hardware loop.
 
-A PULP-NN conv kernel wraps each dot-product ``lp0`` loop in an ``lp1``
-filter loop whose body clears the accumulators, rewinds the activation
-pointers, sets the inner loop up and ends in a quantization epilogue.
-When dispatch lands on the start of such an active ``lp1`` body, the
-body is compiled into a *nest plan* and all remaining outer iterations
-run as one numpy batch: the straight-line runs over ``rows`` (one per
-outer iteration), each inner loop over ``rows x cols`` (``cols`` = its
-trip count) in execution order.
+When dispatch lands on the start of an active hardware loop, its body
+is walked once into *pieces* (:func:`walk`, a :class:`LoopShape`):
+straight-line runs and complete ``lp0`` loops.  A one-level loop at
+either level is a body of one run piece, a prefix of the block at its
+start.  A PULP-NN conv kernel's ``lp1`` filter loop — clear the
+accumulators, rewind the activation pointers, run a dot-product ``lp0``
+loop (two in the 2-bit kernel), quantize — is runs and inner loops,
+each inner loop an ``lp.setup``/``lp.setupi`` followed by a body that
+is a block prefix, itself a shape of one run piece.
 
-Shape (:class:`NestShape`, static per body): straight-line runs and
-complete ``lp0`` loops, each an ``lp.setup``/``lp.setupi`` followed by a
-body that is a block prefix.  Anything else is a ``loop-shape`` side
-exit: a branch, jump, CSR or system instruction, a level-1 or partial
-``lp.*`` setup, an inner body that is not a block prefix.  An inner loop
-ending where the outer one ends is ``nested-loop-end``; with a region
-profile attached, a body that crosses a region boundary is ``region``.
+The walk declines, as a side exit:
 
-Plan (:class:`NestPlan`, per shape and inner trip counts): each inner
-loop's :class:`~repro.engine.fusion.FusedPlan` is one op of the outer
-body, reading its invariants, inductions and accumulators and writing
-its inductions (stepped by ``delta * trips``), accumulators and locals.
-The outer body is classified like any loop body, so a pointer the inner
-loop steps and the outer body advances is an outer induction (inside the
-inner loop an induction with an outer stride), a register the outer body
-writes before the inner loop reads it (the accumulator clear, the ``mv``
-of an activation pointer) is reset per outer iteration, and inner
-accumulators reduce along the inner axis, once per outer row.  A loop
-count must be the same for every outer iteration: an immediate, or a
-register the outer body never writes.
+* ``loop-shape`` — a body that is not a block prefix at level 0 or
+  while the other loop is active, or that holds a branch, jump, CSR or
+  system instruction, a level-1 or partial ``lp.*`` setup, or an inner
+  body that is not a block prefix;
+* ``nested-loop-end`` — the other loop's back-edge would fire inside
+  the body (or, for level 1 sharing the end address, *instead of* its
+  own: level 0 has redirect priority), or an inner loop ends where the
+  outer one does;
+* ``region`` — with a region profile attached, a nest's body crosses a
+  region boundary.
 
-Cycles: each outer iteration is priced from its pieces with
+Plan (:class:`LoopPlan`, per shape and inner trip counts): each inner
+loop's plan is one op of the outer body, reading its invariants,
+inductions and accumulators and writing its inductions (stepped by
+``delta * trips``), accumulators and locals.  The body is classified
+like any loop body (:func:`~repro.engine.fusion.classify_ops`), so a
+pointer the inner loop steps and the outer body advances is an outer
+induction (inside the inner loop an induction with an outer stride), a
+register the outer body writes before the inner loop reads it (the
+accumulator clear, the ``mv`` of an activation pointer) is reset per
+outer iteration, and inner accumulators reduce along the inner axis,
+once per outer row.  A loop count must be the same for every outer
+iteration: an immediate, or a register the outer body never writes.
+The runs execute over one row of iterations, each inner loop over
+``rows x cols`` (``cols`` = its trip count) in execution order.
+
+Cycles: each iteration is priced from its pieces with
 :meth:`~repro.engine.blocks.Block.price` — the runs, each ``lp.setup``,
 each inner loop's ``first + steady * (trips - 1)`` — the first after
-whatever retired before the nest, the later ones after the body's own
-last instruction, exactly as a one-level fused loop is priced.  Against
-an access-logging memory, every memory op is handed to the port as a
-2-D stream: one row per outer iteration, strided in clock and offset.
+whatever retired before the loop, the later ones after the body's own
+last instruction (the hardware-loop back-edge is a pure fetch redirect,
+so a load-use hazard wraps around): ``first + steady * (n - 1)``.  The
+timing is cached per entering load.  Against an access-logging memory,
+every memory op is handed to the port as a stream strided in clock and
+offset, an inner loop's as a 2-D stream with one row per outer
+iteration.
 """
 
 from __future__ import annotations
@@ -49,7 +60,6 @@ from ..core.timing import MISALIGNED_PENALTY
 from .blocks import Block
 from .fusion import (
     MASK32,
-    FusedPlan,
     Unfusable,
     _accesses,
     _compile_handlers,
@@ -61,54 +71,23 @@ from .fusion import (
 _SETUPS = ("lp.setup", "lp.setupi")
 
 
-class NestShape:
-    """The pieces of one ``lp1`` body: ``("run", block, lo, hi)`` for
-    ``block.instrs[lo:hi]`` and ``("loop", setup, block, body_len)`` for
-    an ``lp0`` setup and its body ``block.instrs[:body_len]``.  *plans*
-    caches a :class:`NestPlan` (or the side-exit reason) per tuple of
-    inner trip counts."""
+class LoopShape:
+    """The pieces of one loop body: ``("run", block, lo, hi)`` for
+    ``block.instrs[lo:hi]`` and ``("loop", setup, shape)`` for an
+    ``lp0`` setup and the shape of its body.  *plans* caches a
+    :class:`LoopPlan` (or the side-exit reason) per tuple of inner trip
+    counts."""
 
-    __slots__ = ("pieces", "plans")
+    __slots__ = ("pieces", "setups", "straight", "inner_lengths", "plans")
 
-    def __init__(self, imem: dict, start: int, end: int, block_at,
-                 regions=None) -> None:
-        if regions is not None:
-            names = set()
-            addr = start
-            while addr < end and addr in imem:
-                names.add(regions.region_of(addr))
-                addr += imem[addr].spec.size
-            if len(names) > 1:
-                raise Unfusable("region")
-        pieces: List[Tuple] = []
-        addr = start
-        while True:
-            block = block_at(addr)
-            lo = 0
-            if block is None:
-                setup = imem.get(addr)
-                if (setup is None or setup.spec.mnemonic not in _SETUPS
-                        or setup.rd != 0):
-                    raise Unfusable("loop-shape")
-                block = block_at(addr + setup.spec.size)
-                j = -1 if block is None else block.ft_index.get(
-                    (addr + setup.imm) & MASK32, -1)
-                if j < 0:
-                    raise Unfusable("loop-shape")
-                if 0 <= block.ft_index.get(end, -1) <= j:
-                    # The outer back-edge would fire inside (or, at a
-                    # shared end, instead of) the inner loop's.
-                    raise Unfusable("nested-loop-end")
-                pieces.append(("loop", setup, block, j + 1))
-                lo = j + 1
-            k = block.ft_index.get(end, -1)
-            if k >= lo:
-                pieces.append(("run", block, lo, k + 1))
-                break
-            if lo < block.n:
-                pieces.append(("run", block, lo, block.n))
-            addr = block.fts[-1]
+    def __init__(self, pieces: List[Tuple]) -> None:
         self.pieces = pieces
+        self.setups = [piece[1] for piece in pieces if piece[0] == "loop"]
+        #: instructions of an iteration outside its inner loops' bodies
+        self.straight = len(self.setups) + sum(
+            piece[3] - piece[2] for piece in pieces if piece[0] == "run")
+        self.inner_lengths = [piece[2].straight for piece in pieces
+                              if piece[0] == "loop"]
         self.plans: Dict[Tuple[int, ...], object] = {}
 
     def trips(self, regs) -> Tuple[int, ...]:
@@ -117,7 +96,85 @@ class NestShape:
         return tuple(
             max(setup.rs1 if setup.spec.mnemonic == "lp.setupi"
                 else regs[setup.rs1], 1)
-            for kind, setup, *_ in self.pieces if kind == "loop")
+            for setup in self.setups)
+
+    def instructions(self, trips: Tuple[int, ...]) -> int:
+        """Instructions one iteration retires, its inner loops run
+        *trips* times."""
+        count = self.straight
+        for length, trip in zip(self.inner_lengths, trips):
+            count += length * trip
+        return count
+
+    def plan(self, trips: Tuple[int, ...]):
+        """The plan for *trips*, or the reason the body cannot fuse
+        (compiled once)."""
+        plan = self.plans.get(trips)
+        if plan is None:
+            try:
+                plan = LoopPlan(self, trips)
+            except Unfusable as declined:
+                plan = declined.reason
+            self.plans[trips] = plan
+        return plan
+
+
+def walk(imem: dict, start: int, end: int, level: int,
+         other_end: Optional[int], block_at, regions=None) -> LoopShape:
+    """The shape of the loop *level* body ``[start, end)``; *other_end*
+    is the other loop's end while it is active, else None.  Raises
+    :class:`Unfusable` (see the module docstring)."""
+    block = block_at(start)
+    k = -1 if block is None else block.ft_index.get(end, -1)
+    if k >= 0:
+        if other_end is not None:
+            jo = block.ft_index.get(other_end, -1)
+            if 0 <= jo < k or (jo == k and level == 1):
+                # The other loop's back-edge would fire inside (or, for
+                # level 1 sharing the end address, *instead of* — level 0
+                # has redirect priority) this loop's body.
+                raise Unfusable("nested-loop-end")
+        return LoopShape([("run", block, 0, k + 1)])
+    if level == 0 or other_end is not None:
+        raise Unfusable("loop-shape")
+    if regions is not None:
+        names = set()
+        addr = start
+        while addr < end and addr in imem:
+            names.add(regions.region_of(addr))
+            addr += imem[addr].spec.size
+        if len(names) > 1:
+            raise Unfusable("region")
+    pieces: List[Tuple] = []
+    addr = start
+    while True:
+        lo = 0
+        if block is None:
+            setup = imem.get(addr)
+            if (setup is None or setup.spec.mnemonic not in _SETUPS
+                    or setup.rd != 0):
+                raise Unfusable("loop-shape")
+            block = block_at(addr + setup.spec.size)
+            j = -1 if block is None else block.ft_index.get(
+                (addr + setup.imm) & MASK32, -1)
+            if j < 0:
+                raise Unfusable("loop-shape")
+            if 0 <= block.ft_index.get(end, -1) <= j:
+                # The outer back-edge would fire inside (or, at a
+                # shared end, instead of) the inner loop's.
+                raise Unfusable("nested-loop-end")
+            pieces.append(("loop", setup,
+                           LoopShape([("run", block, 0, j + 1)])))
+            lo = j + 1
+        k = block.ft_index.get(end, -1)
+        if k >= lo:
+            pieces.append(("run", block, lo, k + 1))
+            break
+        if lo < block.n:
+            pieces.append(("run", block, lo, block.n))
+        addr = block.fts[-1]
+        block = block_at(addr)
+    return LoopShape(pieces)
 
 
 class _Run:
@@ -136,17 +193,17 @@ class _Run:
 
 
 class _Loop:
-    """An inner loop piece: its setup and its fused body run *trips*
+    """An inner loop piece: its setup and its body's plan, run *trips*
     times per outer iteration."""
 
     __slots__ = ("setup", "plan", "trips", "first", "outer_acc", "locals")
 
-    def __init__(self, setup, plan: FusedPlan, trips: int) -> None:
+    def __init__(self, setup, plan: "LoopPlan", trips: int) -> None:
         self.setup = Block([setup])
         self.plan = plan
         self.trips = trips
         #: the first inner iteration, after the setup (not a load)
-        self.first = plan.block.price(0, plan.body_len, None)
+        self.first = plan.timing(None)
         self.outer_acc: frozenset = frozenset()
         inductions = {reg for reg, _ in plan.inductions}
         self.locals = [reg for reg in plan.committed_regs
@@ -155,8 +212,8 @@ class _Loop:
     def price(self, pending):
         plan = self.plan
         cycles, stalls = self.setup.price(0, 1, pending)
-        first, first_stalls = self.first
-        steady, steady_stalls = plan.steady
+        first, first_stalls = self.first[:2]
+        steady, steady_stalls = plan.steady[:2]
         again = self.trips - 1
         return (cycles + first + steady * again,
                 stalls + first_stalls + steady_stalls * again,
@@ -176,21 +233,20 @@ class _Loop:
         return reads + writes
 
 
-class NestPlan:
-    """A compiled ``lp1`` body for one tuple of inner trip counts."""
+class LoopPlan:
+    """A compiled loop body for one tuple of inner trip counts."""
 
     __slots__ = (
-        "pieces", "body_len", "sites", "pcs", "invariants", "inductions",
+        "pieces", "body_len", "pcs", "invariants", "inductions",
         "acc_regs", "committed_regs", "row_instructions", "row_backedges",
         "row_classes", "pending_after", "steady", "inner_loop", "_timing",
     )
 
-    def __init__(self, shape: NestShape, trips: Tuple[int, ...],
-                 inner_plan) -> None:
+    def __init__(self, shape: LoopShape, trips: Tuple[int, ...]) -> None:
         pieces: list = []
         ops: List[List[Tuple]] = []
-        #: body index of each straight-line op -> (piece index, block index)
-        sites: List[Tuple[int, int]] = []
+        #: the pc of each straight-line op, by body index
+        pcs: List[int] = []
         counts = iter(trips)
         for kind, *rest in shape.pieces:
             if kind == "run":
@@ -198,12 +254,15 @@ class NestPlan:
                 instrs = block.instrs[lo:hi]
                 if any(ins.spec.fusion is None for ins in instrs):
                     raise Unfusable("unsupported-op")
-                pieces.append(_Run(block, lo, hi, len(sites)))
-                sites += [(len(pieces) - 1, j) for j in range(lo, hi)]
+                pieces.append(_Run(block, lo, hi, len(pcs)))
+                pcs += block.addrs[lo:hi]
                 ops += [_accesses(ins) for ins in instrs]
             else:
-                setup, block, body_len = rest
-                loop = _Loop(setup, inner_plan(block, body_len), next(counts))
+                setup, inner = rest
+                plan = inner.plan(())
+                if isinstance(plan, str):
+                    raise Unfusable(plan)
+                loop = _Loop(setup, plan, next(counts))
                 if setup.spec.mnemonic == "lp.setup":
                     ops.append([("r", setup.rs1)])
                 ops.append(loop.accesses())
@@ -224,9 +283,8 @@ class NestPlan:
                     reg for reg in piece.plan.acc_regs
                     if classes.get(reg) == "acc")
         self.pieces = pieces
-        self.body_len = len(sites)
-        self.sites = sites
-        self.pcs = [pieces[p].block.addrs[j] for p, j in sites]
+        self.body_len = len(pcs)
+        self.pcs = pcs
         self.invariants = sorted(
             r for r, c in classes.items() if c == "invariant")
         self.inductions = sorted(
@@ -236,22 +294,19 @@ class NestPlan:
             r for r, c in classes.items() if c in ("induction", "local"))
 
         row_classes: Dict[str, int] = {}
-        instructions = backedges = 0
+        backedges = 0
         for piece in pieces:
             if isinstance(piece, _Run):
-                instructions += piece.hi - piece.lo
                 for cls in piece.block.classes[piece.lo:piece.hi]:
                     row_classes[cls] = row_classes.get(cls, 0) + 1
             else:
-                plan = piece.plan
-                instructions += 1 + plan.body_len * piece.trips
                 backedges += piece.trips - 1
                 cls = piece.setup.classes[0]
                 row_classes[cls] = row_classes.get(cls, 0) + 1
-                for cls, count in plan.cls_counts.items():
+                for cls, count in piece.plan.row_classes.items():
                     row_classes[cls] = (row_classes.get(cls, 0)
                                         + count * piece.trips)
-        self.row_instructions = instructions
+        self.row_instructions = shape.instructions(trips)
         self.row_backedges = backedges
         self.row_classes = row_classes
         self._timing: Dict[Optional[int], Tuple] = {}
@@ -259,7 +314,7 @@ class NestPlan:
         for piece in pieces:
             pending = piece.price(pending)[2]
         self.pending_after = pending
-        #: the timing of every outer iteration after the first
+        #: the timing of every iteration after the first
         self.steady = self.timing(pending)
         #: the lp0 start and end the body's last setup leaves behind
         self.inner_loop = None
@@ -270,7 +325,7 @@ class NestPlan:
                                    (setup.addr + setup.imm) & MASK32)
 
     def timing(self, pending: Optional[int]) -> Tuple:
-        """One outer iteration entered after an instruction that loaded
+        """One iteration entered after an instruction that loaded
         *pending*: ``(cycles, load_use_stalls, issue, inner)``, where
         ``issue[k]`` is the cycle (from the iteration's start) at which
         straight-line op ``k`` issues and ``inner[p]`` the cycle at which
@@ -320,8 +375,9 @@ def _run_loop(outer, piece: _Loop):
         else:
             inner.affine[reg] = (outer.env[reg], delta, 0)
         env[reg] = None
-    for handler in plan.handlers:
-        handler(inner)
+    for run in plan.pieces:
+        for handler in run.handlers:
+            handler(inner)
 
     for reg in plan.acc_regs:
         contribution = inner.contribs.get(reg)
@@ -349,16 +405,18 @@ def _run_loop(outer, piece: _Loop):
     return inner
 
 
-def execute_nest(cpu, plan: NestPlan, port=None) -> int:
-    """Run all remaining iterations of the active ``lp1`` loop under
+def execute(cpu, plan: LoopPlan, level: int, port=None) -> int:
+    """Run all remaining iterations of the active loop *level* under
     *plan*; returns instructions retired.  Raises :class:`Unfusable`
     (with no state mutated) when a dynamic precondition fails.  *port*
     is ``cpu.mem`` when it logs accesses, else None."""
     hw = cpu.hwloops
-    n = hw.count[1]
+    n = hw.count[level]
     ctx = enter(cpu, plan, n, port is not None)
     mis = 0
-    inner_logs = []
+    # The inner contexts stay alive to the end of the dispatch: their
+    # ids key the store streams a load may read back.
+    inners = []
     for index, piece in enumerate(plan.pieces):
         if isinstance(piece, _Run):
             for handler in piece.handlers:
@@ -366,7 +424,7 @@ def execute_nest(cpu, plan: NestPlan, port=None) -> int:
         else:
             inner = _run_loop(ctx, piece)
             mis += sum(inner.mis)
-            inner_logs.append((index, inner.log))
+            inners.append((index, inner))
     mis += sum(ctx.mis)
     if port is not None and mis:
         raise Unfusable("misaligned")
@@ -377,7 +435,7 @@ def execute_nest(cpu, plan: NestPlan, port=None) -> int:
     first, load_use = timing[:2]
     steady, steady_load_use = plan.steady[:2]
     if port is not None:
-        _log_nest(port, plan, ctx.log, inner_logs, perf.cycles, timing, n)
+        _log(port, plan, ctx.log, inners, perf.cycles, timing, n)
     mis_cycles = mis * MISALIGNED_PENALTY
     perf.cycles += first + steady * (n - 1) + mis_cycles
     perf.instructions += plan.row_instructions * n
@@ -387,23 +445,22 @@ def execute_nest(cpu, plan: NestPlan, port=None) -> int:
     for cls, count in plan.row_classes.items():
         perf.by_class[cls] += count * n
     cpu._pending_load_rd = plan.pending_after
-    hw.count[1] = 0
+    hw.count[level] = 0
     if plan.inner_loop is not None:
         hw.count[0] = 0
         hw.start[0], hw.end[0] = plan.inner_loop
-    cpu.pc = hw.end[1]
+    cpu.pc = hw.end[level]
     return plan.row_instructions * n
 
 
-def _log_nest(port, plan: NestPlan, log, inner_logs, start: int, timing,
-              n: int) -> None:
-    """Hand *port* every access of the nest with its stall-free issue
-    clock.  Outer iteration 0 starts at *start* with *timing*; iteration
+def _log(port, plan: LoopPlan, log, inners, start: int, timing,
+         n: int) -> None:
+    """Hand *port* every access of the dispatch with its stall-free
+    issue clock.  Iteration 0 starts at *start* with *timing*; iteration
     ``r >= 1`` at ``start + first + steady * (r - 1)`` with
-    :attr:`NestPlan.steady`.  An inner loop's accesses follow the
-    one-level rule of :func:`~repro.engine.fusion._log_accesses` from
-    their loop's start in each outer iteration, one 2-D stream per op
-    for the outer iterations after the first."""
+    :attr:`LoopPlan.steady`.  An inner loop's accesses follow the same
+    rule from their loop's start in each outer iteration, one 2-D
+    stream per op for the outer iterations after the first."""
     first, _, issue0, inner0 = timing
     steady, _, issue, inner = plan.steady
     after = start + first - steady
@@ -411,23 +468,22 @@ def _log_nest(port, plan: NestPlan, log, inner_logs, start: int, timing,
     for index, offset, delta, size, write, _ in log:
         port.log_stream(n, start + issue0[index], after + issue[index],
                         steady, offset, delta, size, write, pcs[index])
-    for p, entries in inner_logs:
+    for p, ctx in inners:
         piece = plan.pieces[p]
         loop, cols = piece.plan, piece.trips
-        addrs = loop.block.addrs
-        again = loop.steady[0]
-        leads0 = loop.leads(None)
-        leads = loop.leads(loop.pending_after)
+        again, _, leads, _ = loop.steady
+        leads0 = piece.first[2]
         row0 = start + inner0[p]
         row1 = start + first + inner[p]
         body = piece.first[0] - again
-        for j, offset, delta, size, write, row_delta in entries:
+        for j, offset, delta, size, write, row_delta in ctx.log:
             if isinstance(offset, np.ndarray):
                 head, tail = offset[:cols], offset[cols:]
             else:
                 head, tail = offset, offset + row_delta
+            pc = loop.pcs[j]
             port.log_stream(cols, row0 + leads0[j], row0 + body + leads[j],
-                            again, head, delta, size, write, addrs[j])
+                            again, head, delta, size, write, pc)
             port.log_stream(cols, row1 + leads0[j], row1 + body + leads[j],
-                            again, tail, delta, size, write, addrs[j],
+                            again, tail, delta, size, write, pc,
                             n - 1, steady, row_delta)

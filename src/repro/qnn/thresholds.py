@@ -39,6 +39,22 @@ def tree_stride(bits: int) -> int:
     raise KernelError(f"threshold quantization is defined for 4/2-bit, not {bits}")
 
 
+def _in_order(n: int) -> List[int]:
+    """The heap indices ``0 .. n-1`` in in-order (left, node, right)
+    sequence, walked with an explicit stack."""
+    order: List[int] = []
+    stack: List[int] = []
+    index = 0
+    while stack or index < n:
+        while index < n:
+            stack.append(index)
+            index = 2 * index + 1
+        index = stack.pop()
+        order.append(index)
+        index = 2 * index + 2
+    return order
+
+
 def sorted_to_heap(sorted_thresholds: np.ndarray) -> np.ndarray:
     """Reorder sorted thresholds into the heap layout of a balanced BST.
 
@@ -50,33 +66,14 @@ def sorted_to_heap(sorted_thresholds: np.ndarray) -> np.ndarray:
     if n + 1 & n:  # n+1 not a power of two
         raise KernelError(f"threshold count {n} is not 2**Q - 1")
     heap = np.empty(n, dtype=np.int64)
-
-    def fill(heap_index: int, lo: int, hi: int) -> None:
-        if lo > hi:
-            return
-        mid = (lo + hi) // 2
-        heap[heap_index] = sorted_thresholds[mid]
-        fill(2 * heap_index + 1, lo, mid - 1)
-        fill(2 * heap_index + 2, mid + 1, hi)
-
-    fill(0, 0, n - 1)
+    heap[_in_order(n)] = sorted_thresholds
     return heap
 
 
 def heap_to_sorted(heap: np.ndarray) -> np.ndarray:
     """Inverse of :func:`sorted_to_heap` (in-order traversal)."""
-    n = len(heap)
-    out: List[int] = []
-
-    def walk(index: int) -> None:
-        if index >= n:
-            return
-        walk(2 * index + 1)
-        out.append(int(heap[index]))
-        walk(2 * index + 2)
-
-    walk(0)
-    return np.asarray(out, dtype=np.int64)
+    return np.asarray([int(heap[i]) for i in _in_order(len(heap))],
+                      dtype=np.int64)
 
 
 @dataclass

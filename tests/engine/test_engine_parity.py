@@ -237,6 +237,23 @@ class TestLoopNests:
         assert stats["nest_dispatches"] == 0
         assert "budget" in stats["side_exits"]
 
+    def test_inner_store_streams_interleave(self):
+        """Two word streams through s3 at stride 8, residues 0 and 4, in
+        every row: they share a range but no byte, and fuse."""
+        stats, _ = _nest(inner=NEST_INNER + ["p.sw a2, 4(s3!)",
+                                             "p.sw a3, 4(s3!)"])
+        assert stats["nest_dispatches"] == stats["fused_dispatches"] == 1
+        assert stats["side_exits"] == {}
+
+    def test_outer_stride_breaking_the_residue(self):
+        """The epilogue steps s3 by 2: each row shifts both residues, so
+        a row's stores overlap the next one's and the nest side-exits."""
+        stats, _ = _nest(inner=NEST_INNER + ["p.sw a2, 4(s3!)",
+                                             "p.sw a3, 4(s3!)"],
+                         tail=NEST_TAIL + ["addi s3, s3, 2"])
+        assert stats["nest_dispatches"] == 0
+        assert stats["side_exits"] == {"mem-alias": 2}
+
     def test_tail_store_aliasing_inner_loads(self):
         """The epilogue writes the words a later row's inner loop reads."""
         stats, _ = _nest(prefix=["addi a0, zero, 0", "addi a1, s3, 0"],

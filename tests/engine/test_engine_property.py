@@ -16,7 +16,8 @@ and reading their own target),
 two-source shuffles, and lane shifts/logic in every addressing form;
 :func:`interleave_body` builds loops that store 2-4 streams through one
 pointer at one stride, with disjoint or colliding residues, beside
-strided word-load pairs.
+strided word-load pairs, and :func:`interleaved_nest` stores such
+streams from a loop nest's inner loop, as 2-D streams.
 """
 
 import pytest
@@ -198,19 +199,12 @@ def body_ops(draw, min_size=1, max_size=6, allow_ebreak=False,
     return ops
 
 
-@st.composite
-def interleave_body(draw):
-    """2-4 stores through ``s0`` whose post-increments sum to one stride
-    (8 or 16), so each is an affine stream with that delta.  Half the
-    bodies place each store in its own word slot of the stride, in any
-    order (disjoint residues); the rest draw residues freely, so most
-    collide.  An optional strided word-load pair through ``s1`` (delta
-    = stride) feeds them."""
-    stride = draw(st.sampled_from((8, 16)))
-    lines = []
-    if draw(st.booleans()):
-        lines += [f"p.lw {draw(data_reg)}, 4(s1!)",
-                  f"p.lw {draw(data_reg)}, {stride - 4}(s1!)"]
+def _store_streams(draw, ptr, stride, sources=data_reg):
+    """2-4 stores through *ptr* whose post-increments sum to *stride*,
+    so each is an affine stream with that delta.  Half the draws place
+    each store in its own word slot of the stride, in any order
+    (disjoint residues); the rest draw residues freely, so most
+    collide."""
     sizes = {"p.sw": 4, "p.sh": 2, "p.sb": 1}
     if draw(st.booleans()):
         slots = draw(st.permutations(range(stride // 4)))
@@ -223,11 +217,25 @@ def interleave_body(draw):
         stores = [(draw(st.sampled_from(tuple(sizes))),
                    draw(st.integers(0, stride - 1)))
                   for _ in range(draw(st.integers(2, 4)))]
+    lines = []
     for i, (mn, residue) in enumerate(stores):
         after = stores[i + 1][1] if i + 1 < len(stores) \
             else stores[0][1] + stride
-        lines.append(f"{mn} {draw(data_reg)}, {after - residue}(s0!)")
+        lines.append(f"{mn} {draw(sources)}, {after - residue}({ptr}!)")
     return lines
+
+
+@st.composite
+def interleave_body(draw):
+    """Store streams through ``s0`` at one stride (8 or 16, see
+    :func:`_store_streams`); an optional strided word-load pair through
+    ``s1`` (delta = stride) feeds them."""
+    stride = draw(st.sampled_from((8, 16)))
+    lines = []
+    if draw(st.booleans()):
+        lines += [f"p.lw {draw(data_reg)}, 4(s1!)",
+                  f"p.lw {draw(data_reg)}, {stride - 4}(s1!)"]
+    return lines + _store_streams(draw, "s0", stride)
 
 
 @st.composite
@@ -447,6 +455,50 @@ def test_nested_loop_parity():
 @settings(max_examples=400, deadline=None)
 @given(source=nest_sources, regs=nest_regs(), mem=nest_mem())
 def test_nested_loop_parity_deep(source, regs, mem):
+    run_both(source, regs=regs, mem=mem)
+
+
+@st.composite
+def interleaved_nest(draw):
+    """A filter loop whose inner loop stores same-stride streams through
+    ``s5`` (:func:`_store_streams`) after a dot product, and whose
+    epilogue steps ``s5`` by a multiple of the stride, which keeps each
+    stream's residue across outer iterations, or by a step that shifts
+    it."""
+    stride = draw(st.sampled_from((8, 16)))
+    inner = ["p.lw a2, 4(s0!)", "pv.sdotsp.b a0, a2, a5",
+             *_store_streams(draw, "s5", stride,
+                             sources=st.sampled_from(("a2", "a5")))]
+    step = draw(st.sampled_from((0, stride, 2 * stride, -stride, 2, 4)))
+    tail = ["p.clipu a4, a0, 9", "p.sb a4, 1(s3!)", f"addi s5, s5, {step}"]
+    count = draw(st.sampled_from(("s4", 0, 1, 2, 5)))
+    setup = "lp.setup" if count == "s4" else "lp.setupi"
+    lines = [f"lp.setupi 1, {draw(st.integers(1, 4))}, end1",
+             "addi a0, zero, 0", f"{setup} 0, {count}, end0", *inner,
+             "end0:", *tail, "end1:", "ebreak"]
+    return _assemble_lines(lines)
+
+
+def test_nested_interleaved_stores_parity():
+    """Same-stride store streams in a nest's inner loop: disjoint
+    residues that every outer step keeps fuse as one nest dispatch, the
+    rest side-exit, and both match the interpreter."""
+    nests = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(source=interleaved_nest(), regs=nest_regs(), mem=nest_mem())
+    def check(source, regs, mem):
+        *_, plain = run_both(source, regs=regs, mem=mem)
+        nests.append(plain.engine_stats["nest_dispatches"])
+
+    check()
+    assert any(nests), "no example ran a fused loop nest"
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(source=interleaved_nest(), regs=nest_regs(), mem=nest_mem())
+def test_nested_interleaved_stores_parity_deep(source, regs, mem):
     run_both(source, regs=regs, mem=mem)
 
 
