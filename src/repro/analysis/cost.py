@@ -12,21 +12,33 @@ does the control flow.  The walk carries three pieces of abstract state:
 
 * a **constant environment** (the transfer function of
   :class:`~repro.analysis.dataflow.ConstantAnalysis`, applied
-  path-sensitively), which resolves hardware-loop trip counts — in this
-  repo's kernels they are either ``lp.setupi`` immediates or constants
-  materialized with ``li`` — plus branch conditions and ``mhartid``;
+  path-sensitively to the registers a decision can read), which resolves
+  loop trip counts — in this repo's kernels ``lp.setupi`` immediates or
+  constants materialized with ``li`` — plus branch conditions and
+  ``mhartid``;
 * the **pending load destination** of the previous instruction, which
   decides a segment's entry load-use stall exactly like the core's
   retire path (:meth:`~repro.core.cpu.Cpu.step`) does — as an interval,
   since after a fork it may be a set of registers;
-* the **hardware-loop fold**: a loop body is walked twice (entry
-  iteration with the incoming facts, steady-state iteration with the
-  body-written registers havoced) and charged ``first + (n-1) * steady``,
-  so the analysis cost is independent of the trip count.
+* the **loop folds**: a hardware loop, or a software counted loop
+  (:class:`~repro.analysis.dataflow.CountedLoop`) entered with a known
+  count, is walked twice — the first iteration with the incoming facts,
+  a steady one with the body-written registers havoced — and charged
+  ``first + (n-1) * steady`` plus ``n-1`` back-edges (taken-branch
+  penalties for a software loop), so the walk grows with how loops nest,
+  not with their trip counts.  A software loop folds only where that
+  equals walking each iteration, as the constants resolve its back-edge
+  otherwise: no register its body writes, the counter aside, may carry a
+  value into a later branch or loop count
+  (:func:`~repro.analysis.dataflow.decision_liveness`).  A hardware loop
+  always folds; an unknown count leaves it unbounded above.
 
-Data-dependent branches (the software-quantization comparison trees)
-fork at the branch and re-join at its immediate postdominator; the two
-arm costs merge as an :class:`Interval`.  The result is a
+Costs are plain integers: two fixed-slot vectors, the low and high ends
+of cycles, instructions, back-edges and every stall kind, timing class,
+region and CFG block.  They part only where a data-dependent branch (the
+software-quantization comparison trees) forks; the arms re-join at its
+immediate postdominator and merge slot by slot, and the report's
+:class:`Interval` values are built once, at the end.  The result is a
 :class:`StaticCostReport` whose cycle count is **exact** (a one-point
 interval, proven against the simulator in the parity tests) on
 straight-line and hardware-loop kernels, and a tight interval on branchy
@@ -40,7 +52,7 @@ simulator), and an indirect jump ends the analyzed path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -49,18 +61,14 @@ from ..core.perf import PerfCounters
 from ..core.timing import BRANCH_TAKEN_PENALTY, JUMP_PENALTY, LOAD_USE_PENALTY
 from ..engine.blocks import Block
 from ..errors import ReproError
-from ..isa.bits import to_signed, u32
+from ..isa.bits import u32
 from ..isa.instruction import Instruction
 from ..isa.zicsr import CSR_MHARTID
-from .cfg import (
-    HALT_MNEMONICS,
-    HWLOOP_SETUP_MNEMONICS,
-    Cfg,
-    HwLoop,
-    build_cfg,
-    postdominators,
-)
-from .dataflow import ConstantAnalysis, written_registers
+from .cfg import (HALT_MNEMONICS, HWLOOP_SETUP_MNEMONICS, Cfg, HwLoop,
+                  build_cfg, postdominators)
+from .dataflow import (CountedLoop, apply_constant, decide_branch,
+                       decision_liveness, decision_registers,
+                       find_counted_loops, written_registers)
 
 
 class CostError(ReproError):
@@ -114,16 +122,6 @@ class Interval:
 
     __radd__ = __add__
 
-    def scale(self, factor: "Interval | int") -> "Interval":
-        """Multiply by a non-negative repetition count."""
-        if isinstance(factor, int):
-            factor = Interval.exact(factor)
-        if factor.lo < 0:
-            raise ValueError("cannot scale by a negative count")
-        hi = (None if self.hi is None or factor.hi is None
-              else self.hi * factor.hi)
-        return Interval(self.lo * factor.lo, hi)
-
     def union(self, other: "Interval") -> "Interval":
         hi = (None if self.hi is None or other.hi is None
               else max(self.hi, other.hi))
@@ -146,87 +144,67 @@ ZERO = Interval.exact(0)
 
 
 # ---------------------------------------------------------------------------
-# Cost vectors
+# Integer costs
 # ---------------------------------------------------------------------------
 
 #: Stall categories mirrored from :class:`~repro.core.perf.PerfCounters`.
-STALL_KEYS = (
-    "stall_load_use",
-    "stall_branch",
-    "stall_jump",
-    "stall_misaligned",
-    "stall_tcdm_contention",
-)
+STALL_KEYS = ("stall_load_use", "stall_branch", "stall_jump",
+              "stall_misaligned", "stall_tcdm_contention")
+
+#: The fixed cost slots; each timing class, region and CFG block of the
+#: walked program gets one more (numbered by :class:`_Walker`).
+_CYCLES, _INSTRUCTIONS, _BACKEDGES = 0, 1, 2
+_STALL = {key: 3 + i for i, key in enumerate(STALL_KEYS)}
+_FIXED = 3 + len(STALL_KEYS)
+#: An upper end at or above this is unbounded (no real count reaches it).
+_UNBOUNDED = 1 << 62
 
 
-class CostVector:
-    """Additive cost accumulator: cycles, instructions, stall taxonomy,
-    per-timing-class instruction counts, per-region and per-block cycles.
+class _Cost:
+    """A walked path's cost: the lower and upper ends of every slot's
+    interval as two int lists.  They differ only below a data-dependent
+    fork (or an unbounded loop count); intervals are built once, for the
+    report.  A class, region or block slot whose upper end is 0 was never
+    charged and stays out of the report."""
 
-    Supports the three operations the walker needs: elementwise add,
-    add-scaled-by-a-repetition-count (hardware-loop folding), and union
-    (branch fork/join merges)."""
+    __slots__ = ("lo", "hi")
 
-    __slots__ = ("cycles", "instructions", "hwloop_backedges",
-                 "stalls", "by_class", "by_region", "by_block")
+    def __init__(self, lo: List[int], hi: Optional[List[int]] = None):
+        self.lo, self.hi = lo, lo[:] if hi is None else hi
 
-    def __init__(self) -> None:
-        self.cycles = ZERO
-        self.instructions = ZERO
-        self.hwloop_backedges = ZERO
-        self.stalls: Dict[str, Interval] = {k: ZERO for k in STALL_KEYS}
-        self.by_class: Dict[str, Interval] = {}
-        self.by_region: Dict[str, Interval] = {}
-        self.by_block: Dict[int, Interval] = {}
+    def copy(self) -> "_Cost":
+        return _Cost(self.lo[:], self.hi[:])
 
-    def copy(self) -> "CostVector":
-        new = CostVector()
-        new.add(self)
-        return new
+    def charge(self, slots, amount: int) -> None:
+        for slot in slots:
+            self.lo[slot] += amount
+            self.hi[slot] += amount
 
-    @staticmethod
-    def _merge(dst: Dict, src: Dict, combine) -> None:
-        for key, value in src.items():
-            dst[key] = combine(dst.get(key, ZERO), value)
-
-    def add(self, other: "CostVector") -> "CostVector":
-        self.cycles += other.cycles
-        self.instructions += other.instructions
-        self.hwloop_backedges += other.hwloop_backedges
-        for key in STALL_KEYS:
-            self.stalls[key] += other.stalls[key]
-        self._merge(self.by_class, other.by_class, lambda a, b: a + b)
-        self._merge(self.by_region, other.by_region, lambda a, b: a + b)
-        self._merge(self.by_block, other.by_block, lambda a, b: a + b)
+    def add(self, other: "_Cost") -> "_Cost":
+        self.lo = [a + b for a, b in zip(self.lo, other.lo)]
+        self.hi = [a + b for a, b in zip(self.hi, other.hi)]
         return self
 
-    def add_scaled(self, other: "CostVector", count: Interval) -> "CostVector":
-        self.cycles += other.cycles.scale(count)
-        self.instructions += other.instructions.scale(count)
-        self.hwloop_backedges += other.hwloop_backedges.scale(count)
-        for key in STALL_KEYS:
-            self.stalls[key] += other.stalls[key].scale(count)
-        scaled = lambda a, b: a + b.scale(count)  # noqa: E731
-        self._merge(self.by_class, other.by_class, scaled)
-        self._merge(self.by_region, other.by_region, scaled)
-        self._merge(self.by_block, other.by_block, scaled)
+    def add_scaled(self, other: "_Cost", lo: int,
+                   hi: Optional[int]) -> "_Cost":
+        """Add *other* repeated ``lo..hi`` times (``hi=None``: unbounded,
+        which leaves every fixed or charged slot unbounded above)."""
+        self.lo = [a + b * lo for a, b in zip(self.lo, other.lo)]
+        if hi is None:
+            self.hi = [a + _UNBOUNDED if b or i < _FIXED else a
+                       for i, (a, b) in enumerate(zip(self.hi, other.hi))]
+        else:
+            self.hi = [a + b * hi for a, b in zip(self.hi, other.hi)]
         return self
 
-    def union(self, other: "CostVector") -> "CostVector":
-        self.cycles = self.cycles.union(other.cycles)
-        self.instructions = self.instructions.union(other.instructions)
-        self.hwloop_backedges = self.hwloop_backedges.union(
-            other.hwloop_backedges)
-        for key in STALL_KEYS:
-            self.stalls[key] = self.stalls[key].union(other.stalls[key])
-        union_ = lambda a, b: a.union(b)  # noqa: E731
-        # Keys absent on one side count as exactly zero there.
-        for dst, src in ((self.by_class, other.by_class),
-                         (self.by_region, other.by_region),
-                         (self.by_block, other.by_block)):
-            for key in set(dst) | set(src):
-                dst[key] = union_(dst.get(key, ZERO), src.get(key, ZERO))
+    def union(self, other: "_Cost") -> "_Cost":
+        self.lo = list(map(min, self.lo, other.lo))
+        self.hi = list(map(max, self.hi, other.hi))
         return self
+
+    def interval(self, slot: int) -> Interval:
+        hi = self.hi[slot]
+        return Interval(self.lo[slot], None if hi >= _UNBOUNDED else hi)
 
 
 # ---------------------------------------------------------------------------
@@ -367,38 +345,6 @@ class StaticCostReport:
 
 
 # ---------------------------------------------------------------------------
-# Branch-condition evaluation
-# ---------------------------------------------------------------------------
-
-_BRANCH_CONDS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: to_signed(a) < to_signed(b),
-    "bge": lambda a, b: to_signed(a) >= to_signed(b),
-    "bltu": lambda a, b: u32(a) < u32(b),
-    "bgeu": lambda a, b: u32(a) >= u32(b),
-}
-
-
-def _eval_branch(ins: Instruction, consts: Dict[int, int]) -> Optional[bool]:
-    """Statically decide a branch (``None`` = data-dependent)."""
-    name = ins.mnemonic
-    if name in ("c.beqz", "c.bnez"):
-        if ins.rs1 not in consts:
-            return None
-        return (consts[ins.rs1] == 0) == (name == "c.beqz")
-    if name in ("p.beqimm", "p.bneimm"):
-        if ins.rs1 not in consts:
-            return None
-        equal = to_signed(consts[ins.rs1]) == to_signed(ins.rs2, 5)
-        return equal == (name == "p.beqimm")
-    cond = _BRANCH_CONDS.get(name)
-    if cond is None or ins.rs1 not in consts or ins.rs2 not in consts:
-        return None
-    return bool(cond(consts[ins.rs1], consts[ins.rs2]))
-
-
-# ---------------------------------------------------------------------------
 # The abstract walker
 # ---------------------------------------------------------------------------
 
@@ -410,19 +356,77 @@ _NO_PENDING: _Pending = (frozenset(), True)
 
 _HALT = object()     # walk exit sentinel: the path retired ebreak/ecall
 
+_CSR_READS = frozenset({"csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi",
+                        "csrrci"})
+
 
 class _PathEnd:
     """Result of one walked path segment."""
 
     __slots__ = ("cost", "consts", "pending", "exit", "terminals")
 
-    def __init__(self, cost: CostVector, consts: Dict[int, int],
-                 pending: _Pending, exit_at, terminals: List[CostVector]):
-        self.cost = cost
-        self.consts = consts
-        self.pending = pending
+    def __init__(self, cost: _Cost, consts: Dict[int, int],
+                 pending: _Pending, exit_at, terminals: List[_Cost]):
+        self.cost, self.consts, self.pending = cost, consts, pending
         self.exit = exit_at       # address, or _HALT
         self.terminals = terminals  # halted fork-arm costs, walk-relative
+
+
+class _Segment:
+    """One priced segment and the cost slots charging it touches."""
+
+    __slots__ = ("addr", "n", "index", "last", "cls", "srcs", "fall",
+                 "pending", "writes", "cycles", "counts", "timed", "taken")
+
+    def __init__(self, run: List[Instruction], index: int, region: str,
+                 walker: "_Walker") -> None:
+        block = Block(run)
+        self.addr, self.n, self.index = block.addr, block.n, index
+        self.last = run[-1]
+        self.cls, self.srcs, self.fall = (self.last.spec.timing,
+                                          block.srcs[0], block.fts[-1])
+        rd = block.pending[-1]
+        self.pending = (frozenset({rd}), False) if rd else _NO_PENDING
+        # Register writes for the constant transfer, each with the value
+        # an mhartid read yields or None: CSR reads are opaque to
+        # ConstantAnalysis, but this one is a per-core constant.
+        hart = walker.hart_id
+        self.writes = [
+            (ins, written, u32(hart) if hart is not None and ins.rd
+             and ins.mnemonic in _CSR_READS and ins.imm == CSR_MHARTID
+             else None)
+            for ins in run if not walker.tracked.isdisjoint(
+                written := walker.written_of[ins.addr])]
+        cycles, stalls = block.price(0, block.n, None)
+        jump = JUMP_PENALTY if self.cls == "jump" else 0
+        self.cycles = cycles + jump
+        self.timed = (_CYCLES, walker.slot("region", region),
+                      walker.slot("block", index))
+        self.taken = self.timed + (_STALL["stall_branch"],)
+        self.counts = [(_INSTRUCTIONS, block.n),
+                       (_STALL["stall_load_use"], stalls),
+                       (_STALL["stall_jump"], jump)] + [
+            (walker.slot("class", cls), pref[-1])
+            for cls, pref in block.cls_prefix.items()]
+
+
+class _Loop:
+    """A loop the walk folds, walked from ``head`` to ``stop`` and left at
+    ``exit``: a hardware loop (``hw``) or a software counted loop
+    (``sw``), whose ``latch`` segment the fold charges itself; each
+    repeat adds the ``backedge`` slots' amount."""
+
+    __slots__ = ("hw", "sw", "latch", "head", "stop", "exit", "written",
+                 "backedge")
+
+    def __init__(self, written: FrozenSet[int], hw: Optional[HwLoop] = None,
+                 sw: Optional[CountedLoop] = None,
+                 latch: Optional[_Segment] = None) -> None:
+        self.hw, self.sw, self.latch, self.written = hw, sw, latch, written
+        self.head, self.stop, self.exit, self.backedge = (
+            (hw.start, hw.end, hw.end, ((_BACKEDGES,), 1)) if hw else
+            (sw.head, latch.addr, sw.exit,
+             (latch.taken, BRANCH_TAKEN_PENALTY)))
 
 
 class _Walker:
@@ -430,40 +434,64 @@ class _Walker:
 
     def __init__(self, program: Program, cfg: Cfg,
                  hart_id: Optional[int], max_steps: int) -> None:
-        self.hart_id = hart_id
-        self.max_steps = max_steps
-        self.steps = 0
+        self.cfg, self.hart_id = cfg, hart_id
+        self.max_steps, self.steps = max_steps, 0
+        self.slots: Dict[Tuple[str, object], int] = {}
+        # One pass over the instructions: what each one writes, for the
+        # constant transfer and the loops' havoc sets.  Constants are kept
+        # only for the registers a branch or loop count can read.
+        self.written_of = {ins.addr: written_registers(ins)
+                           for ins in program.instructions}
+        self.tracked = decision_registers(cfg)
         # Priced straight-line segments keyed by start address: the CFG
         # blocks, cut where the region changes, so each one charges
         # exactly one region and one CFG block.
         region_of = program.region_map()
-        self.segments: Dict[int, Tuple[Block, int, str]] = {}
+        self.segments: Dict[int, _Segment] = {}
         for block in cfg.blocks:
             for region, run in groupby(
                     block.instructions,
                     key=lambda ins: region_of.get(ins.addr, "-")):
                 run = list(run)
-                self.segments[run[0].addr] = (Block(run), block.index,
-                                              region)
-        ipdom = postdominators(cfg)
-        self.join_of: Dict[int, Optional[int]] = {
-            index: (None if target is None else cfg.blocks[target].start)
-            for index, target in ipdom.items()}
-        self.loops_by_setup: Dict[int, HwLoop] = {
-            loop.setup_addr: loop for loop in cfg.loops}
-        self.body_written: Dict[int, FrozenSet[int]] = {}
-        for loop in cfg.loops:
-            written = set()
-            for ins in program.instructions:
-                if loop.contains(ins.addr):
-                    written.update(written_registers(ins))
-            self.body_written[loop.setup_addr] = frozenset(written - {0})
-        self.transfer = ConstantAnalysis().transfer
-        self.loop_bounds: List[LoopBound] = []
+                self.segments[run[0].addr] = _Segment(run, block.index,
+                                                      region, self)
+        self.ipdom: Optional[Dict[int, Optional[int]]] = None  # on a fork
+
+        def written(first: int, stop: int) -> FrozenSet[int]:
+            return frozenset().union(*(
+                self.written_of[ins.addr] for block in cfg.blocks[first:stop]
+                for ins in block.instructions)) - {0}
+
+        last = len(cfg.blocks)      # loop starts and ends are leaders
+        self.hw_loops: Dict[int, _Loop] = {
+            loop.setup_addr: _Loop(written(cfg.block_at.get(loop.start, last),
+                                           cfg.block_at.get(loop.end, last)),
+                                   hw=loop)
+            for loop in cfg.loops}
+        # A software loop folds where that equals walking each iteration:
+        # no register its body writes, the counter aside, carries a value
+        # around the back-edge or out of the loop into a branch or a loop
+        # count, which the steady iteration's havoc would lose.
+        tails = {seg.last.addr: seg for seg in self.segments.values()}
+        counted = [(loop, tails[loop.latch])
+                   for loop in find_counted_loops(cfg)]
+        live = decision_liveness(cfg, self.tracked) if counted else {}
+        self.sw_loops: Dict[int, _Loop] = {}
+        for loop, tail in counted:
+            body = written(cfg.block_at[loop.head], tail.index + 1)
+            if not live[cfg.block_at[loop.head]] & body - {loop.counter}:
+                self.sw_loops[loop.head] = _Loop(body, sw=loop, latch=tail)
+        self.loop_bounds: Dict[int, LoopBound] = {}
         self.warnings: List[str] = []
         self.assumptions: List[str] = []
 
     # -- helpers --------------------------------------------------------
+
+    def slot(self, kind: str, name) -> int:
+        return self.slots.setdefault((kind, name), _FIXED + len(self.slots))
+
+    def zero(self) -> _Cost:
+        return _Cost([0] * (_FIXED + len(self.slots)))
 
     def warn(self, message: str) -> None:
         if message not in self.warnings:
@@ -473,33 +501,37 @@ class _Walker:
         if message not in self.assumptions:
             self.assumptions.append(message)
 
-    def _load_use(self, pending: _Pending, sources) -> Interval:
-        """Entry load-use stall of a segment whose first instruction
-        reads *sources*: the only interval-valued part of its price."""
+    def _charge(self, cost: _Cost, seg: _Segment, pending: _Pending,
+                branch: int) -> None:
+        """Charge one pass through *seg* entered after *pending*; the
+        entry load-use stall is the only interval-valued part."""
         regs, maybe_none = pending
-        hits = regs.intersection(sources)
-        if not hits:
-            return ZERO
-        definite = not maybe_none and hits == regs
-        lo = LOAD_USE_PENALTY if definite else 0
-        return Interval(lo, LOAD_USE_PENALTY)
+        hits = regs.intersection(seg.srcs) if regs else None
+        lu_hi = LOAD_USE_PENALTY if hits else 0
+        lu_lo = lu_hi if hits == regs and not maybe_none else 0
+        lo, hi = cost.lo, cost.hi
+        for slot, amount in seg.counts:
+            lo[slot] += amount
+            hi[slot] += amount
+        base = seg.cycles + branch
+        for slot in seg.timed:
+            lo[slot] += base + lu_lo
+            hi[slot] += base + lu_hi
+        lo[_STALL["stall_load_use"]] += lu_lo
+        hi[_STALL["stall_load_use"]] += lu_hi
+        cost.charge((_STALL["stall_branch"],), branch)
 
-    def _charge(self, cost: CostVector, segment: Tuple[Block, int, str],
-                load_use: Interval, branch: int = 0, jump: int = 0) -> None:
-        seg, block, region = segment
-        cycles, stalls = seg.price(0, seg.n, None)
-        total = load_use + (cycles + branch + jump)
-        cost.cycles += total
-        cost.instructions += seg.n
-        for cls, pref in seg.cls_prefix.items():
-            cost.by_class[cls] = cost.by_class.get(cls, ZERO) + pref[seg.n]
-        cost.by_region[region] = cost.by_region.get(region, ZERO) + total
-        cost.by_block[block] = cost.by_block.get(block, ZERO) + total
-        cost.stalls["stall_load_use"] += load_use + stalls
-        if branch:
-            cost.stalls["stall_branch"] += branch
-        if jump:
-            cost.stalls["stall_jump"] += jump
+    @staticmethod
+    def _transfer(seg: _Segment, consts: Dict[int, int]) -> Dict[int, int]:
+        """Constants after *seg*; its control transfer writes no
+        register, so its branch or loop count reads these."""
+        if seg.writes:
+            consts = dict(consts)
+            for ins, written, hart in seg.writes:
+                apply_constant(consts, ins, written)
+                if hart is not None:
+                    consts[ins.rd] = hart
+        return consts
 
     @staticmethod
     def _join_consts(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
@@ -509,233 +541,195 @@ class _Walker:
         joined[0] = 0
         return joined
 
-    @staticmethod
-    def _join_pending(a: _Pending, b: _Pending) -> _Pending:
-        return (a[0] | b[0], a[1] or b[1])
-
-    def _transfer_consts(self, consts: Dict[int, int],
-                         ins: Instruction) -> Dict[int, int]:
-        new = self.transfer(consts, ins)
-        # CSR reads are opaque to ConstantAnalysis; mhartid is the one
-        # the kernels actually branch on, and it is a per-core constant.
-        if (self.hart_id is not None and ins.rd != 0
-                and ins.mnemonic in ("csrrw", "csrrs", "csrrc",
-                                     "csrrwi", "csrrsi", "csrrci")
-                and ins.imm == CSR_MHARTID):
-            new = dict(new)
-            new[ins.rd] = u32(self.hart_id)
-        return new
-
     # -- loop folding ---------------------------------------------------
 
-    def _record_loop(self, bound: LoopBound) -> None:
-        """Record a loop bound, merging re-walks of the same setup site
-        (nested loops are walked once per enclosing-loop iteration)."""
-        for i, existing in enumerate(self.loop_bounds):
-            if existing.setup_addr == bound.setup_addr:
-                if existing.count != bound.count:
-                    merged = existing.count.union(bound.count)
-                    source = (existing.source
-                              if existing.source == bound.source
-                              else "unknown")
-                    self.loop_bounds[i] = LoopBound(
-                        setup_addr=bound.setup_addr, level=bound.level,
-                        start=bound.start, end=bound.end,
-                        count=merged, source=source)
-                return
-        self.loop_bounds.append(bound)
-
-    def _loop_count(self, ins: Instruction,
-                    consts: Dict[int, int]) -> Tuple[Interval, str]:
+    def _hw_count(self, ins: Instruction, loop: _Loop,
+                  consts: Dict[int, int]) -> Interval:
+        """Trip count of the hardware loop *ins* sets up, recorded in the
+        loop bounds, where re-walks of one setup site merge (a nested
+        loop is walked once per enclosing iteration)."""
         if ins.mnemonic == "lp.setupi":
-            return Interval.exact(ins.rs1), "imm"
-        if ins.rs1 in consts:
-            return Interval.exact(consts[ins.rs1]), "const"
-        return Interval(1, None), "unknown"
+            count, source = Interval.exact(ins.rs1), "imm"
+        elif ins.rs1 in consts:
+            count, source = Interval.exact(consts[ins.rs1]), "const"
+        else:
+            count, source = Interval(1, None), "unknown"
+            self.warn(f"hardware-loop count at {ins.addr:#x} is not a "
+                      f"materialized constant; cycles are unbounded above")
+        old = self.loop_bounds.setdefault(ins.addr, LoopBound(
+            setup_addr=ins.addr, level=loop.hw.level, start=loop.head,
+            end=loop.stop, count=count, source=source))
+        if old.count != count:
+            self.loop_bounds[ins.addr] = replace(
+                old, count=old.count.union(count),
+                source=old.source if old.source == source else "unknown")
+        return count
 
-    def _fold_loop(self, loop: HwLoop, count: Interval, source: str,
-                   consts: Dict[int, int], pending: _Pending,
-                   depth: int) -> _PathEnd:
-        """Walk the loop body and charge it ``count`` times."""
-        self._record_loop(LoopBound(
-            setup_addr=loop.setup_addr, level=loop.level, start=loop.start,
-            end=loop.end, count=count, source=source))
-        if source == "unknown":
-            self.warn(
-                f"hardware-loop count at {loop.setup_addr:#x} is not a "
-                f"materialized constant; cycles are unbounded above")
+    def _iterate(self, loop: _Loop, consts: Dict[int, int],
+                 pending: _Pending, stops: FrozenSet[int],
+                 depth: int) -> _PathEnd:
+        """Walk one iteration of *loop* to its exit."""
+        if loop.hw is not None:
+            return self.walk(loop.head, consts, pending,
+                             frozenset({loop.stop}), depth + 1)
+        end = self.walk(loop.head, consts, pending, stops | {loop.stop},
+                        depth + 1, skip=loop.head)
+        if end.exit == loop.stop:
+            # The latch, untaken: the fold charges the back-edges.
+            end.consts = self._transfer(loop.latch, end.consts)
+            self._charge(end.cost, loop.latch, end.pending, 0)
+            end.pending, end.exit = loop.latch.pending, loop.exit
+        return end
+
+    def _fold(self, loop: _Loop, lo: int, hi: Optional[int],
+              consts: Dict[int, int], pending: _Pending,
+              stops: FrozenSet[int], depth: int) -> _PathEnd:
+        """Charge *loop* run ``lo..hi`` times (``None``: unbounded): the
+        first iteration walked with the entry facts, one steady iteration
+        with the body-written registers havoced, ``first + (n-1) *
+        steady``, plus ``n-1`` back-edges."""
         # A count of zero still runs the body once and falls through
         # (HwLoopController.redirect never fires with count 0).
-        iters = Interval(max(count.lo, 1),
-                         None if count.hi is None else max(count.hi, 1))
-
-        cost = CostVector()
-        terminals: List[CostVector] = []
-        first = self.walk(loop.start, consts, pending,
-                          frozenset({loop.end}), depth + 1)
-        cost.add(first.cost)
-        terminals.extend(first.terminals)
-        if first.exit != loop.end:
-            if first.exit is not _HALT:
-                self.warn(
-                    f"hardware-loop body at {loop.start:#x} exited at an "
-                    f"unexpected address; loop not folded")
+        lo, hi = max(lo, 1), None if hi is None else max(hi, 1)
+        first = self._iterate(loop, consts, pending, stops, depth)
+        cost, terminals = first.cost, list(first.terminals)
+        if first.exit != loop.exit:
+            if first.exit is not _HALT and loop.hw is not None:
+                self.warn(f"hardware-loop body at {loop.head:#x} exited at "
+                          f"an unexpected address; loop not folded")
             return _PathEnd(cost, first.consts, first.pending,
                             first.exit, terminals)
-
-        extra = Interval(iters.lo - 1,
-                         None if iters.hi is None else iters.hi - 1)
-        exit_consts = first.consts
-        pending_out = first.pending
-        if extra.hi != 0:
+        exit_consts, pending_out = first.consts, first.pending
+        if hi != 1:
             havoced = {r: v for r, v in first.consts.items()
-                       if r not in self.body_written[loop.setup_addr]}
-            havoced[0] = 0
-            steady = self.walk(loop.start, havoced, first.pending,
-                               frozenset({loop.end}), depth + 1)
-            if steady.exit != loop.end:
-                self.warn(
-                    f"hardware-loop body at {loop.start:#x} exited at an "
-                    f"unexpected address on the steady-state iteration")
+                       if r not in loop.written}
+            steady = self._iterate(loop, havoced, first.pending, stops, depth)
+            if steady.exit != loop.exit:
+                self.warn(f"hardware-loop body at {loop.head:#x} exited at "
+                          f"an unexpected address on the steady-state "
+                          f"iteration")
                 return _PathEnd(cost, steady.consts, steady.pending,
                                 steady.exit, terminals)
             if steady.terminals:
-                self.warn(
-                    f"path halts inside the hardware-loop body at "
-                    f"{loop.start:#x}; repeat count not applied to it")
+                self.warn(f"path halts inside the hardware-loop body at "
+                          f"{loop.head:#x}; repeat count not applied to it")
                 terminals.extend(steady.terminals)
-            cost.add_scaled(steady.cost, extra)
-            cost.hwloop_backedges += extra
+            steady.cost.charge(*loop.backedge)
+            cost.add_scaled(steady.cost, lo - 1,
+                            None if hi is None else hi - 1)
             pending_out = steady.pending
-            exit_consts = (steady.consts if extra.lo >= 1
+            exit_consts = (steady.consts if lo >= 2
                            else self._join_consts(first.consts,
                                                   steady.consts))
-        return _PathEnd(cost, exit_consts, pending_out, loop.end, terminals)
+            if loop.sw:     # the havoc lost what the exit test proves
+                exit_consts = {**exit_consts, loop.sw.counter: 0}
+        return _PathEnd(cost, exit_consts, pending_out, loop.exit, terminals)
 
     # -- the main walk --------------------------------------------------
 
     def walk(self, pc: int, consts: Dict[int, int], pending: _Pending,
-             stops: FrozenSet[int], depth: int = 0) -> _PathEnd:
+             stops: FrozenSet[int], depth: int = 0,
+             skip: Optional[int] = None) -> _PathEnd:
+        """Walk from *pc* to a stop or a halt; *skip* is the head of the
+        software loop whose one iteration this walk is."""
         if depth > 80:
             raise CostError("branch fork nesting exceeds the analyzer limit")
-        cost = CostVector()
-        terminals: List[CostVector] = []
+        cost = self.zero()
+        terminals: List[_Cost] = []
         while True:
             if pc in stops:
                 return _PathEnd(cost, consts, pending, pc, terminals)
-            segment = self.segments.get(pc)
-            if segment is None:
+            loop = self.sw_loops.get(pc)
+            count = loop and pc != skip and consts.get(loop.sw.counter)
+            # A software loop's trips; 0 (its count unknown, or one that
+            # wraps) walks it per iteration.
+            trips = (count // loop.sw.step
+                     if count and not count % loop.sw.step else 0)
+            skip = None
+            if trips:
+                end = self._fold(loop, trips, trips, consts, pending, stops,
+                                 depth)
+            elif (seg := self.segments.get(pc)) is None:
                 self.warn(f"no instruction at {pc:#010x}; path abandoned")
                 return _PathEnd(cost, consts, pending, _HALT, terminals)
-            seg, block, region = segment
-            self.steps += seg.n
-            if self.steps > self.max_steps:
-                raise CostError(
-                    f"analysis exceeded {self.max_steps} abstract steps "
-                    f"(unfoldable loop?)")
-
-            load_use = self._load_use(pending, seg.srcs[0])
-            # Constants flow per instruction; ``before`` ends as the
-            # environment the last one (the control transfer) reads.
-            for ins in seg.instrs:
-                before, consts = consts, self._transfer_consts(consts, ins)
-            cls = ins.spec.timing
-            outcome = _eval_branch(ins, before) if cls == "branch" else None
-            self._charge(
-                cost, segment, load_use,
-                branch=BRANCH_TAKEN_PENALTY if outcome is True else 0,
-                jump=JUMP_PENALTY if cls == "jump" else 0)
-            rd = seg.pending[-1]
-            pending = (frozenset({rd}), False) if rd else _NO_PENDING
-            fall = seg.fts[-1]
-
-            if ins.mnemonic in HWLOOP_SETUP_MNEMONICS:
-                count, source = self._loop_count(ins, before)
-                loop = self.loops_by_setup.get(ins.addr)
-                if loop is None or loop.end <= loop.start:
-                    self.warn(f"malformed hardware loop at {ins.addr:#x}")
-                    pc = fall
+            else:
+                self.steps += seg.n
+                if self.steps > self.max_steps:
+                    raise CostError(
+                        f"analysis exceeded {self.max_steps} abstract steps "
+                        f"(unfoldable loop?)")
+                consts = self._transfer(seg, consts)
+                ins, cls = seg.last, seg.cls
+                outcome = (decide_branch(ins, consts) if cls == "branch"
+                           else None)
+                self._charge(cost, seg, pending,
+                             BRANCH_TAKEN_PENALTY if outcome else 0)
+                pending, pc = seg.pending, seg.fall
+                if ins.mnemonic in HWLOOP_SETUP_MNEMONICS:
+                    loop = self.hw_loops.get(ins.addr)
+                    if loop is None or loop.stop <= loop.head:
+                        self.warn(f"malformed hardware loop at {ins.addr:#x}")
+                        continue
+                    count = self._hw_count(ins, loop, consts)
+                    end = self._fold(loop, count.lo, count.hi, consts,
+                                     pending, stops, depth)
+                elif cls == "branch" and outcome is None:
+                    end = self._fork(seg, consts, pending, stops, depth)
+                elif cls == "branch" or (cls == "jump"
+                                         and "label" in ins.spec.syntax):
+                    if outcome is not False:    # taken, or a direct jump
+                        pc = u32(ins.addr + ins.imm)
                     continue
-                prefix = cost.copy()
-                folded = self._fold_loop(loop, count, source, consts,
-                                         pending, depth)
-                cost.add(folded.cost)
-                for terminal in folded.terminals:
-                    terminals.append(prefix.copy().add(terminal))
-                if folded.exit is _HALT:
-                    return _PathEnd(cost, folded.consts, folded.pending,
-                                    _HALT, terminals)
-                consts = folded.consts
-                pending = folded.pending
-                pc = folded.exit
-                continue
-
-            if cls == "branch":
-                target = u32(ins.addr + ins.imm)
-                if outcome is not None:
-                    pc = target if outcome else fall
-                    continue
-                # Data-dependent: fork both arms to the immediate
-                # postdominator and merge as an interval.
-                join = self.join_of.get(block)
-                arm_stops = stops if join is None else (stops
-                                                        | frozenset({join}))
-                taken = self.walk(target, consts, pending, arm_stops,
-                                  depth + 1)
-                pen = CostVector()
-                pen.cycles += BRANCH_TAKEN_PENALTY
-                pen.stalls["stall_branch"] += BRANCH_TAKEN_PENALTY
-                pen.by_region[region] = Interval.exact(BRANCH_TAKEN_PENALTY)
-                pen.by_block[block] = Interval.exact(BRANCH_TAKEN_PENALTY)
-                fall_end = self.walk(fall, consts, pending, arm_stops,
-                                     depth + 1)
-                prefix = cost.copy()
-                for terminal in taken.terminals:
-                    terminals.append(prefix.copy().add(pen).add(terminal))
-                for terminal in fall_end.terminals:
-                    terminals.append(prefix.copy().add(terminal))
-                taken_cost = pen.copy().add(taken.cost)
-                arms = []
-                if taken.exit is _HALT:
-                    terminals.append(prefix.copy().add(taken_cost))
-                else:
-                    arms.append((taken_cost, taken))
-                if fall_end.exit is _HALT:
-                    terminals.append(prefix.copy().add(fall_end.cost))
-                else:
-                    arms.append((fall_end.cost, fall_end))
-                if not arms:
+                elif cls == "jump" or ins.mnemonic in HALT_MNEMONICS:
+                    # An indirect jump ends the path; a halting ebreak or
+                    # ecall is retired and counted, like the simulator does.
+                    if cls == "jump":
+                        self.assume("indirect jump (jalr/ret) treated as the "
+                                    "end of the analyzed path")
                     return _PathEnd(cost, consts, pending, _HALT, terminals)
-                if len(arms) == 1:
-                    arm_cost, arm = arms[0]
-                    cost.add(arm_cost)
-                    consts, pending, pc = arm.consts, arm.pending, arm.exit
+                else:
                     continue
-                (cost_a, end_a), (cost_b, end_b) = arms
-                if end_a.exit != end_b.exit:
-                    self.warn(
-                        f"branch arms at {ins.addr:#x} rejoin at different "
-                        f"addresses; continuing along the fall-through")
-                cost.add(cost_a.union(cost_b))
-                consts = self._join_consts(end_a.consts, end_b.consts)
-                pending = self._join_pending(end_a.pending, end_b.pending)
-                pc = end_b.exit if end_a.exit != end_b.exit else end_a.exit
-                continue
+            for terminal in end.terminals:
+                terminals.append(cost.copy().add(terminal))
+            cost.add(end.cost)
+            if end.exit is _HALT:
+                return _PathEnd(cost, end.consts, end.pending, _HALT,
+                                terminals)
+            consts, pending, pc = end.consts, end.pending, end.exit
 
-            if cls == "jump":
-                if "label" in ins.spec.syntax:
-                    pc = u32(ins.addr + ins.imm)
-                    continue
-                self.assume(
-                    "indirect jump (jalr/ret) treated as the end of the "
-                    "analyzed path")
-                return _PathEnd(cost, consts, pending, _HALT, terminals)
-
-            # The halting ebreak/ecall is retired and counted, like the
-            # simulator does.
-            if ins.mnemonic in HALT_MNEMONICS:
-                return _PathEnd(cost, consts, pending, _HALT, terminals)
-            pc = fall
+    def _fork(self, seg: _Segment, consts: Dict[int, int],
+              pending: _Pending, stops: FrozenSet[int],
+              depth: int) -> _PathEnd:
+        """Walk both arms of the data-dependent branch ending *seg* to its
+        immediate postdominator and merge their costs as an interval."""
+        ins = seg.last
+        if self.ipdom is None:
+            self.ipdom = postdominators(self.cfg)
+        if (join := self.ipdom.get(seg.index)) is not None:
+            stops = stops | {self.cfg.blocks[join].start}
+        taken = self.walk(u32(ins.addr + ins.imm), consts, pending, stops,
+                          depth + 1)
+        fall = self.walk(seg.fall, consts, pending, stops, depth + 1)
+        for path in (taken.cost, *taken.terminals):
+            path.charge(seg.taken, BRANCH_TAKEN_PENALTY)
+        arms = [end for end in (taken, fall) if end.exit is not _HALT]
+        terminals = taken.terminals + fall.terminals + [
+            end.cost for end in (taken, fall) if end.exit is _HALT]
+        if not arms:
+            return _PathEnd(self.zero(), consts, pending, _HALT, terminals)
+        if len(arms) == 1:
+            (end,) = arms
+            return _PathEnd(end.cost, end.consts, end.pending, end.exit,
+                            terminals)
+        if taken.exit != fall.exit:
+            self.warn(f"branch arms at {ins.addr:#x} rejoin at different "
+                      f"addresses; continuing along the fall-through")
+        return _PathEnd(
+            taken.cost.union(fall.cost),
+            self._join_consts(taken.consts, fall.consts),
+            (taken.pending[0] | fall.pending[0],
+             taken.pending[1] or fall.pending[1]),
+            fall.exit, terminals)
 
 
 # ---------------------------------------------------------------------------
@@ -780,16 +774,20 @@ def analyze_cost(
         walker.warn("the analyzed path did not reach a halt")
     for terminal in end.terminals:
         total.union(terminal)
+    named: Dict[str, Dict] = {"class": {}, "region": {}, "block": {}}
+    for (kind, key), slot in walker.slots.items():
+        if total.hi[slot]:
+            named[kind][key] = total.interval(slot)
     return StaticCostReport(
         name=name,
-        cycles=total.cycles,
-        instructions=total.instructions,
-        hwloop_backedges=total.hwloop_backedges,
-        stalls=dict(total.stalls),
-        by_class=dict(total.by_class),
-        by_region=dict(total.by_region),
-        by_block=dict(total.by_block),
-        loop_bounds=list(walker.loop_bounds),
+        cycles=total.interval(_CYCLES),
+        instructions=total.interval(_INSTRUCTIONS),
+        hwloop_backedges=total.interval(_BACKEDGES),
+        stalls={key: total.interval(slot) for key, slot in _STALL.items()},
+        by_class=named["class"],
+        by_region=named["region"],
+        by_block=named["block"],
+        loop_bounds=list(walker.loop_bounds.values()),
         assumptions=list(walker.assumptions),
         warnings=list(walker.warnings),
     )

@@ -20,15 +20,21 @@ Three concrete lattices used by the checkers live here as well:
   (constant propagation through ``lui``/``addi``/moves and friends);
 * :class:`FormatAnalysis` — the packed-SIMD element format last written
   to each register (byte/half/nibble/crumb or scalar).
+
+Three facts serve the static cost walker (:mod:`repro.analysis.cost`):
+:func:`find_counted_loops` recovers the software counted loops,
+:func:`decision_registers` the registers whose constants can steer a
+branch or a loop count, and :func:`decision_liveness` (a backward
+analysis) where each of them still can.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..isa.bits import to_signed, u32
 from ..isa.instruction import Instruction
-from .cfg import Cfg
+from .cfg import HALT_MNEMONICS, HWLOOP_MNEMONICS, HWLOOP_SETUP_MNEMONICS, Cfg
 
 #: Sentinel lattice values for per-register facts.
 UNKNOWN = "?"
@@ -172,24 +178,197 @@ class ConstantAnalysis(ForwardAnalysis):
         written = written_registers(ins)
         if not written:
             return state
-        name = ins.mnemonic
-        value: Optional[int] = None
-        if name == "lui":
-            value = u32(ins.imm << 12)
-        elif name == "auipc":
-            value = u32(ins.addr + (ins.imm << 12))
-        elif name in _CONST_IMMOPS and ins.rs1 in state:
-            value = u32(_CONST_IMMOPS[name](state[ins.rs1], ins.imm))
-        elif name in _CONST_BINOPS and ins.rs1 in state and ins.rs2 in state:
-            value = u32(_CONST_BINOPS[name](state[ins.rs1], state[ins.rs2]))
-
         new = dict(state)
-        for reg in written:
-            new.pop(reg, None)
-        if value is not None and written == (ins.rd,):
-            new[ins.rd] = value
-        new[0] = 0
+        apply_constant(new, ins, written)
         return new
+
+
+def constant_operands(ins: Instruction) -> Tuple[int, ...]:
+    """The registers :class:`ConstantAnalysis` reads to know what *ins*
+    writes to ``rd`` (``()`` when the value is a constant or unknowable)."""
+    name = ins.mnemonic
+    if name in _CONST_IMMOPS:
+        return (ins.rs1,)
+    if name in _CONST_BINOPS:
+        return (ins.rs1, ins.rs2)
+    return ()
+
+
+def apply_constant(state: Dict[int, int], ins: Instruction,
+                   written: Tuple[int, ...]) -> None:
+    """:meth:`ConstantAnalysis.transfer` in place: *written* is
+    ``written_registers(ins)``, which callers hoist out of hot loops."""
+    name = ins.mnemonic
+    value: Optional[int] = None
+    if name == "lui":
+        value = u32(ins.imm << 12)
+    elif name == "auipc":
+        value = u32(ins.addr + (ins.imm << 12))
+    elif name in _CONST_IMMOPS and ins.rs1 in state:
+        value = u32(_CONST_IMMOPS[name](state[ins.rs1], ins.imm))
+    elif name in _CONST_BINOPS and ins.rs1 in state and ins.rs2 in state:
+        value = u32(_CONST_BINOPS[name](state[ins.rs1], state[ins.rs2]))
+    for reg in written:
+        state.pop(reg, None)
+    if value is not None and written == (ins.rd,):
+        state[ins.rd] = value
+    state[0] = 0
+
+
+_BRANCH_CONDS = {
+    "beq": lambda a, b: a == b,
+    "bne": lambda a, b: a != b,
+    "blt": lambda a, b: to_signed(a) < to_signed(b),
+    "bge": lambda a, b: to_signed(a) >= to_signed(b),
+    "bltu": lambda a, b: u32(a) < u32(b),
+    "bgeu": lambda a, b: u32(a) >= u32(b),
+}
+
+
+def decide_branch(ins: Instruction, consts: Dict[int, int]) -> Optional[bool]:
+    """Decide a branch from known register values (``None``: it depends
+    on an unknown one)."""
+    name = ins.mnemonic
+    if name in ("c.beqz", "c.bnez"):
+        if ins.rs1 not in consts:
+            return None
+        return (consts[ins.rs1] == 0) == (name == "c.beqz")
+    if name in ("p.beqimm", "p.bneimm"):
+        if ins.rs1 not in consts:
+            return None
+        equal = to_signed(consts[ins.rs1]) == to_signed(ins.rs2, 5)
+        return equal == (name == "p.beqimm")
+    cond = _BRANCH_CONDS.get(name)
+    if cond is None or ins.rs1 not in consts or ins.rs2 not in consts:
+        return None
+    return bool(cond(consts[ins.rs1], consts[ins.rs2]))
+
+
+# ---------------------------------------------------------------------------
+# Software counted loops and decision liveness
+# ---------------------------------------------------------------------------
+
+#: The ``lp.starti``/``lp.endi``/``lp.count*`` style the walk leaves unfolded.
+_SPLIT_HWLOOP_SETUP = HWLOOP_MNEMONICS - HWLOOP_SETUP_MNEMONICS
+
+
+class CountedLoop(NamedTuple):
+    """A software counted loop.  The backward ``bne counter, zero`` (or
+    ``c.bnez counter``) at ``latch`` is the only such back-edge to
+    ``head``; the body ``[head, latch]`` reads and writes ``counter`` only
+    in one ``addi counter, counter, -step`` of the latch's basic block,
+    so each iteration takes ``step`` off it.  The body cannot halt or
+    jump indirectly, and its branches, jumps and hardware loops stay
+    inside it (past ``head``), so the loop is left only through the
+    latch, to ``exit``."""
+
+    head: int
+    latch: int
+    exit: int
+    counter: int
+    step: int
+
+
+def find_counted_loops(cfg: Cfg) -> List[CountedLoop]:
+    """Every :class:`CountedLoop` of *cfg*'s program."""
+    instrs = cfg.program.instructions
+    index = {ins.addr: i for i, ins in enumerate(instrs)}
+    latches: Dict[int, List[Instruction]] = {}
+    for ins in instrs:
+        head = u32(ins.addr + ins.imm)
+        if ins.mnemonic in ("bne", "c.bnez") and head <= ins.addr:
+            latches.setdefault(head, []).append(ins)
+    loops = []
+    for head, found in latches.items():
+        latch = found[0]
+        counter = (latch.rs1 if latch.mnemonic == "c.bnez" or latch.rs2 == 0
+                   else latch.rs2 if latch.rs1 == 0 else 0)
+        if len(found) > 1 or not counter or head not in index:
+            continue
+        tail = cfg.block_of(latch.addr).start
+        step = 0
+        for ins in instrs[index[head]:index[latch.addr]]:
+            name, target = ins.mnemonic, u32(ins.addr + ins.imm)
+            if (name in HALT_MNEMONICS or name in _SPLIT_HWLOOP_SETUP
+                    or name in HWLOOP_SETUP_MNEMONICS and target > tail
+                    or ins.spec.timing in ("branch", "jump") and not (
+                        "label" in ins.spec.syntax and target in index
+                        and head < target <= latch.addr)):
+                break
+            if counter in (ins.rd, ins.rs1, ins.rs2) and (
+                    counter in written_registers(ins)
+                    or counter in ins.source_registers()):
+                if (step or name != "addi" or ins.imm >= 0
+                        or ins.rd != counter or ins.rs1 != counter
+                        or ins.addr < tail):
+                    break
+                step = -ins.imm
+        else:
+            if step:
+                loops.append(CountedLoop(head, latch.addr,
+                                         latch.addr + latch.size, counter,
+                                         step))
+    return loops
+
+
+def _decides(ins: Instruction) -> bool:
+    return ins.spec.timing == "branch" or ins.mnemonic == "lp.setup"
+
+
+def decision_registers(cfg: Cfg) -> FrozenSet[int]:
+    """The registers whose constant value can reach a decision — a branch
+    operand or a ``lp.setup`` count register — directly or through the
+    operations :class:`ConstantAnalysis` evaluates, anywhere in *cfg*'s
+    program: a constant-propagating walk need track no other."""
+    instrs = cfg.program.instructions
+    regs = {reg for ins in instrs if _decides(ins)
+            for reg in ins.source_registers()} - {0}
+    size = 0
+    while size != len(regs):
+        size = len(regs)
+        for ins in instrs:
+            if ins.rd in regs:
+                regs.update(constant_operands(ins))
+        regs.discard(0)
+    return frozenset(regs)
+
+
+def decision_liveness(cfg: Cfg,
+                      registers: FrozenSet[int]) -> Dict[int, FrozenSet[int]]:
+    """Per block index, which of the :func:`decision_registers`
+    *registers* can carry their value on entry to a decision (a backward
+    may-analysis to the fixed point).  A register live at no point
+    cannot change which way a constant-propagating walk goes."""
+    def mask(regs) -> int:
+        bits = 0
+        for reg in regs:
+            bits |= 1 << reg
+        return bits & ~1
+
+    tracked = mask(registers)
+    code = [[(mask(written_registers(ins)) & tracked,
+              mask(constant_operands(ins)),
+              mask(ins.source_registers()) if _decides(ins) else 0)
+             for ins in reversed(block.instructions)
+             if _decides(ins) or ins.rd in registers or ins.rs1 in registers]
+            for block in cfg.blocks]
+    live_in = [0] * len(cfg.blocks)
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(cfg.blocks):
+            live = 0
+            for succ in block.successors:
+                live |= live_in[succ]
+            for written, operands, reads in code[block.index]:
+                if live & written:
+                    live = live & ~written | operands
+                live |= reads
+            if live != live_in[block.index]:
+                live_in[block.index] = live
+                changed = True
+    return {index: frozenset(r for r in registers if live >> r & 1)
+            for index, live in enumerate(live_in)}
 
 
 # ---------------------------------------------------------------------------

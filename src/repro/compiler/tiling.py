@@ -29,6 +29,10 @@ final pick among the top few is made by the static cycle model
 (:func:`repro.analysis.cost.analyze_cost` over the full-tile kernel
 program): compute cycles decide the schedule wall clock once the DMA is
 hidden, and the static model prices them without running the simulator.
+The tile kernel's row and pixel-pair loops are software counted loops,
+which the model folds like its hardware loops, so a price takes a few
+hundred abstract steps at most, however many rows and columns the tile
+has.
 :class:`TileSearchStats` records how many candidates were enumerated
 and how many the static model ranked.  :func:`simulate_conv_cycles` is
 the simulated reference the tests hold that ranking to.

@@ -4,11 +4,13 @@ The acceptance bar for wiring the static cost analyzer into the tile
 search: on the ``mixed3`` reference network the static ranking of the
 top candidates must agree with the simulated ranking (here the per-tile
 estimates are in fact bit-identical), and the compile report must log
-how many candidates the static model ranked.
+how many candidates the static model ranked.  Pricing a tile must not
+walk each of its rows and pixel pairs: one step budget prices them all.
 """
 
 import pytest
 
+from repro.analysis import analyze_cost
 from repro.compiler import (
     NetworkCompiler,
     build_network,
@@ -17,7 +19,9 @@ from repro.compiler import (
     simulate_conv_cycles,
     static_conv_cycles,
 )
+from repro.compiler.tiling import conv_tile_geometry
 from repro.errors import KernelError
+from repro.kernels.parallel import ParallelConvConfig, ParallelConvKernel
 from repro.qnn.network import QuantizedConv
 from repro.target.names import XPULPNN
 
@@ -95,3 +99,20 @@ class TestSearchAccounting:
         g, bits, quant, _ = mixed3_conv_layers()[0]
         with pytest.raises(KernelError, match="no tile shape"):
             search_conv_tiling(g, bits, quant, CORES, 4096)
+
+
+class TestPricingSteps:
+    #: One abstract-step budget for every 8-core tile: the kernels'
+    #: software row and pixel-pair loops fold like hardware loops, so
+    #: the walk no longer grows with them.  Walked per iteration, the
+    #: 16x16 tile took 1,964 steps.
+    STEPS = 500
+
+    @pytest.mark.parametrize("th, tw", [(8, 2), (16, 16)],
+                             ids=["1-pair", "16-row"])
+    def test_one_step_budget_prices_every_tile(self, th, tw):
+        g, bits, quant, _ = mixed3_conv_layers()[0]
+        kernel = ParallelConvKernel(ParallelConvConfig(
+            geometry=conv_tile_geometry(g, th, tw, 16), bits=bits,
+            isa=XPULPNN, quant=quant, num_cores=8))
+        assert analyze_cost(kernel.program, max_steps=self.STEPS).exact
