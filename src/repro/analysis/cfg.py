@@ -16,7 +16,7 @@ keeps the graph honest without a pointer analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..asm.program import Program
 from ..isa.instruction import Instruction
@@ -110,8 +110,10 @@ def _branch_target(ins: Instruction) -> Optional[int]:
     return None
 
 
-def find_hwloops(program: Program) -> List[HwLoop]:
-    """Recover loop regions from ``lp.setup``/``lp.setupi`` instructions.
+def find_hwloops(program: Union[Program, List[Instruction]]
+                 ) -> List[HwLoop]:
+    """Recover loop regions from the ``lp.setup``/``lp.setupi``
+    instructions of *program* (a :class:`Program` or its instructions).
 
     The split ``lp.starti``/``lp.endi``/``lp.count*`` configuration style
     is paired best-effort: consecutive ``starti``/``endi`` of the same
@@ -119,7 +121,9 @@ def find_hwloops(program: Program) -> List[HwLoop]:
     """
     loops: List[HwLoop] = []
     pending_start: Dict[int, int] = {}
-    for ins in program.instructions:
+    if isinstance(program, Program):
+        program = program.instructions
+    for ins in program:
         name = ins.mnemonic
         if name in HWLOOP_SETUP_MNEMONICS:
             count = ins.rs1 if name == "lp.setupi" else None
@@ -184,15 +188,15 @@ def postdominators(cfg: Cfg) -> Dict[int, Optional[int]]:
     return ipdom
 
 
-def build_cfg(program: Program) -> Cfg:
-    """Split *program* into basic blocks and wire the edges."""
-    instructions = program.instructions
-    if not instructions:
-        raise ValueError("cannot build a CFG for an empty program")
-    addr_index = {ins.addr: i for i, ins in enumerate(instructions)}
-    loops = find_hwloops(program)
-
-    leaders = {program.entry, instructions[0].addr}
+def block_leaders(instructions: List[Instruction], entry: Optional[int],
+                  loops: Optional[List[HwLoop]] = None) -> List[int]:
+    """The sorted addresses that start a basic block of *instructions*
+    (in address order) entered at *entry* (None: the first one); *loops*
+    defaults to their :func:`find_hwloops`."""
+    addrs = {ins.addr for ins in instructions}
+    leaders = {instructions[0].addr}
+    if entry is not None:
+        leaders.add(entry)
     for ins in instructions:
         timing = ins.spec.timing
         fall_through = ins.addr + ins.size
@@ -203,13 +207,21 @@ def build_cfg(program: Program) -> Cfg:
             leaders.add(fall_through)
         if ins.mnemonic in HALT_MNEMONICS:
             leaders.add(fall_through)
-    for loop in loops:
+    for loop in find_hwloops(instructions) if loops is None else loops:
         # loop.end being a leader makes the back-edge source terminate
         # its block exactly at the loop boundary.
         leaders.add(loop.start)
         leaders.add(loop.end)
+    return sorted(a for a in leaders if a in addrs)
 
-    leaders = sorted(a for a in leaders if a in addr_index)
+
+def build_cfg(program: Program) -> Cfg:
+    """Split *program* into basic blocks and wire the edges."""
+    instructions = program.instructions
+    if not instructions:
+        raise ValueError("cannot build a CFG for an empty program")
+    loops = find_hwloops(program)
+    leaders = block_leaders(instructions, program.entry, loops)
 
     blocks: List[BasicBlock] = []
     block_at: Dict[int, int] = {}

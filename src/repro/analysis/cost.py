@@ -384,7 +384,7 @@ class _Segment:
         self.addr, self.n, self.index = block.addr, block.n, index
         self.last = run[-1]
         self.cls, self.srcs, self.fall = (self.last.spec.timing,
-                                          block.srcs[0], block.fts[-1])
+                                          block.srcs[0], block.end)
         rd = block.pending[-1]
         self.pending = (frozenset({rd}), False) if rd else _NO_PENDING
         # Register writes for the constant transfer, each with the value
@@ -474,7 +474,8 @@ class _Walker:
         # count, which the steady iteration's havoc would lose.
         tails = {seg.last.addr: seg for seg in self.segments.values()}
         counted = [(loop, tails[loop.latch])
-                   for loop in find_counted_loops(cfg)]
+                   for loop in find_counted_loops(cfg.program.instructions,
+                                                  list(cfg.block_at))]
         live = decision_liveness(cfg, self.tracked) if counted else {}
         self.sw_loops: Dict[int, _Loop] = {}
         for loop, tail in counted:

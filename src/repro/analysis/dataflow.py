@@ -30,7 +30,9 @@ analysis) where each of them still can.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from bisect import bisect_right
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..isa.bits import to_signed, u32
 from ..isa.instruction import Instruction
@@ -248,6 +250,10 @@ def decide_branch(ins: Instruction, consts: Dict[int, int]) -> Optional[bool]:
 # Software counted loops and decision liveness
 # ---------------------------------------------------------------------------
 
+#: The timing classes of every halt, ``lp.*``, branch and jump: the only
+#: instructions a counted loop's body rule restricts besides the counter's.
+_CONTROL_CLASSES = frozenset({"system", "hwloop", "branch", "jump"})
+
 #: The ``lp.starti``/``lp.endi``/``lp.count*`` style the walk leaves unfolded.
 _SPLIT_HWLOOP_SETUP = HWLOOP_MNEMONICS - HWLOOP_SETUP_MNEMONICS
 
@@ -269,15 +275,19 @@ class CountedLoop(NamedTuple):
     step: int
 
 
-def find_counted_loops(cfg: Cfg) -> List[CountedLoop]:
-    """Every :class:`CountedLoop` of *cfg*'s program."""
-    instrs = cfg.program.instructions
+def find_counted_loops(instrs: Sequence[Instruction],
+                       leaders: Sequence[int]) -> List[CountedLoop]:
+    """Every :class:`CountedLoop` of a program's *instrs* (in address
+    order), whose basic blocks start at the sorted *leaders*
+    (:func:`~repro.analysis.cfg.block_leaders`).  The static cost walker
+    folds them; the block engine runs each as one loop plan."""
     index = {ins.addr: i for i, ins in enumerate(instrs)}
     latches: Dict[int, List[Instruction]] = {}
     for ins in instrs:
-        head = u32(ins.addr + ins.imm)
-        if ins.mnemonic in ("bne", "c.bnez") and head <= ins.addr:
-            latches.setdefault(head, []).append(ins)
+        if ins.spec.mnemonic in ("bne", "c.bnez"):
+            head = u32(ins.addr + ins.imm)
+            if head <= ins.addr:
+                latches.setdefault(head, []).append(ins)
     loops = []
     for head, found in latches.items():
         latch = found[0]
@@ -285,20 +295,24 @@ def find_counted_loops(cfg: Cfg) -> List[CountedLoop]:
                    else latch.rs2 if latch.rs1 == 0 else 0)
         if len(found) > 1 or not counter or head not in index:
             continue
-        tail = cfg.block_of(latch.addr).start
+        # The latch's basic block starts at the last leader before it.
+        tail = leaders[bisect_right(leaders, latch.addr) - 1]
         step = 0
         for ins in instrs[index[head]:index[latch.addr]]:
-            name, target = ins.mnemonic, u32(ins.addr + ins.imm)
-            if (name in HALT_MNEMONICS or name in _SPLIT_HWLOOP_SETUP
-                    or name in HWLOOP_SETUP_MNEMONICS and target > tail
-                    or ins.spec.timing in ("branch", "jump") and not (
-                        "label" in ins.spec.syntax and target in index
-                        and head < target <= latch.addr)):
-                break
-            if counter in (ins.rd, ins.rs1, ins.rs2) and (
+            spec = ins.spec
+            if spec.timing in _CONTROL_CLASSES:
+                name, target = spec.mnemonic, u32(ins.addr + ins.imm)
+                if (name in HALT_MNEMONICS or name in _SPLIT_HWLOOP_SETUP
+                        or name in HWLOOP_SETUP_MNEMONICS and target > tail
+                        or spec.timing in ("branch", "jump") and not (
+                            "label" in spec.syntax and target in index
+                            and head < target <= latch.addr)):
+                    break
+            if (counter == ins.rd or counter == ins.rs1
+                    or counter == ins.rs2) and (
                     counter in written_registers(ins)
                     or counter in ins.source_registers()):
-                if (step or name != "addi" or ins.imm >= 0
+                if (step or spec.mnemonic != "addi" or ins.imm >= 0
                         or ins.rd != counter or ins.rs1 != counter
                         or ins.addr < tail):
                     break

@@ -31,10 +31,12 @@ from the STM32 datasheets the paper cites ([14], [15]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from ..errors import ModelError
-from ..qnn.layers import ConvGeometry
+
+if TYPE_CHECKING:  # numpy-free at import: the target registry reads CORES
+    from ..qnn.layers import ConvGeometry
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ per simulated instruction.  This package removes that cost for the code
 that dominates every workload in the reproduction — small straight-line
 hardware-loop bodies executed millions of times — in two tiers:
 
-* **fast blocks** — maximal straight-line instruction runs are
-  discovered once, cached keyed on program digest + address span, and
-  executed from flat pre-decoded tables with batched (but bit- and
-  cycle-identical) performance accounting;
-* **fused superinstructions** — hardware-loop bodies whose semantics
-  are provably vectorizable (per-op ``fusion`` metadata on
+* **fast blocks** — maximal straight-line instruction runs, each closed
+  by at most one branch or direct jump, are discovered once, cached
+  keyed on program digest + address span, and executed from flat
+  pre-decoded tables with batched (but bit- and cycle-identical)
+  performance accounting;
+* **fused superinstructions** — hardware-loop bodies and software
+  counted loops (compare trees included) whose semantics are provably
+  vectorizable (per-op ``fusion`` metadata on
   :class:`~repro.isa.instruction.InstrSpec`) execute *all* iterations
   at once with numpy array semantics and closed-form cycle accounting.
 

@@ -8,6 +8,8 @@ granularity:
    for digest-keyed programs, per-core for ``load_from_memory`` images).
    A miss runs :func:`~repro.engine.blocks.discover` once and caches the
    result — including negative results for interpreter-only addresses.
+   A block that ends in a branch or jump links the blocks it leads to,
+   so the next dispatch follows the link instead of the lookup.
 2. If ``pc`` starts the body of an active hardware loop, dispatch all
    remaining iterations under the loop's plan (:mod:`repro.engine.nest`,
    with the batch semantics of :mod:`repro.engine.fusion`): the body is
@@ -17,11 +19,13 @@ granularity:
    cached in the block map under the loop's start, end, level and the
    other loop's end.  Any static or dynamic decline is a *side exit*,
    recorded by reason and site, and falls through to tier A (or, for a
-   body that starts with an ``lp.setup``, to the interpreter).
+   body that starts with an ``lp.setup``, to the interpreter).  If it
+   heads a software counted loop, the loop's remaining iterations
+   dispatch the same way (its shape keyed on the head).
 3. Otherwise run the block instruction-at-a-time from its flat tables
-   (:mod:`repro.engine.fastblock`).
-4. Terminators (branches, jumps, ``lp.*`` setup, CSR, system) always
-   execute on the unmodified interpreter ``step()``.
+   (:mod:`repro.engine.fastblock`), its closing branch or jump included.
+4. ``lp.*`` setups, CSR and system instructions and indirect jumps
+   always execute on the unmodified interpreter ``step()``.
 
 The engine is only engaged when nothing can observe intermediate state:
 no tracer attached and a plain (uncontended) memory, or a memory that
@@ -45,12 +49,15 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import SimError
-from .blocks import GLOBAL_CACHE, Block, discover
+from .blocks import GLOBAL_CACHE, UNLINKED, Block, discover
 from .fastblock import run_block
 from .fusion import FUSE_MIN_ITERS, Unfusable
-from .nest import execute, walk
+from .nest import counted_heads, execute, walk, walk_counted
 
 _MISSING = object()
+
+#: Block-map key of the program's software counted loops, by head.
+_HEADS = "counted loops"
 
 
 class EngineStats:
@@ -151,6 +158,10 @@ class BlockEngine:
         self._local_key: Optional[tuple] = None
         #: The side-exit site whose fallback dispatch runs next.
         self._exit_site: Optional[list] = None
+        #: ``(head, counter)`` at which a software counted loop whose
+        #: dispatch declined next reaches its head: that instance of the
+        #: loop stays on tier A.
+        self._declined: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
 
@@ -170,6 +181,19 @@ class BlockEngine:
             self._local_map = {}
             self._local_key = local_key
         return self._local_map
+
+    def _discover(self, cpu, blocks, pc: int) -> Optional[Block]:
+        """Translate the block at *pc* into *blocks* (a miss there); a
+        block ends before, and is marked at, the head of a software
+        counted loop."""
+        heads = blocks.get(_HEADS)
+        if heads is None:
+            heads = blocks[_HEADS] = counted_heads(cpu)
+        block = blocks[pc] = discover(cpu._imem, pc, cpu.regions, heads)
+        if block is not None:
+            self.stats.blocks_translated += 1
+            block.head = heads.get(pc)
+        return block
 
     def _side_exit(self, cpu, pc: int, reason: str) -> None:
         """Count a side exit at *pc*; the dispatch it falls back to
@@ -200,11 +224,12 @@ class BlockEngine:
         count = hw.count
         start = hw.start
         step = cpu.step
-        imem = cpu._imem
         mem = cpu.mem
         port = mem if getattr(mem, "logs_accesses", False) else None
         executed = 0
-        self._exit_site = None
+        self._exit_site = self._declined = None
+        #: the block the last dispatch ran, whose links lead on
+        last = None
         try:
             while cpu._halted is None:
                 if executed >= max_instructions:
@@ -213,14 +238,23 @@ class BlockEngine:
                         f"instructions (pc={cpu.pc:#010x})"
                     )
                 pc = cpu.pc
-                block = blocks.get(pc, _MISSING)
-                if block is _MISSING:
-                    block = discover(imem, pc, regions)
-                    blocks[pc] = block
-                    if block is not None:
-                        stats.blocks_translated += 1
+                if last is not None and pc == last.target:
+                    block = last.taken
+                elif last is not None and pc == last.end:
+                    block = last.fall
+                else:
+                    block = blocks.get(pc, _MISSING)
+                if block is UNLINKED or block is _MISSING:
+                    block = blocks.get(pc, _MISSING)
+                    if block is _MISSING:
+                        block = self._discover(cpu, blocks, pc)
+                    elif block is not None:
+                        stats.block_hits += 1
+                    if last is not None:
+                        last.link(pc, block)
                 elif block is not None:
                     stats.block_hits += 1
+                last = block
                 budget = max_instructions - executed
                 if block is None:
                     # Terminator or fetch fault: one interpreter step,
@@ -246,10 +280,14 @@ class BlockEngine:
                     done = self._try_loop(cpu, blocks, pc, 0, budget, port)
                 elif count[1] > 0 and pc == start[1]:
                     done = self._try_loop(cpu, blocks, pc, 1, budget, port)
+                elif block.head is not None:
+                    done = self._try_counted(cpu, blocks, block.head, budget,
+                                             port)
                 else:
                     done = 0
                 if done:
                     executed += done
+                    last = None
                     continue
                 done = run_block(cpu, block, budget, port)
                 executed += done
@@ -277,22 +315,77 @@ class BlockEngine:
         key = (pc, hw.end[level], level, other_end)
         shape = blocks.get(key)
         if shape is None:
-            regions = cpu.regions
-
-            def block_at(addr: int) -> Optional[Block]:
-                block = blocks.get(addr, _MISSING)
-                if block is _MISSING:
-                    block = blocks[addr] = discover(cpu._imem, addr, regions)
-                    if block is not None:
-                        self.stats.blocks_translated += 1
-                return block
-
             try:
                 shape = walk(cpu._imem, pc, hw.end[level], level, other_end,
-                             block_at, regions)
+                             self._block_at(cpu, blocks), cpu.regions)
             except Unfusable as declined:
                 shape = declined.reason
             blocks[key] = shape
+        return self._dispatch(cpu, shape, pc, n, level, budget, port)
+
+    def _try_counted(self, cpu, blocks, loop, budget: int, port) -> int:
+        """Dispatch all remaining iterations of the software counted loop
+        *loop* (a :class:`~repro.analysis.dataflow.CountedLoop`), whose
+        head ``pc`` is, under its loop plan; returns instructions retired
+        (0 on side exit).  The counter holds ``step`` times the
+        iterations left.  A loop that declines runs the rest of that
+        entry on tier A, without a dispatch per iteration."""
+        pc = loop.head
+        counter = cpu.regs[loop.counter]
+        if self._declined == (pc, counter):
+            self._declined = (pc, (counter - loop.step) & 0xFFFF_FFFF)
+            return 0
+        n, rest = divmod(counter, loop.step)
+        if n < FUSE_MIN_ITERS and not rest and n:
+            return 0
+        done = self._dispatch_counted(cpu, blocks, loop, n, rest, budget,
+                                      port)
+        if not done:
+            self._declined = (pc, (counter - loop.step) & 0xFFFF_FFFF)
+        return done
+
+    def _dispatch_counted(self, cpu, blocks, loop, n: int, rest: int,
+                          budget: int, port) -> int:
+        """The dispatch of :meth:`_try_counted`: *n* iterations left, or
+        a counter that is no multiple of the step when *rest*."""
+        pc = loop.head
+        hw = cpu.hwloops
+        for level in (0, 1):
+            if hw.count[level] > 0 and pc < hw.end[level] <= loop.latch:
+                # An active hardware loop's back-edge would fire inside.
+                self._side_exit(cpu, pc, "nested-loop-end")
+                return 0
+        if rest or not n:
+            # The counter wraps past zero before it reaches it.
+            self._side_exit(cpu, pc, "trip-count")
+            return 0
+        key = (pc, "counted")
+        shape = blocks.get(key)
+        if shape is None:
+            try:
+                shape = walk_counted(cpu._imem, loop,
+                                     self._block_at(cpu, blocks), cpu.regions)
+            except Unfusable as declined:
+                shape = declined.reason
+            blocks[key] = shape
+        return self._dispatch(cpu, shape, pc, n, None, budget, port)
+
+    def _block_at(self, cpu, blocks):
+        """A walk's block lookup: the cached block at an address, else
+        translated."""
+        def block_at(addr: int) -> Optional[Block]:
+            block = blocks.get(addr, _MISSING)
+            if block is _MISSING:
+                block = self._discover(cpu, blocks, addr)
+            return block
+
+        return block_at
+
+    def _dispatch(self, cpu, shape, pc: int, n: int, level: Optional[int],
+                  budget: int, port) -> int:
+        """Run *n* iterations of the loop whose body starts at *pc* under
+        *shape*'s plan (the hardware loop *level*, or a counted loop when
+        None); returns instructions retired, 0 on side exit."""
         if isinstance(shape, str):
             self._side_exit(cpu, pc, shape)
             return 0
@@ -304,12 +397,17 @@ class BlockEngine:
         if isinstance(plan, str):
             self._side_exit(cpu, pc, plan)
             return 0
+        if port is not None and plan.trees:
+            # A compare tree's per-iteration cycles would move the issue
+            # clocks of every access after it.
+            self._side_exit(cpu, pc, "tree-log")
+            return 0
         if cpu.regions is not None:
             name = cpu.regions.region_of(pc)
             if name != cpu._region:
                 cpu._enter_region(name)
         try:
-            retired = execute(cpu, plan, level, port)
+            retired = execute(cpu, plan, n, level, port)
         except Unfusable as declined:
             self._side_exit(cpu, pc, declined.reason)
             return 0

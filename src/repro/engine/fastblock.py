@@ -15,7 +15,12 @@ and re-raises).
 
 A *segment* ends where a hardware-loop back-edge can fire: loop counts
 only change at a loop-end fall-through, so every interior instruction
-is provably straight-line and needs no redirect check.
+is provably straight-line and needs no redirect check.  A block's last
+instruction may be a conditional branch or a direct jump: it executes
+in the block's last segment, a taken branch adds
+:data:`~repro.core.timing.BRANCH_TAKEN_PENALTY` and a jump
+:data:`~repro.core.timing.JUMP_PENALTY`, and only a branch that falls
+through can take a hardware-loop back-edge, as on the interpreter.
 
 Against a memory that logs its accesses (a cluster core's replay port,
 :mod:`repro.cluster.replay`), the segment also tells the port, before
@@ -26,7 +31,8 @@ clock.
 
 from __future__ import annotations
 
-from ..core.timing import MISALIGNED_PENALTY
+from ..core.timing import (BRANCH_TAKEN_PENALTY, JUMP_PENALTY,
+                           MISALIGNED_PENALTY)
 
 
 def run_block(cpu, block, limit: int, port=None) -> int:
@@ -57,8 +63,19 @@ def run_block(cpu, block, limit: int, port=None) -> int:
             if stop == idx:
                 cpu.pc = block.addrs[idx]
                 return executed
-        _exec_segment(cpu, block, idx, stop, port)
+        target = _exec_segment(cpu, block, idx, stop, port)
         executed += stop - idx
+        if target is not None:
+            # A taken branch or a jump: the block's last instruction.
+            perf = cpu.perf
+            if block.exit == "jump":
+                perf.cycles += JUMP_PENALTY
+                perf.stall_jump += JUMP_PENALTY
+            else:
+                perf.cycles += BRANCH_TAKEN_PENALTY
+                perf.stall_branch += BRANCH_TAKEN_PENALTY
+            cpu.pc = target
+            return executed
         if not at_boundary:
             cpu.pc = block.addrs[stop] if stop < n else block.fts[n - 1]
             return executed
@@ -78,7 +95,9 @@ def run_block(cpu, block, limit: int, port=None) -> int:
         idx = j
 
 
-def _exec_segment(cpu, block, lo: int, hi: int, port=None) -> None:
+def _exec_segment(cpu, block, lo: int, hi: int, port=None):
+    """Run ``instrs[lo:hi]`` and charge them; returns what the last one's
+    semantics returned (a control transfer's target, else None)."""
     execs = block.execs
     instrs = block.instrs
     addrs = block.addrs
@@ -87,6 +106,7 @@ def _exec_segment(cpu, block, lo: int, hi: int, port=None) -> None:
     cpu._tcdm_stalls = 0
     dyn_mis = 0
     dyn_tcdm = 0
+    target = None
     i = lo
     if port is not None:
         # Issue offsets: instrs[lo:i] priced, plus the dynamic stalls met.
@@ -99,7 +119,7 @@ def _exec_segment(cpu, block, lo: int, hi: int, port=None) -> None:
             if port is not None:
                 port.issue_offset = (
                     prefix[i] + skew + dyn_mis if i > lo else 0)
-            execs[i](cpu, instrs[i])
+            target = execs[i](cpu, instrs[i])
             if cpu._misaligned or cpu._extra_stalls or cpu._tcdm_stalls:
                 mis = (cpu._misaligned * MISALIGNED_PENALTY
                        + cpu._extra_stalls)
@@ -121,6 +141,7 @@ def _exec_segment(cpu, block, lo: int, hi: int, port=None) -> None:
         if port is not None:
             port.issue_offset = 0
     _flush(cpu, block, lo, hi, dyn_mis, dyn_tcdm)
+    return target
 
 
 def _flush(cpu, block, lo: int, hi: int, dyn_mis: int,

@@ -257,7 +257,8 @@ class _Ctx:
 
     __slots__ = ("n", "rows", "cols", "mem", "data", "data16", "data32",
                  "env", "affine", "contribs", "mis", "stores",
-                 "load_ranges", "store_ranges", "sources", "streams", "log")
+                 "load_ranges", "store_ranges", "sources", "streams", "log",
+                 "leaves")
 
     def __init__(self, n: int, mem, body_len: int, logging: bool) -> None:
         self.n = self.cols = n
@@ -285,6 +286,9 @@ class _Ctx:
         #: ``(body index, byte offset, delta, size, is_write, row_delta)``
         #: per memory op, kept only for an access-logging memory
         self.log: Optional[List[Tuple]] = [] if logging else None
+        #: the leaf every iteration reached, per compare tree in body
+        #: order (:mod:`repro.engine.tree`)
+        self.leaves: List[np.ndarray] = []
 
     def child(self, rows: int, cols: int, body_len: int) -> "_Ctx":
         """A context for ``rows`` x ``cols`` iterations of an inner loop
@@ -297,6 +301,7 @@ class _Ctx:
         ctx.env, ctx.affine, ctx.contribs = {}, {}, {}
         ctx.mis = [0] * body_len
         ctx.log = [] if self.log is not None else None
+        ctx.leaves = []
         return ctx
 
     def addresses(self, base, delta: int, row_delta: int = 0) -> np.ndarray:

@@ -15,6 +15,7 @@ tensors on a Cpu or a Cluster with an observer attached.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, List, NamedTuple, Optional, Tuple
 
@@ -240,6 +241,33 @@ def build(point: Point, geometry: ConvGeometry):
                   **shape).kernel
 
 
+#: ``(point, geometry, seed) -> (draw, args, kwargs)``, most recent last
+_DRAWS: "OrderedDict[tuple, tuple]" = OrderedDict()
+_MAX_DRAWS = 16
+
+
+def operands(point: Point, geometry: ConvGeometry,
+             c) -> Tuple[tuple, tuple, dict]:
+    """The seeded ``(draw, args, kwargs)`` the kernel of *point* at
+    *geometry* (config *c*) runs on, drawn once per process: a run and
+    its cache key (:func:`repro.serve.runners.cache_key_parts`) share
+    the draw.  The arrays are read-only; *kwargs* is the caller's."""
+    key = (point, geometry, _SEED)
+    drawn = _DRAWS.get(key)
+    if drawn is None:
+        drawn = _DRAWS[key] = _operands(point, c)
+        for value in drawn[0]:
+            for array in (value, getattr(value, "thresholds", None)):
+                if hasattr(array, "flags"):
+                    array.flags.writeable = False
+        if len(_DRAWS) > _MAX_DRAWS:
+            _DRAWS.popitem(last=False)
+    else:
+        _DRAWS.move_to_end(key)
+    draw, args, kwargs = drawn
+    return draw, args, dict(kwargs)
+
+
 def _operands(point: Point, c) -> Tuple[tuple, tuple, dict]:
     """Seeded ``(draw, args, kwargs)`` for the kernel of config *c*, all
     from seed 2020+bits.  *draw* is what was drawn: the conv's ``(w, x,
@@ -314,7 +342,7 @@ def run(point: Point, geometry: ConvGeometry, attach=None,
     it.  *thresholds* replaces the draw's staircase (a sub-byte conv or
     MatMul quantizes with it instead)."""
     kernel = build(point, geometry)
-    draw, args, kwargs = _operands(point, kernel.config)
+    draw, args, kwargs = operands(point, geometry, kernel.config)
     if thresholds is not None:
         kwargs["thresholds"] = thresholds
     if point.cores > 1:

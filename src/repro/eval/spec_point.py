@@ -41,6 +41,12 @@ def spec_point_kernel(spec: TargetSpec, bits: int, quant: str,
     ))
 
 
+def spec_point_operands(bits: int, out_ch: int = DEFAULT_OUT_CH,
+                        reduction: int = DEFAULT_REDUCTION):
+    """The seeded ``(w, x0, x1, thresholds)`` a design point runs on."""
+    return matmul_workload(bits, out_ch, reduction, _SEED)
+
+
 def run_spec_point(spec: TargetSpec, bits: int, quant: str,
                    out_ch: int = DEFAULT_OUT_CH,
                    reduction: int = DEFAULT_REDUCTION) -> Dict[str, Any]:
@@ -52,7 +58,7 @@ def run_spec_point(spec: TargetSpec, bits: int, quant: str,
     measured on both paths.
     """
     kern = spec_point_kernel(spec, bits, quant, out_ch, reduction)
-    w, x0, x1, table = matmul_workload(bits, out_ch, reduction, _SEED)
+    w, x0, x1, table = spec_point_operands(bits, out_ch, reduction)
     cluster = Cluster(num_cores=spec.cores, isa=spec.isa,
                       tcdm_size=spec.tcdm_bytes, l2_size=spec.l2_bytes)
     kr = kern.run(w, x0, x1, thresholds=table, shift=10, cluster=cluster)

@@ -8,7 +8,8 @@ any process, on any machine.  Three digest families feed the key:
 * :func:`repro.asm.program.Program.digest` / :func:`network_digest` —
   the code (or network) being simulated;
 * the job's canonical config JSON — everything else (geometry, bits,
-  quantization mode, core count, ...).
+  quantization mode, core count, ...), including the
+  :func:`operands_digest` of the seeded tensors a simulation runs on.
 
 :func:`canonical_json` is the single serializer used for all of them:
 sorted keys, compact separators, no NaN/Inf, tuples as lists.
@@ -35,6 +36,29 @@ def canonical_json(obj: Any) -> str:
 def digest_of(obj: Any) -> str:
     """Hex SHA-256 of the canonical JSON form of *obj*."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def operands_digest(values) -> str:
+    """Hex SHA-256 of a run's operands: arrays by :func:`array_digest`,
+    a threshold table by its bits and thresholds, tuples and lists item
+    by item, anything else by its canonical JSON."""
+    h = hashlib.sha256()
+
+    def feed(value) -> None:
+        if isinstance(value, (tuple, list)):
+            h.update(b"[%d]" % len(value))
+            for item in value:
+                feed(item)
+        elif hasattr(value, "dtype"):
+            h.update(array_digest(value).encode())
+        elif hasattr(value, "thresholds"):
+            h.update(b"thresholds%d" % value.bits)
+            feed(value.thresholds)
+        else:
+            h.update(canonical_json(value).encode())
+
+    feed(values)
+    return h.hexdigest()
 
 
 def array_digest(arr) -> str:

@@ -15,6 +15,12 @@ every cacheable result::
      "program": Program/network digest,   # the code
      "config":  canonical job config}     # everything else
 
+A simulation job's config also carries the digest of the seeded tensors
+its run draws (``eval.matrix.operands``, ``eval.spec_point.
+spec_point_operands``; each draws once per process, for the key and the
+run alike), so a changed draw re-keys its results instead of serving
+stale payloads.
+
 The key's program is built by the same constructor the run calls
 (``eval.matrix.build``, ``eval.spec_point.spec_point_kernel``); nothing
 here constructs a kernel of its own, so the hashed program is the one
@@ -31,7 +37,7 @@ from typing import Any, Dict, Tuple
 
 from ..telemetry import metrics as tmetrics
 from .cache import CACHE_SCHEMA
-from .hashing import canonical_json, network_digest
+from .hashing import canonical_json, network_digest, operands_digest
 from .jobs import (
     CompileJob,
     ConvPointJob,
@@ -113,17 +119,20 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
     from ..target import get_target
 
     if isinstance(job, ProfileJob):
-        from ..eval.matrix import build, resolve
+        from ..eval.matrix import build, operands, resolve
 
         point, geometry = resolve(job.kernel, job.cores or 1, job.target)
+        kernel = build(point, geometry)
         config = {"kernel": job.kernel, "bits": point.bits,
                   "isa": point.isa, "quant": point.quant,
-                  "cores": point.cores, "trace": job.trace}
+                  "cores": point.cores, "trace": job.trace,
+                  "operands": operands_digest(
+                      operands(point, geometry, kernel.config)[0])}
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
             "spec": get_target(job.target).digest(),
-            "program": build(point, geometry).program.digest(),
+            "program": kernel.program.digest(),
             "config": canonical_json(config),
         }
     if isinstance(job, CompileJob):
@@ -144,7 +153,7 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
             "config": canonical_json(config),
         }
     if isinstance(job, (ScalingJob, SpecPointJob)):
-        from ..eval.spec_point import spec_point_kernel
+        from ..eval.spec_point import spec_point_kernel, spec_point_operands
 
         args = _spec_point(job)
         if isinstance(job, ScalingJob):
@@ -152,6 +161,8 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
         else:
             config = {"bits": job.bits, "quant": job.quant,
                       "out_ch": job.out_ch, "reduction": job.reduction}
+        config["operands"] = operands_digest(
+            spec_point_operands(job.bits, job.out_ch, job.reduction))
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
@@ -160,20 +171,23 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
             "config": canonical_json(config),
         }
     if isinstance(job, ConvPointJob):
-        from ..eval.matrix import Point, build
+        from ..eval.matrix import Point, build, operands
 
         geometry, bits, isa, quant = _suite_point(job)
+        point = Point("conv", bits, isa, quant)
+        kernel = build(point, geometry)
         config = {"bits": bits, "quant": quant, "isa": isa,
                   "geometry": [geometry.in_h, geometry.in_w,
                                geometry.in_ch, geometry.out_ch,
                                geometry.kh, geometry.kw,
-                               geometry.stride, geometry.pad]}
+                               geometry.stride, geometry.pad],
+                  "operands": operands_digest(
+                      operands(point, geometry, kernel.config)[0])}
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
             "spec": get_target(job.target).digest(),
-            "program": build(Point("conv", bits, isa, quant),
-                             geometry).program.digest(),
+            "program": kernel.program.digest(),
             "config": canonical_json(config),
         }
     if isinstance(job, CostJob):

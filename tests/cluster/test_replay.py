@@ -226,6 +226,37 @@ def test_mixed3_compile_tiles_match_reference(monkeypatch):
     _differential(monkeypatch, deploy)
 
 
+@pytest.mark.parametrize("bits,quant,reason", [
+    (4, "hw", None), (8, "shift", None), (4, "sw", "tree-log")])
+def test_parallel_matmul_counted_loops_match_reference(monkeypatch, bits,
+                                                       quant, reason):
+    """The parallel MatMul's pair loop is a software counted loop: each
+    core runs it as one loop plan whose accesses the replay arbitrates,
+    or, around the software staircase's compare trees, declines as
+    ``tree-log`` and runs on tier A; both match the stepper."""
+    from repro.eval.spec_point import spec_point_kernel, spec_point_operands
+    from repro.target import get_target
+
+    spec = get_target("xpulpnn-cluster2")
+
+    def deploy():
+        kernel = spec_point_kernel(spec, bits, quant, out_ch=32,
+                                   reduction=128)
+        w, x0, x1, table = spec_point_operands(bits, 32, 128)
+        cluster = Cluster(num_cores=spec.cores, isa=spec.isa)
+        run = kernel.run(w, x0, x1, thresholds=table, shift=10,
+                         cluster=cluster)
+        return run.output.tobytes(), run.cycles, cluster
+
+    *_, cluster = deploy()
+    stats = cluster.cores[0].engine_stats
+    if reason is None:
+        assert stats["nest_dispatches"] == 1 and not stats["side_exits"]
+    else:
+        assert stats["side_exits"] == {reason: 1}
+    _differential(monkeypatch, lambda: deploy()[:2])
+
+
 def test_small_mixed_network_tiles_match_reference(monkeypatch):
     """A small mixed-precision network: conv 8-bit then conv 2-bit on an
     8x8x8 input, a pool and a classifier, under a 12 kB TCDM budget so

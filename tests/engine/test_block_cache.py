@@ -30,15 +30,16 @@ class TestGlobalCache:
         assert second.perf.snapshot() == first.perf.snapshot()
 
     def test_negative_entries_cached(self):
-        """Terminator start addresses cache as None so repeated visits
-        skip re-discovery."""
-        program = assemble("j target\ntarget:\naddi a0, a0, 1\nebreak",
-                           isa="xpulpnn")
+        """Interpreter-only start addresses cache as None so repeated
+        visits skip re-discovery; a direct jump runs in its block."""
+        program = assemble("csrr a1, 0xF14\nj target\ntarget:\n"
+                           "addi a0, a0, 1\nebreak", isa="xpulpnn")
         cpu = _run(program)
         key = (program.digest(), cpu.isa.name)
         blocks = GLOBAL_CACHE.map_for(key)
-        assert blocks[program.base] is None          # the jump
-        assert blocks[program.base + 4] is not None  # the fall-through
+        assert blocks[program.base] is None          # the CSR read
+        assert blocks[program.base + 4].n == 1       # the jump
+        assert blocks[program.base + 8] is not None  # its target
 
     def test_lru_eviction(self):
         cache = ProgramBlockCache(max_programs=2)

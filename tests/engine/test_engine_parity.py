@@ -82,6 +82,154 @@ class TestLoopEdgeCases:
         """, max_instructions=50)
 
 
+class TestTierABranches:
+    """Conditional branches and direct jumps execute in their block."""
+
+    def test_taken_and_not_taken(self):
+        _, _, plain = run_both("""
+            addi a1, zero, 1
+            beq a0, a1, skip
+            addi a2, a2, 5
+            bne a0, a1, over
+            addi a2, a2, 7
+        over:
+            addi a3, a3, 1
+        skip:
+            ebreak
+        """)
+        assert plain.engine_stats["interp_steps"] == 1      # the ebreak
+
+    @pytest.mark.parametrize("a0", [0, 1])
+    def test_branch_ends_a_hardware_loop_body(self, a0):
+        """Not taken, the branch's fall-through is the loop end and the
+        back-edge fires; taken, it leaves the loop with its count."""
+        run_both("""
+            lp.setupi 0, 5, end0
+            addi a0, a0, 1
+            andi a2, a0, 3
+            beq a2, zero, out
+        end0:
+            addi a1, a1, 1
+        out:
+            ebreak
+        """, regs={"a0": a0})
+
+    def test_jal_into_a_blocks_middle(self):
+        """The jump lands mid-way through a translated block and links
+        ``ra``; the block at its target starts there."""
+        run_both("""
+            addi t0, zero, 3
+        first:
+            addi a1, a1, 1
+        mid:
+            addi a2, a2, 2
+            addi t0, t0, -1
+            beq t0, zero, done
+            jal ra, mid
+        done:
+            ebreak
+        """)
+
+    def test_fault_on_the_branch_target(self):
+        """A taken branch out of the program: the fetch at its target
+        faults, after the branch retired with its penalty."""
+        interp, _, _ = run_both("""
+            addi a0, a0, 1
+            beq zero, zero, past
+            ebreak
+        past:
+        """)
+        assert interp.perf.stall_branch == 2
+
+    @pytest.mark.parametrize("budget", range(1, 9))
+    def test_budget_lands_on_a_branch(self, budget):
+        run_both("""
+        loop:
+            addi a0, a0, 1
+            blt a0, a1, over
+            addi a1, a1, 2
+        over:
+            j loop
+        """, regs={"a1": 2}, max_instructions=budget)
+
+
+#: A staircase filter loop: a dot-product lp0 loop into ``a0``, a
+#: 2-level compare tree over the thresholds at ``s2`` into ``a4``, the
+#: code stored through ``s5``, the thresholds stepped; ``t5`` counts.
+COUNTED_BODY = [
+    "addi a0, zero, 0", "lp.setupi 0, 3, end0", "p.lw a2, 4(s0!)",
+    "pv.sdotsp.b a0, a2, a5", "end0:",
+    "lh t1, 0(s2)", "blt t1, a0, r0",
+    "lh t1, 2(s2)", "blt t1, a0, r1", "addi a4, zero, 0", "j merge",
+    "r1:", "addi a4, zero, 1", "j merge",
+    "r0:", "lh t1, 4(s2)", "blt t1, a0, r2", "addi a4, zero, 2", "j merge",
+    "r2:", "addi a4, zero, 3", "j merge",
+    "merge:", "p.sb a4, 1(s5!)", "addi s2, s2, 6"]
+COUNTED_REGS = {"s0": 0x1000, "s2": 0x3000, "s5": 0x4000,
+                "a5": 0x0102_0304}
+COUNTED_MEM = {0x1000: bytes(range(1, 256, 3)),
+               0x3000: bytes(range(0, 120, 1))}
+
+
+def _counted(trips, body=COUNTED_BODY, step=1, **kw):
+    """The loop over *body* run on both engines; returns the unprofiled
+    block core's engine stats."""
+    lines = [f"li t5, {trips}", "head:", *body, f"addi t5, t5, -{step}",
+             "bne t5, zero, head", "ebreak"]
+    regs = dict(COUNTED_REGS, **kw.pop("regs", {}))
+    _, _, plain = run_both("\n".join(lines) + "\n", regs=regs,
+                           mem=COUNTED_MEM, **kw)
+    return plain.engine_stats
+
+
+class TestCountedLoops:
+    """Software counted loops run as one loop plan, or decline."""
+
+    @pytest.mark.parametrize("trips", [2, 3, 8])
+    def test_filter_loop_is_one_dispatch(self, trips):
+        stats = _counted(trips)
+        assert stats["nest_dispatches"] == stats["fused_dispatches"] == 1
+        assert stats["interp_steps"] == 1                   # the ebreak
+
+    def test_one_trip_runs_on_tier_a(self):
+        stats = _counted(1)
+        assert stats["fused_dispatches"] == 1               # the lp0 loop
+        assert stats["nest_dispatches"] == 0
+
+    def test_counter_read_in_the_body_is_no_plan(self):
+        stats = _counted(4, ["add a3, t5, a1", *COUNTED_BODY])
+        assert stats["nest_dispatches"] == 0 and not stats["side_exits"]
+
+    def test_store_into_the_thresholds_side_exits(self):
+        stats = _counted(4, ["sh a1, 2(s2)", *COUNTED_BODY])
+        assert stats["side_exits"] == {"mem-alias": 1}
+
+    def test_counter_that_wraps_side_exits(self):
+        """3 in steps of 2 passes zero: the loop runs on past the
+        budget on both engines."""
+        stats = _counted(3, step=2, max_instructions=300)
+        assert stats["side_exits"]["trip-count"] >= 1
+
+    def test_misaligned_thresholds(self):
+        _counted(4, regs={"s2": 0x3001})
+
+    def test_hardware_loop_ending_inside_the_body(self):
+        stats = _counted(3, ["lp.setupi 1, 2, end1", "addi a1, a1, 1",
+                             "end1:", *COUNTED_BODY[5:]])
+        assert "nested-loop-end" in stats["side_exits"] or \
+            stats["nest_dispatches"] == 0
+
+    def test_hardware_loop_ending_at_the_exit(self):
+        """The last back-edge branch falls through to an lp1 loop's end:
+        its back-edge fires after the plan, as on the interpreter."""
+        lines = ["lp.setupi 1, 3, end1", "li t5, 2", "head:",
+                 *COUNTED_BODY[5:], "addi t5, t5, -1", "bne t5, zero, head",
+                 "end1:", "ebreak"]
+        _, _, plain = run_both("\n".join(lines) + "\n", regs=COUNTED_REGS,
+                               mem=COUNTED_MEM)
+        assert plain.engine_stats["fused_dispatches"] == 3
+
+
 def _one_region(program):
     from repro.core import RegionCounters
 

@@ -502,6 +502,149 @@ def test_nested_interleaved_stores_parity_deep(source, regs, mem):
     run_both(source, regs=regs, mem=mem)
 
 
+# ---------------------------------------------------------------------------
+# Software counted loops with compare trees
+# ---------------------------------------------------------------------------
+
+#: The trees' threshold base (``s2``, as in the nests), loaded register,
+#: compared register and the registers their leaves write; the loop
+#: counter ``t5`` and the word at ``s3`` holding a threshold base.
+TREE_BASE, TREE_SCRATCH, TREE_ACT = "s2", "t1", "a0"
+TREE_OUTS = ("a4", "t0")
+TREE_CONDITIONS = ("blt", "bge", "bltu", "bgeu", "beq", "bne")
+
+
+def _compare_tree(draw, label, out):
+    """A forward compare tree in the kernels' layout (see
+    ``repro.kernels.quant_sw``): 1-3 levels, sometimes unbalanced, any
+    branch condition with the loaded register on either side; a leaf
+    writes *out* and jumps to the merge (the last may fall through).
+    One tree in three has a branchy leaf the engine must decline: a
+    register write that is not an immediate, or a jump past the merge."""
+    mn = draw(st.sampled_from(TREE_CONDITIONS))
+    load, scale = draw(st.sampled_from((("lh", 2), ("lh", 2), ("lhu", 2),
+                                        ("lb", 1), ("lw", 4))))
+    scratch_first = draw(st.booleans())
+    depth = draw(st.integers(1, 3))
+    branchy = draw(st.sampled_from((None,) * 8 + (
+        f"add {out}, a1, a2", f"addi {out}, a1, 1",
+        f"lh {out}, 0({TREE_BASE})", f"j {label}_skip")))
+    lines: list = []
+    count = [0]
+
+    def leaf(code, last):
+        nonlocal branchy
+        if branchy is not None and not branchy.startswith("j "):
+            lines.append(branchy)
+            branchy = None
+        else:
+            lines.append(f"addi {out}, zero, {code}")
+        if not last or draw(st.booleans()):
+            if branchy is not None:
+                lines.append(branchy)
+                branchy = None
+            else:
+                lines.append(f"j {label}_merge")
+
+    def node(index, left, code, last):
+        if left == 0 or (left < depth and draw(st.integers(0, 4)) == 0):
+            leaf(code, last)
+            return
+        right = f"{label}_r{count[0]}"
+        count[0] += 1
+        lines.append(f"{load} {TREE_SCRATCH}, {scale * index}({TREE_BASE})")
+        a, b = ((TREE_SCRATCH, TREE_ACT) if scratch_first
+                else (TREE_ACT, TREE_SCRATCH))
+        lines.append(f"{mn} {a}, {b}, {right}")
+        node(2 * index + 1, left - 1, 2 * code, False)
+        lines.append(f"{right}:")
+        node(2 * index + 2, left - 1, 2 * code + 1, last)
+
+    node(0, depth, 0, True)
+    return lines + [f"{label}_merge:", "addi a1, a1, 1", f"{label}_skip:"]
+
+
+@st.composite
+def counted_program(draw):
+    """A software counted loop (``t5`` stepped by 1 or 2, 1-5 trips)
+    shaped like the staircase kernels' filter loop: random ops, an
+    optional lp0 dot-product loop into ``a0``, one or two compare trees
+    joined and stored, a threshold-pointer step, then the latch.  Some
+    draws enter after a load of the trees' base, read the counter in the
+    body (no counted loop: tier A) or store into the thresholds the
+    trees read (an alias: the plan declines)."""
+    step = draw(st.sampled_from((1, 1, 2)))
+    lines = [f"li t5, {draw(st.integers(1, 5)) * step}"]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(f"lw {TREE_BASE}, 0(s3)")
+    lines.append("head:")
+    if draw(st.booleans()):
+        lines += draw(body_ops(max_size=3))
+    if draw(st.booleans()):
+        count = draw(st.integers(0, 4))
+        lines += [f"addi {TREE_ACT}, zero, 0", f"lp.setupi 0, {count}, end0",
+                  "p.lw a2, 4(s0!)", f"pv.sdotsp.b {TREE_ACT}, a2, a5",
+                  "end0:"]
+    hazard = draw(st.sampled_from(("none",) * 6 + ("counter", "alias")))
+    if hazard == "alias":
+        lines.append(f"sh a1, {draw(st.sampled_from((0, 2, 6)))}"
+                     f"({TREE_BASE})")
+    for t in range(draw(st.integers(1, 2))):
+        lines += _compare_tree(draw, f"tree{t}", TREE_OUTS[t])
+    if "tree1_merge:" in lines:
+        lines += ["slli t0, t0, 4", "or a4, a4, t0"]
+    if hazard == "counter":
+        lines.insert(draw(st.integers(lines.index("head:") + 1, len(lines))),
+                     "add a3, t5, a1")
+    if draw(st.integers(0, 3)) == 0:
+        lines += draw(body_ops(max_size=2))
+    if draw(st.booleans()):
+        lines.append("p.sb a4, 1(s5!)")
+    lines.append(f"addi {TREE_BASE}, {TREE_BASE}, "
+                 f"{draw(st.sampled_from((0, 16, 30)))}")
+    lines += [f"addi t5, t5, -{step}", "bne t5, zero, head", "ebreak"]
+    return _assemble_lines(lines)
+
+
+@st.composite
+def counted_mem(draw):
+    mem = draw(nest_mem())
+    base = NEST_BASES["s2"] + draw(st.sampled_from((0, 0, 0, 1)))
+    mem[NEST_BASES["s3"]] = base.to_bytes(4, "little")
+    return mem
+
+
+def _fused_counted(source, plain):
+    """Whether *plain* ran the counted loop as a plan: a nest dispatch,
+    or any fused dispatch where the program has no hardware loop."""
+    stats = plain.engine_stats
+    return bool(stats["nest_dispatches"]
+                or ("lp.setupi" not in source and stats["fused_dispatches"]))
+
+
+def test_counted_loop_parity():
+    """Software counted loops around compare trees and lp0 loops: the
+    loop runs as one plan, or declines to tier A, with interpreter parity
+    either way; plans do run in a share of the examples."""
+    fused = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(source=counted_program(), regs=nest_regs(), mem=counted_mem())
+    def check(source, regs, mem):
+        *_, plain = run_both(source, regs=regs, mem=mem)
+        fused.append(_fused_counted(source, plain))
+
+    check()
+    assert any(fused), "no example ran a counted loop plan"
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(source=counted_program(), regs=nest_regs(), mem=counted_mem())
+def test_counted_loop_parity_deep(source, regs, mem):
+    run_both(source, regs=regs, mem=mem)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ops=body_ops(max_size=6), skip=st.integers(1, 3),
        regs=initial_regs(), mem=initial_mem())

@@ -4,8 +4,10 @@ Every conv point of ``SUITE_CONFIGS`` runs at its benchmark geometry on
 the block engine, plain and under a region table; how many dispatches
 fused, how many of them as loop nests, the instructions they retired and
 every side-exit site are pinned, so a change to the engine cannot lose a
-fusion silently.  Under a region table the XpulpNN filter loops span
-their ``dotprod`` and ``quant`` regions and side-exit as ``region``; their
+fusion silently.  A ``hw``/``shift`` filter loop is an ``lp1`` loop nest;
+a ``sw`` one is a software counted loop whose plan holds its dot-product
+loops and compare trees.  Under a region table every filter loop spans
+its ``dotprod`` and ``quant`` regions and side-exits as ``region``; its
 inner loops then fuse one level at a time.
 """
 
@@ -22,16 +24,16 @@ CENSUS = {
                                           [(136, "region", 224)]),
     (4, "xpulpnn", "hw", None): (224, 32, 82944, []),
     (4, "xpulpnn", "hw", "regions"): (448, 0, 78336, [(140, "region", 224)]),
-    (4, "xpulpnn", "sw", None): (448, 0, 78336, []),
-    (4, "xpulpnn", "sw", "regions"): (448, 0, 78336, []),
-    (4, "ri5cy", "sw", None): (448, 0, 444672, []),
-    (4, "ri5cy", "sw", "regions"): (448, 0, 444672, []),
+    (4, "xpulpnn", "sw", None): (224, 32, 93440, []),
+    (4, "xpulpnn", "sw", "regions"): (448, 0, 78336, [(140, "region", 32)]),
+    (4, "ri5cy", "sw", None): (224, 32, 459776, []),
+    (4, "ri5cy", "sw", "regions"): (448, 0, 444672, [(332, "region", 32)]),
     (2, "xpulpnn", "hw", None): (224, 32, 45568, []),
     (2, "xpulpnn", "hw", "regions"): (448, 0, 39168, [(136, "region", 96)]),
-    (2, "xpulpnn", "sw", None): (448, 0, 39168, []),
-    (2, "xpulpnn", "sw", "regions"): (448, 0, 39168, []),
-    (2, "ri5cy", "sw", None): (448, 0, 490752, []),
-    (2, "ri5cy", "sw", "regions"): (448, 0, 490752, []),
+    (2, "xpulpnn", "sw", None): (224, 32, 51712, []),
+    (2, "xpulpnn", "sw", "regions"): (448, 0, 39168, [(136, "region", 32)]),
+    (2, "ri5cy", "sw", None): (224, 32, 503296, []),
+    (2, "ri5cy", "sw", "regions"): (448, 0, 490752, [(752, "region", 32)]),
 }
 
 

@@ -9,6 +9,7 @@ seed, new import order) and require the same answer.
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,63 @@ def _spec_point_job():
 
     return Candidate(spec=variant_spec(2, 64, 512), bits=4, quant="hw",
                      out_ch=32, reduction=64).job()
+
+
+#: Jobs whose runs draw seeded tensors, and the module holding the seed.
+SEEDED_JOBS = [
+    (lambda: ProfileJob(kernel="conv_4bit_sw"), "matrix"),
+    (lambda: ProfileJob(kernel="matmul_2bit", target="xpulpnn-cluster8"),
+     "matrix"),
+    (lambda: ConvPointJob(bits=4, quant="hw", target=XPULPNN), "matrix"),
+    (lambda: ScalingJob(bits=4, cores=2, out_ch=32, reduction=64),
+     "spec_point"),
+    (_spec_point_job, "spec_point"),
+]
+SEEDED_IDS = ["profile", "profile-cluster8", "convpoint", "scaling",
+              "specpoint"]
+
+
+class TestKeyOperands:
+    """The key hashes the seeded tensors the run draws, drawn once."""
+
+    @pytest.mark.parametrize("make_job,module", SEEDED_JOBS, ids=SEEDED_IDS)
+    def test_changing_the_draw_changes_the_key(self, make_job, module,
+                                               monkeypatch):
+        from repro.eval import matrix, spec_point
+
+        seeded = {"matrix": matrix, "spec_point": spec_point}[module]
+        job = make_job()
+        before = cache_key_parts(job)
+        monkeypatch.setattr(seeded, "_SEED", seeded._SEED + 1)
+        after = cache_key_parts(job)
+        assert after["program"] == before["program"]
+        assert digest_of(after) != digest_of(before)
+
+    @pytest.mark.parametrize("make_job,module",
+                             SEEDED_JOBS[:1] + SEEDED_JOBS[3:],
+                             ids=SEEDED_IDS[:1] + SEEDED_IDS[3:])
+    def test_key_and_run_share_one_draw(self, make_job, module, monkeypatch):
+        from repro.eval import cluster_scaling, matrix
+
+        draws = []
+        if module == "matrix":
+            monkeypatch.setattr(matrix, "_DRAWS", OrderedDict())
+            operands = matrix._operands
+
+            def counted(point, c):
+                draws.append(point)
+                return operands(point, c)
+
+            monkeypatch.setattr(matrix, "_operands", counted)
+        else:
+            cluster_scaling.matmul_workload.cache_clear()
+        job = make_job()
+        cache_key_parts(job)
+        execute(job)
+        if module == "matrix":
+            assert len(draws) == 1
+        else:
+            assert cluster_scaling.matmul_workload.cache_info().misses == 1
 
 
 class TestKeyProgramRuns:

@@ -1,10 +1,15 @@
 """Command-line interface tests."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -555,3 +560,23 @@ class TestExplore:
         text = capsys.readouterr().out
         assert "per-layer precision" in text
         assert "8/4/8" in text and "4/2/4" in text
+
+
+def test_version_does_not_import_numpy():
+    """``python -m repro --version`` answers without loading numpy
+    (about 100 ms of start-up), in a fresh interpreter."""
+    snippet = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print('numpy' in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert result.returncode == 0, result.stderr
+    version, loaded = result.stdout.split()
+    assert version == "1.0.0"
+    assert loaded == "False", "repro --version imported numpy"
