@@ -9,7 +9,7 @@ setup) into PC-relative immediates, and validates encodability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import LinkError
 from ..isa.encoding import encode
@@ -33,6 +33,9 @@ class Program:
     #: manager / the assembler's ``.region`` directive and consumed by the
     #: tracing layer for per-phase cycle attribution.
     regions: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
+    #: The encoded instruction stream, as :func:`link` validated it
+    #: (None for a program linked without validation).
+    image: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -44,14 +47,10 @@ class Program:
         return self.base + self.size
 
     def encode(self) -> bytes:
-        """Encode the whole program to its binary image."""
-        blob = bytearray()
-        for ins in self.instructions:
-            if ins.size == 2:
-                blob += rv32c.encode_c(ins).to_bytes(2, "little")
-            else:
-                blob += encode(ins).to_bytes(4, "little")
-        return bytes(blob)
+        """The whole program's binary image."""
+        if self.image is None:
+            self.image = _encode_all(self.instructions)
+        return self.image
 
     def digest(self) -> str:
         """Stable content hash of the linked program (hex SHA-256).
@@ -146,20 +145,27 @@ def link(
         if ins.target is not None:
             ins.imm = label_addr(ins.target) - ins.addr
 
-    if validate:
-        for ins in instructions:
-            try:
-                if ins.size == 2:
-                    rv32c.encode_c(ins)
-                else:
-                    encode(ins)
-            except Exception as exc:
-                raise LinkError(
-                    f"instruction {ins!r} at {ins.addr:#010x} not encodable: {exc}"
-                ) from exc
+    image = _encode_all(instructions) if validate else None
 
     entry = base
     if entry_label is not None:
         entry = label_addr(entry_label)
     return Program(instructions=instructions, labels={k: label_addr(k) for k in labels},
-                   base=base, entry=entry)
+                   base=base, entry=entry, image=image)
+
+
+def _encode_all(instructions: List[Instruction]) -> bytes:
+    """The binary image of *instructions*; raises :class:`LinkError` on
+    the first one that does not encode."""
+    blob = bytearray()
+    for ins in instructions:
+        try:
+            if ins.size == 2:
+                blob += rv32c.encode_c(ins).to_bytes(2, "little")
+            else:
+                blob += encode(ins).to_bytes(4, "little")
+        except Exception as exc:
+            raise LinkError(
+                f"instruction {ins!r} at {ins.addr:#010x} not encodable: {exc}"
+            ) from exc
+    return bytes(blob)

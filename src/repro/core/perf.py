@@ -96,8 +96,9 @@ class PerfCounters:
             str(k): int(v) for k, v in data.get("by_mnemonic", {}).items()})
         return perf
 
-    def merge(self, other: "PerfCounters") -> "PerfCounters":
-        """Accumulate *other* into self (in place) and return self.
+    def merge(self, other: "PerfCounters", times: int = 1) -> "PerfCounters":
+        """Accumulate *other* (*times* over) into self (in place) and
+        return self.
 
         Used to aggregate per-core counters of a cluster run: every field
         sums, so the merged ``cycles`` is total core-cycles (activity, for
@@ -105,9 +106,16 @@ class PerfCounters:
         cores, which barriers make equal anyway.
         """
         for name in self._SCALARS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.by_class.update(other.by_class)
-        self.by_mnemonic.update(other.by_mnemonic)
+            setattr(self, name,
+                    getattr(self, name) + getattr(other, name) * times)
+        if times == 1:
+            self.by_class.update(other.by_class)
+            self.by_mnemonic.update(other.by_mnemonic)
+        else:
+            for mine, theirs in ((self.by_class, other.by_class),
+                                 (self.by_mnemonic, other.by_mnemonic)):
+                for key, count in theirs.items():
+                    mine[key] += count * times
         return self
 
     def delta_since(self, other: "PerfCounters") -> "PerfCounters":

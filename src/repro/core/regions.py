@@ -6,8 +6,13 @@ to a core (``cpu.regions = RegionCounters(program=...)``) or a cluster
 (``cluster.regions = ...``) and every run charges each region with the
 core's own counter deltas taken as execution moves between regions, so
 the per-region counters sum exactly to the core's end-of-run counters.
-The block engine keeps running: while a table is attached no translated
-block or fused loop body crosses a region boundary.
+
+The table only observes: a program is translated and run the same way
+whether or not one is attached.  The block engine charges each region
+its share of what a translated block or a loop plan retires, split
+where the table's map changes region (:mod:`repro.engine.fastblock`,
+:mod:`repro.engine.nest`), and keeps what it derives from a translation
+under this map in :attr:`RegionCounters.memo`.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ class RegionCounters:
             region_map = program.region_map() if program is not None else {}
         self.map: Dict[int, str] = dict(region_map)
         self.default_region = default_region
-        #: Identifies the address partition (translated-block cache key).
-        self.key = (default_region, frozenset(self.map.items()))
+        #: What the block engine derives from a translated block or loop
+        #: plan under this map (its region cuts, each region's share),
+        #: keyed by the translated object.
+        self.memo: Dict[object, object] = {}
         self._counters: Dict[str, PerfCounters] = {}
         self._order: List[str] = []
 

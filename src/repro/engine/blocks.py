@@ -19,10 +19,12 @@ built only for a block the engine runs (:meth:`Block.translate`), so
 the static walker pays for neither.
 
 Translated blocks are cached process-wide keyed on
-``(program digest, ISA name)`` — plus the region partition when a
-region profile is attached — and the block's start address, so repeated
-runs of the same program (the serve pool, sweeps, trajectory
-regeneration) skip discovery entirely.
+``(program digest, ISA name)`` and the block's start address, so
+repeated runs of the same program (the serve pool, sweeps, trajectory
+regeneration, a profiled run after a plain one) skip discovery
+entirely.  A region profile does not enter the key: blocks run through
+region boundaries, and the engine charges each region its share
+(:func:`region_spans`).
 """
 
 from __future__ import annotations
@@ -163,22 +165,33 @@ def _prefix_counts(labels: List[str]) -> Dict[str, List[int]]:
     return out
 
 
-def discover(imem: dict, addr: int, regions=None,
-             stops=()) -> Optional[Block]:
+def region_spans(instrs: list, lo: int, hi: int,
+                 region_of) -> List[Tuple[object, int, int]]:
+    """``(region, a, b)`` for each maximal run ``instrs[a:b]`` of
+    ``instrs[lo:hi]`` whose addresses *region_of* maps to one region."""
+    spans = []
+    a = lo
+    name = region_of(instrs[lo].addr)
+    for i in range(lo + 1, hi):
+        other = region_of(instrs[i].addr)
+        if other != name:
+            spans.append((name, a, i))
+            a, name = i, other
+    spans.append((name, a, hi))
+    return spans
+
+
+def discover(imem: dict, addr: int, stops=()) -> Optional[Block]:
     """Decode and translate the block starting at *addr*, or ``None``
     when the first instruction is absent (fetch fault) or
     interpreter-only.  The block ends before any later address in
     *stops* (the heads of software counted loops, where a loop plan
-    takes over) and, with a region profile
-    (:class:`~repro.core.regions.RegionCounters`), where the next
-    instruction lies in another region."""
-    region = regions.region_of(addr) if regions is not None else None
+    takes over)."""
     instrs = []
     a = addr
     while len(instrs) < MAX_BLOCK_INSTRUCTIONS:
         ins = imem.get(a)
-        if ins is None or (instrs and a in stops) or (
-                regions is not None and regions.region_of(a) != region):
+        if ins is None or (instrs and a in stops):
             break
         if ins.spec.timing in TERMINATOR_CLASSES:
             if control_kind(ins):
@@ -194,7 +207,7 @@ def discover(imem: dict, addr: int, regions=None,
 class ProgramBlockCache:
     """LRU map of translated programs shared across cores.
 
-    Keys are ``(program digest, ISA name[, region partition])``; the value
+    Keys are ``(program digest, ISA name)``; the value
     is the per-program ``{start addr: Block | None}`` map (``None``
     records interpreter-only start addresses so repeated dispatches skip
     re-discovery), which also holds the loop shapes of

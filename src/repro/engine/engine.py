@@ -34,11 +34,11 @@ each core's epoch that way (:mod:`repro.cluster.replay`): tier A and the
 interpreter steps log each access with its stall-free issue clock, a
 fused loop logs all of its iterations' accesses as arrays, and the
 cluster then replays the TCDM bank arbitration over the logs.  A region
-profile
-(:class:`~repro.core.regions.RegionCounters`) keeps the engine on: blocks
-are then translated so that none crosses a region boundary (a loop
-body that does side-exits), and the core's counters are charged to a
-region whenever dispatch enters another one.
+profile (:class:`~repro.core.regions.RegionCounters`) keeps the engine
+on and changes nothing about the translation: the block map is keyed
+on the program and ISA alone, so a profiled run reuses a plain run's
+blocks and loop plans.  Tier A charges each segment to its region and a
+loop plan charges each region its pieces' share.
 
 Statistics are plain integers during the run and are published to the
 telemetry registry (``engine.*`` counters) when the run ends.
@@ -155,7 +155,7 @@ class BlockEngine:
         self.stats = EngineStats()
         # Fallback block map for load_from_memory images (no digest).
         self._local_map: Dict[object, object] = {}
-        self._local_key: Optional[tuple] = None
+        self._local_key: Optional[int] = None
         #: The side-exit site whose fallback dispatch runs next.
         self._exit_site: Optional[list] = None
         #: ``(head, counter)`` at which a software counted loop whose
@@ -165,21 +165,16 @@ class BlockEngine:
 
     # ------------------------------------------------------------------
 
-    def _block_map(self, cpu, regions) -> Dict[object, object]:
-        partition = regions.key if regions is not None else None
+    def _block_map(self, cpu) -> Dict[object, object]:
         program = cpu._loaded_program
         if program is not None:
             digest = cpu._block_digest
             if digest is None:
                 digest = cpu._block_digest = program.digest()
-            key = (digest, cpu.isa.name)
-            if partition is not None:
-                key += (partition,)
-            return GLOBAL_CACHE.map_for(key)
-        local_key = (cpu._imem_version, partition)
-        if self._local_key != local_key:
+            return GLOBAL_CACHE.map_for((digest, cpu.isa.name))
+        if self._local_key != cpu._imem_version:
             self._local_map = {}
-            self._local_key = local_key
+            self._local_key = cpu._imem_version
         return self._local_map
 
     def _discover(self, cpu, blocks, pc: int) -> Optional[Block]:
@@ -189,7 +184,7 @@ class BlockEngine:
         heads = blocks.get(_HEADS)
         if heads is None:
             heads = blocks[_HEADS] = counted_heads(cpu)
-        block = blocks[pc] = discover(cpu._imem, pc, cpu.regions, heads)
+        block = blocks[pc] = discover(cpu._imem, pc, heads)
         if block is not None:
             self.stats.blocks_translated += 1
             block.head = heads.get(pc)
@@ -217,8 +212,7 @@ class BlockEngine:
     # ------------------------------------------------------------------
 
     def run(self, cpu, max_instructions: int):
-        regions = cpu.regions
-        blocks = self._block_map(cpu, regions)
+        blocks = self._block_map(cpu)
         stats = self.stats
         hw = cpu.hwloops
         count = hw.count
@@ -272,10 +266,6 @@ class BlockEngine:
                         self._exit_site[1] += 1
                         self._exit_site = None
                     continue
-                if regions is not None:
-                    name = regions.region_of(pc)
-                    if name != cpu._region:
-                        cpu._enter_region(name)
                 if count[0] > 0 and pc == start[0]:
                     done = self._try_loop(cpu, blocks, pc, 0, budget, port)
                 elif count[1] > 0 and pc == start[1]:
@@ -317,7 +307,7 @@ class BlockEngine:
         if shape is None:
             try:
                 shape = walk(cpu._imem, pc, hw.end[level], level, other_end,
-                             self._block_at(cpu, blocks), cpu.regions)
+                             self._block_at(cpu, blocks))
             except Unfusable as declined:
                 shape = declined.reason
             blocks[key] = shape
@@ -364,7 +354,7 @@ class BlockEngine:
         if shape is None:
             try:
                 shape = walk_counted(cpu._imem, loop,
-                                     self._block_at(cpu, blocks), cpu.regions)
+                                     self._block_at(cpu, blocks))
             except Unfusable as declined:
                 shape = declined.reason
             blocks[key] = shape
@@ -402,10 +392,6 @@ class BlockEngine:
             # clocks of every access after it.
             self._side_exit(cpu, pc, "tree-log")
             return 0
-        if cpu.regions is not None:
-            name = cpu.regions.region_of(pc)
-            if name != cpu._region:
-                cpu._enter_region(name)
         try:
             retired = execute(cpu, plan, n, level, port)
         except Unfusable as declined:

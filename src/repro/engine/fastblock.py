@@ -22,6 +22,13 @@ in the block's last segment, a taken branch adds
 :data:`~repro.core.timing.JUMP_PENALTY`, and only a branch that falls
 through can take a hardware-loop back-edge, as on the interpreter.
 
+With a region profile attached
+(:class:`~repro.core.regions.RegionCounters`) a segment also ends where
+the table's map changes region, and each segment is charged to its own
+region: the cuts are looked up from the table (:func:`_cuts`), never
+stored in the block, so one translation serves observed and unobserved
+runs alike.
+
 Against a memory that logs its accesses (a cluster core's replay port,
 :mod:`repro.cluster.replay`), the segment also tells the port, before
 each instruction, how many cycles past the segment's start that
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 from ..core.timing import (BRANCH_TAKEN_PENALTY, JUMP_PENALTY,
                            MISALIGNED_PENALTY)
+from .blocks import region_spans
 
 
 def run_block(cpu, block, limit: int, port=None) -> int:
@@ -43,6 +51,7 @@ def run_block(cpu, block, limit: int, port=None) -> int:
     hw = cpu.hwloops
     ft_index = block.ft_index
     n = block.n
+    cuts = None if cpu.regions is None else _cuts(cpu.regions, block)
     executed = 0
     idx = 0
     while True:
@@ -56,6 +65,10 @@ def run_block(cpu, block, limit: int, port=None) -> int:
             j = ft_index.get(hw.end[1], -1)
             if idx <= j < stop:
                 stop = j + 1
+        if cuts is not None:
+            region, j = cuts[idx]
+            if j < stop:
+                stop = j
         at_boundary = True
         if executed + (stop - idx) > limit:
             stop = idx + (limit - executed)
@@ -63,6 +76,8 @@ def run_block(cpu, block, limit: int, port=None) -> int:
             if stop == idx:
                 cpu.pc = block.addrs[idx]
                 return executed
+        if cuts is not None and region != cpu._region:
+            cpu._enter_region(region)
         target = _exec_segment(cpu, block, idx, stop, port)
         executed += stop - idx
         if target is not None:
@@ -93,6 +108,19 @@ def run_block(cpu, block, limit: int, port=None) -> int:
             cpu.pc = redirect
             return executed
         idx = j
+
+
+def _cuts(regions, block) -> list:
+    """Per instruction of *block*: its region under the table *regions*
+    and the index of the next instruction in another region (``n`` at
+    the last region's), derived once per table."""
+    cuts = regions.memo.get(block)
+    if cuts is None:
+        cuts = regions.memo[block] = [None] * block.n
+        for name, a, b in region_spans(block.instrs, 0, block.n,
+                                       regions.region_of):
+            cuts[a:b] = [(name, b)] * (b - a)
+    return cuts
 
 
 def _exec_segment(cpu, block, lo: int, hi: int, port=None):

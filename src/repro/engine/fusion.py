@@ -258,7 +258,7 @@ class _Ctx:
     __slots__ = ("n", "rows", "cols", "mem", "data", "data16", "data32",
                  "env", "affine", "contribs", "mis", "stores",
                  "load_ranges", "store_ranges", "sources", "streams", "log",
-                 "leaves")
+                 "leaves", "node_mis")
 
     def __init__(self, n: int, mem, body_len: int, logging: bool) -> None:
         self.n = self.cols = n
@@ -289,6 +289,9 @@ class _Ctx:
         #: the leaf every iteration reached, per compare tree in body
         #: order (:mod:`repro.engine.tree`)
         self.leaves: List[np.ndarray] = []
+        #: misaligned threshold reads per tree node, by the body index of
+        #: a compare tree that made any
+        self.node_mis: Dict[int, np.ndarray] = {}
 
     def child(self, rows: int, cols: int, body_len: int) -> "_Ctx":
         """A context for ``rows`` x ``cols`` iterations of an inner loop
@@ -302,6 +305,7 @@ class _Ctx:
         ctx.mis = [0] * body_len
         ctx.log = [] if self.log is not None else None
         ctx.leaves = []
+        ctx.node_mis = {}
         return ctx
 
     def addresses(self, base, delta: int, row_delta: int = 0) -> np.ndarray:
@@ -640,20 +644,14 @@ def _simd_operand(rs2: int, imm: int, width: int,
 def _make_dotp(rd: int, rs1: int, rs2: int, imm: int, width: int,
                a_signed: bool, b_signed: bool, accumulate: bool,
                variant: str, rd_is_acc: bool) -> Callable:
-    sign_bit = 1 << (width - 1)
     operand = _simd_operand(rs2, imm, width, variant)
 
     def step(ctx: _Ctx) -> None:
         a = ctx.get(rs1)
         b = operand(ctx)
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            la = split_lanes(a, width)
-            lb = split_lanes(b, width)
-            if a_signed:
-                la = (la ^ sign_bit) - sign_bit
-            if b_signed:
-                lb = (lb ^ sign_bit) - sign_bit
-            contribution = (la * lb).sum(axis=-1)
+            contribution = (split_lanes(a, width, a_signed)
+                            * split_lanes(b, width, b_signed)).sum(axis=-1)
         else:
             contribution = dot(a, b, width, a_signed, b_signed)
         if not accumulate:

@@ -27,8 +27,6 @@ The walks decline, as a side exit:
   the body (or, for level 1 sharing the end address, *instead of* its
   own: level 0 has redirect priority), or an inner loop ends where the
   outer one does;
-* ``region`` — with a region profile attached, a nest's or counted
-  loop's body crosses a region boundary;
 * ``tree-shape`` — a branch in a counted loop's body opens no compare
   tree.
 
@@ -59,6 +57,18 @@ access-logging memory, every memory op is handed to the port as a
 stream strided in clock and offset, an inner loop's as a 2-D stream
 with one row per outer iteration; a plan with a compare tree is not
 run there (its iterations differ in length).
+
+Regions: a plan is the same whether or not a region profile
+(:class:`~repro.core.regions.RegionCounters`) is attached, and charges
+each region its share (:func:`_attribute`).  The pieces are split where
+the table's map changes region and priced per part with
+:meth:`~repro.engine.blocks.Block.price`; each region's share of one
+iteration is cached in the table per entering load (:func:`_shares`).
+Iteration 0 enters its regions part by part, so each region's
+first-entry clock (under a cluster's replay) and place in the table are
+the interpreter's; the later iterations are charged per region.  A
+misaligned access, a back-edge, a compare tree's leaf path and the
+counted loop's not-taken last latch are charged to their pc's region.
 """
 
 from __future__ import annotations
@@ -67,8 +77,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.perf import PerfCounters
 from ..core.timing import BRANCH_TAKEN_PENALTY, MISALIGNED_PENALTY
-from .blocks import Block
+from .blocks import Block, region_spans
 from .tree import Tree
 from .fusion import (
     MASK32,
@@ -141,7 +152,7 @@ class LoopShape:
 
 
 def walk(imem: dict, start: int, end: int, level: int,
-         other_end: Optional[int], block_at, regions=None) -> LoopShape:
+         other_end: Optional[int], block_at) -> LoopShape:
     """The shape of the loop *level* body ``[start, end)``; *other_end*
     is the other loop's end while it is active, else None.  Raises
     :class:`Unfusable` (see the module docstring)."""
@@ -160,7 +171,6 @@ def walk(imem: dict, start: int, end: int, level: int,
         return LoopShape([("run", block, 0, k + 1)])
     if level == 0 or other_end is not None:
         raise Unfusable("loop-shape")
-    _one_region(imem, start, end, regions)
     pieces: List[Tuple] = []
     addr = start
     while True:
@@ -181,15 +191,14 @@ def walk(imem: dict, start: int, end: int, level: int,
     return LoopShape(pieces)
 
 
-def walk_counted(imem: dict, loop, block_at, regions=None) -> LoopShape:
+def walk_counted(imem: dict, loop, block_at) -> LoopShape:
     """The shape of the software counted loop *loop* (a
     :class:`~repro.analysis.dataflow.CountedLoop`): its body from
     ``head`` to the latch as runs, complete ``lp0`` loops and compare
-    trees, then the latch.  Raises :class:`Unfusable`: ``region`` as
-    :func:`walk`, ``tree-shape`` for a branch that does not open a
-    compare tree (:class:`~repro.engine.tree.Tree`), ``loop-shape`` for
-    any other body."""
-    _one_region(imem, loop.head, loop.exit, regions)
+    trees, then the latch.  Raises :class:`Unfusable`: ``tree-shape``
+    for a branch that does not open a compare tree
+    (:class:`~repro.engine.tree.Tree`), ``loop-shape`` for any other
+    body."""
     pieces: List[Tuple] = []
     addr = loop.head
     while loop.head <= addr <= loop.latch:
@@ -250,20 +259,6 @@ def counted_heads(cpu) -> Dict[int, object]:
                 if loop.head <= ins.addr < loop.latch):
             heads[loop.head] = loop
     return heads
-
-
-def _one_region(imem: dict, start: int, end: int, regions) -> None:
-    """Decline (``region``) a body ``[start, end)`` that crosses a region
-    boundary of the attached profile."""
-    if regions is None:
-        return
-    names = set()
-    addr = start
-    while addr < end and addr in imem:
-        names.add(regions.region_of(addr))
-        addr += imem[addr].spec.size
-    if len(names) > 1:
-        raise Unfusable("region")
 
 
 def _inner_loop(imem: dict, addr: int, end: int, block_at,
@@ -349,10 +344,11 @@ class _Tree:
     iteration's path; its price is per iteration (see
     :meth:`LoopPlan.tree_charges`)."""
 
-    __slots__ = ("tree", "handler")
+    __slots__ = ("tree", "index", "handler")
 
     def __init__(self, tree: Tree, index: int) -> None:
         self.tree = tree
+        self.index = index
         self.handler = tree.handler(index)
 
     def price(self, pending):
@@ -625,11 +621,17 @@ def execute(cpu, plan: LoopPlan, n: int, level: Optional[int] = None,
     commit(cpu, plan, ctx)
 
     perf = cpu.perf
-    timing = plan.timing(cpu._pending_load_rd)
+    start = perf.cycles
+    entering = cpu._pending_load_rd
+    timing = plan.timing(entering)
     first, load_use = timing[:2]
     steady, steady_load_use = plan.steady[:2]
     if port is not None:
-        _log(port, plan, ctx.log, inners, perf.cycles, timing, n)
+        _log(port, plan, ctx.log, inners, start, timing, n)
+    if cpu.regions is not None:
+        # The open region is charged up to here; the dispatch charges
+        # each region directly (see _attribute).
+        cpu._close_region()
     mis_cycles = mis * MISALIGNED_PENALTY
     cycles = first + steady * (n - 1) + mis_cycles
     instructions = plan.row_instructions * n
@@ -669,6 +671,7 @@ def execute(cpu, plan: LoopPlan, n: int, level: Optional[int] = None,
         hw.count[0] = 0
         hw.start[0], hw.end[0] = plan.inner_loop
     cpu.pc = exit_pc
+    exit_backedge = False
     if plan.counted is not None:
         # The last back-edge branch falls through: a hardware loop
         # ending there takes its back-edge, as on the interpreter.
@@ -676,6 +679,10 @@ def execute(cpu, plan: LoopPlan, n: int, level: Optional[int] = None,
         if redirect is not None:
             perf.hwloop_backedges += 1
             cpu.pc = redirect
+            exit_backedge = True
+    if cpu.regions is not None:
+        _attribute(cpu, plan, n, ctx, inners, entering, start,
+                   exit_backedge)
     return instructions
 
 
@@ -696,6 +703,220 @@ def _enter_classes(by_class, plan: LoopPlan, leaves) -> None:
             classes = piece.block.classes[piece.k:piece.k + 1]
         for cls in classes:
             by_class[cls] += 0
+
+
+def _shares(table, plan: LoopPlan, pending: Optional[int]) -> Tuple:
+    """One iteration of *plan* entered after an instruction that loaded
+    *pending*, under the region table *table*: ``(row, order)``.  *row*
+    maps each region to the :class:`PerfCounters` the iteration charges
+    it outside its compare trees (an inner loop's back-edges included);
+    *order* lists the regions as the iteration first enters them,
+    ``(name, clock)`` with the clock from the iteration's start, and
+    ``(t, None)`` where it enters compare tree ``t``.  Cached in the
+    table per plan and load."""
+    key = (plan, pending)
+    shares = table.memo.get(key)
+    if shares is not None:
+        return shares
+    region_of = table.region_of
+    row: Dict[str, PerfCounters] = {}
+    order: List[Tuple] = []
+    seen: set = set()
+
+    def enter(name, clock: int) -> PerfCounters:
+        if name not in seen:
+            seen.add(name)
+            order.append((name, clock))
+        perf = row.get(name)
+        if perf is None:
+            perf = row[name] = PerfCounters()
+        return perf
+
+    def charge(block: Block, a: int, b: int, entering, clock: int) -> int:
+        """Charge ``block.instrs[a:b]``, one region's, entered after
+        *entering*; returns its cycles."""
+        perf = enter(region_of(block.instrs[a].addr), clock)
+        cycles, load_use = block.price(a, b, entering)
+        perf.cycles += cycles
+        perf.stall_load_use += load_use
+        perf.instructions += b - a
+        for cls, pref in block.cls_prefix.items():
+            if pref[b] != pref[a]:
+                perf.by_class[cls] += pref[b] - pref[a]
+        return cycles
+
+    clock = 0
+    trees = 0
+    for piece in plan.pieces:
+        if isinstance(piece, _Run):
+            block = piece.block
+            for _, a, b in region_spans(block.instrs, piece.lo, piece.hi,
+                                        region_of):
+                clock += charge(block, a, b, pending if a == piece.lo
+                                else block.pending[a - 1], clock)
+            pending = block.pending[piece.hi - 1]
+        elif isinstance(piece, _Loop):
+            clock += charge(piece.setup, 0, 1, pending, clock)
+            inner = piece.plan
+            first, first_order = _shares(table, inner, None)
+            for name, at in first_order:
+                enter(name, clock + at)
+            for name, perf in first.items():
+                row[name].merge(perf)
+            again = piece.trips - 1
+            if again:
+                for name, perf in _shares(table, inner,
+                                          inner.pending_after)[0].items():
+                    row[name].merge(perf, again)
+                row[region_of(inner.pcs[-1])].hwloop_backedges += again
+            clock += piece.first[0] + inner.steady[0] * again
+            pending = inner.pending_after
+        elif isinstance(piece, _Tree):
+            # What follows a tree starts at a clock that depends on its
+            # leaf; a plan with a tree never runs against a logging port,
+            # the one reader of the clocks.
+            order.append((trees, None))
+            trees += 1
+            pending = None
+        else:
+            block, k = piece.block, piece.k
+            clock += charge(block, k, k + 1, pending, clock)
+            perf = row[region_of(block.instrs[k].addr)]
+            perf.cycles += BRANCH_TAKEN_PENALTY
+            perf.stall_branch += BRANCH_TAKEN_PENALTY
+            pending = None
+    shares = table.memo[key] = (row, order)
+    return shares
+
+
+def _attribute(cpu, plan: LoopPlan, n: int, ctx, inners,
+               entering: Optional[int], start: int,
+               exit_backedge: bool) -> None:
+    """Charge each region of the core's table its share of the dispatch
+    that ran *n* iterations of *plan*, entered at clock *start* after a
+    load of *entering* (see the module docstring); *exit_backedge* says
+    whether a hardware loop's back-edge fired after a counted loop's
+    last latch."""
+    table = cpu.regions
+    region_of = table.region_of
+    epoch = cpu._epoch
+    order = _shares(table, plan, entering)[1]
+    leaves = ctx.leaves
+    tree_prices = [
+        _tree_prices(table, piece.tree, pending) for piece, pending
+        in zip(plan.trees, plan.timing(entering)[4])]
+    # Iteration 0 enters its regions in body order.
+    for name, clock in order:
+        if clock is None:
+            for region in tree_prices[name][2][int(leaves[name][0])]:
+                table.counters_for(region)
+            continue
+        if epoch is not None:
+            epoch.setdefault(name, start + clock)
+        table.counters_for(name)
+    if plan.trees:
+        _enter_late_regions(table, tree_prices, leaves)
+
+    for name, perf in _totals(table, plan, entering, n):
+        table[name].merge(perf)
+    if exit_backedge:
+        table[region_of(plan.counted.latch)].hwloop_backedges += 1
+
+    misaligned = [(plan.pcs[index], count)
+                  for index, count in enumerate(ctx.mis)
+                  if count and index not in ctx.node_mis]
+    for piece in plan.trees:
+        if piece.index in ctx.node_mis:
+            misaligned += zip(piece.tree.node_addrs,
+                              ctx.node_mis[piece.index].tolist())
+    for p, inner in inners:
+        pcs = plan.pieces[p].plan.pcs
+        misaligned += [(pcs[j], count) for j, count in enumerate(inner.mis)
+                       if count]
+    for pc, count in misaligned:
+        if count:
+            perf = table[region_of(pc)]
+            perf.cycles += count * MISALIGNED_PENALTY
+            perf.stall_misaligned += count * MISALIGNED_PENALTY
+
+    for piece, reached, (classes, first_tables, _), pending in zip(
+            plan.trees, leaves, tree_prices, plan.steady[4]):
+        counts = np.bincount(reached, minlength=len(piece.tree.paths))
+        tables = _tree_prices(table, piece.tree, pending)[1]
+        leaf = int(reached[0])
+        for name, rows in tables.items():
+            charged = counts @ rows + first_tables[name][leaf] - rows[leaf]
+            if not charged[4]:
+                continue    # only on paths no iteration took
+            perf = table[name]
+            (cycles, load_use, branch, jump,
+             instructions) = charged[:5].tolist()
+            perf.cycles += cycles
+            perf.stall_load_use += load_use
+            perf.stall_branch += branch
+            perf.stall_jump += jump
+            perf.instructions += instructions
+            for cls, count in zip(classes, charged[5:].tolist()):
+                if count:
+                    perf.by_class[cls] += count
+
+
+def _totals(table, plan: LoopPlan, entering: Optional[int],
+            n: int) -> List[Tuple[str, PerfCounters]]:
+    """What *n* iterations of *plan* entered after a load of *entering*
+    charge each region outside their compare trees and misaligned
+    accesses: the first iteration's share, the steady one's for the
+    rest, the back-edges between them and a counted loop's not-taken
+    last latch.  Cached in the table."""
+    key = (plan, entering, n)
+    totals = table.memo.get(key)
+    if totals is None:
+        region_of = table.region_of
+        charged = {name: perf.copy() for name, perf
+                   in _shares(table, plan, entering)[0].items()}
+        for name, perf in _shares(table, plan,
+                                  plan.pending_after)[0].items():
+            charged[name].merge(perf, n - 1)
+        if plan.counted is None:
+            charged[region_of(plan.pcs[-1])].hwloop_backedges += n - 1
+        else:
+            latch = charged[region_of(plan.counted.latch)]
+            latch.cycles -= BRANCH_TAKEN_PENALTY
+            latch.stall_branch -= BRANCH_TAKEN_PENALTY
+        totals = table.memo[key] = list(charged.items())
+    return totals
+
+
+def _tree_prices(table, tree: Tree, pending: Optional[int]) -> Tuple:
+    """*tree*'s leaf paths entered after a load of *pending*, split by
+    the regions of *table*: ``(classes, {region: prices}, regions)``
+    (:meth:`~repro.engine.tree.Tree.region_prices`), *regions* listing
+    each leaf's regions in path order.  Cached in the table."""
+    key = (tree, pending)
+    prices = table.memo.get(key)
+    if prices is None:
+        classes, tables = tree.region_prices(pending, table.region_of)
+        regions = [list(dict.fromkeys(table.region_of(ins.addr)
+                                      for ins in instrs))
+                   for instrs, _ in tree.paths]
+        prices = table.memo[key] = (classes, tables, regions)
+    return prices
+
+
+def _enter_late_regions(table, tree_prices, leaves) -> None:
+    """Enter, in the order the interpreter first reaches them, the
+    regions of leaf paths no iteration before has entered (the first
+    iteration's leaves are entered in body order)."""
+    late: Dict[str, Tuple[int, int, int]] = {}
+    for t, ((_, _, regions), reached) in enumerate(zip(tree_prices, leaves)):
+        for leaf in np.unique(reached).tolist():
+            for k, name in enumerate(regions[leaf]):
+                if name not in table:
+                    when = (int(np.argmax(reached == leaf)), t, k)
+                    if name not in late or when < late[name]:
+                        late[name] = when
+    for name in sorted(late, key=late.get):
+        table.counters_for(name)
 
 
 def _log(port, plan: LoopPlan, log, inners, start: int, timing,

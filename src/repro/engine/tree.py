@@ -29,7 +29,9 @@ priced once per entering load with
 stall included — plus :data:`~repro.core.timing.BRANCH_TAKEN_PENALTY`
 per taken branch and :data:`~repro.core.timing.JUMP_PENALTY` for the
 leaf's jump (:meth:`Tree.prices`); the plan charges every iteration its
-leaf's price.
+leaf's price.  Under a region profile each path is priced per region it
+crosses (:meth:`Tree.region_prices`), and a node's misaligned threshold
+reads are counted per node, so each region is charged its share.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.timing import BRANCH_TAKEN_PENALTY, JUMP_PENALTY
-from .blocks import Block, control_kind
+from .blocks import Block, control_kind, region_spans
 from .fusion import MASK32, Unfusable, _check_range
 from .vector import gather, to_signed32
 
@@ -61,7 +63,8 @@ class Tree:
     __slots__ = ("addr", "merge", "scratch", "out", "base", "act", "size",
                  "signed", "compare", "signed_compare", "scratch_first",
                  "offsets", "taken", "fall", "imms", "paths", "depth",
-                 "full_depth", "max_len", "lo", "hi", "_key", "_prices")
+                 "full_depth", "max_len", "lo", "hi", "node_addrs", "_key",
+                 "_prices")
 
     def __init__(self, imem: dict, addr: int) -> None:
         self.addr = addr
@@ -112,6 +115,7 @@ class Tree:
             raise Unfusable("tree-shape")
         self.offsets = np.array([load.imm for load, _ in nodes],
                                 dtype=np.int64)
+        self.node_addrs = [load.addr for load, _ in nodes]
         self.lo, self.hi = int(self.offsets.min()), int(self.offsets.max())
         self.taken = np.array(self.taken, dtype=np.int64)
         self.fall = np.array(self.fall, dtype=np.int64)
@@ -185,24 +189,41 @@ class Tree:
         *classes*."""
         prices = self._prices.get(pending)
         if prices is None:
-            classes: List[str] = []
-            rows = []
-            for instrs, taken in self.paths:
-                block = Block(instrs)
-                cycles, load_use = block.price(0, block.n, pending)
-                branch = BRANCH_TAKEN_PENALTY * taken
-                jump = JUMP_PENALTY if block.classes[-1] == "jump" else 0
-                for cls in block.cls_prefix:
-                    if cls not in classes:
-                        classes.append(cls)
-                rows.append([cycles + branch + jump, load_use, branch, jump,
-                             block.n] + [block.cls_prefix.get(cls, [0])[-1]
-                                         for cls in classes])
-            width = 5 + len(classes)
-            table = np.array([row + [0] * (width - len(row)) for row in rows],
-                             dtype=np.int64)
-            prices = self._prices[pending] = (classes, table)
+            classes, tables = self.region_prices(pending, lambda addr: None)
+            prices = self._prices[pending] = (classes, tables[None])
         return prices
+
+    def region_prices(self, pending: Optional[int],
+                      region_of) -> Tuple[List[str], Dict[object, np.ndarray]]:
+        """:meth:`prices` split by region: ``(classes, {region: table})``,
+        where row ``leaf`` of a region's table holds what the part of
+        that leaf's path *region_of* maps to the region retires."""
+        classes: List[str] = []
+        for instrs, _ in self.paths:
+            for ins in instrs:
+                if ins.spec.timing not in classes:
+                    classes.append(ins.spec.timing)
+        tables: Dict[object, np.ndarray] = {}
+        for leaf, (instrs, _) in enumerate(self.paths):
+            block = Block(instrs)
+            for name, a, b in region_spans(instrs, 0, block.n, region_of):
+                cycles, load_use = block.price(
+                    a, b, pending if a == 0 else block.pending[a - 1])
+                branch = BRANCH_TAKEN_PENALTY * sum(
+                    1 for i in range(a, b)
+                    if block.classes[i] == "branch" and instrs[i + 1].addr
+                    != instrs[i].addr + instrs[i].spec.size)
+                jump = JUMP_PENALTY if (
+                    b == block.n and block.classes[-1] == "jump") else 0
+                table = tables.get(name)
+                if table is None:
+                    table = tables[name] = np.zeros(
+                        (len(self.paths), 5 + len(classes)), dtype=np.int64)
+                table[leaf, :5] += (cycles + branch + jump, load_use, branch,
+                                    jump, b - a)
+                for cls, pref in block.cls_prefix.items():
+                    table[leaf, 5 + classes.index(cls)] += pref[b] - pref[a]
+        return classes, tables
 
     def handler(self, index: int):
         """The batch handler of the tree at body index *index*: it sets
@@ -233,6 +254,7 @@ class Tree:
             node = np.zeros(n, dtype=np.int64)
             value = node
             misaligned = 0
+            node_mis = None
             for level in range(self.full_depth):
                 live = None if level < self.depth else node >= 0
                 where = node if live is None else np.where(live, node, 0)
@@ -240,8 +262,15 @@ class Tree:
                 loaded = gather(ctx.data, at, size, signed)
                 if size > 1:
                     odd = at % size != 0
-                    misaligned += int(np.count_nonzero(
-                        odd if live is None else odd & live))
+                    if live is not None:
+                        odd &= live
+                    count = int(np.count_nonzero(odd))
+                    if count:
+                        misaligned += count
+                        reads = np.bincount(where[odd],
+                                            minlength=len(offsets))
+                        node_mis = reads if node_mis is None \
+                            else node_mis + reads
                 x = to_signed32(loaded) if signed_compare else loaded
                 cond = compare(x, act) if scratch_first \
                     else compare(act, x)
@@ -253,6 +282,8 @@ class Tree:
                     value = np.where(live, loaded, value)
             leaf = ~node
             ctx.mis[index] += misaligned
+            if node_mis is not None:
+                ctx.node_mis[index] = node_mis
             ctx.env[self.scratch] = value
             ctx.env[self.out] = imms[leaf]
             ctx.leaves.append(leaf)

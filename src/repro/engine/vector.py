@@ -96,17 +96,38 @@ def bit_extract(value: Value, pos: int, length: int, signed: bool) -> Value:
 _LANE_SHIFTS = {width: np.arange(0, 32, width, dtype=np.int64)
                 for width in (2, 4, 8, 16)}
 
+#: byte-aligned lane width -> (unsigned, signed) little-endian lane
+#: dtype of a view of the u32 words
+_LANE_VIEWS = {8: ("<u1", "<i1"), 16: ("<u2", "<i2")}
 
-def split_lanes(value: Value, width: int) -> np.ndarray:
-    """The *width*-bit lanes of a u32 value, lane 0 first: shape
-    ``(lanes,)`` for a scalar, ``(N, lanes)`` for a per-iteration array."""
+
+def split_lanes(value: Value, width: int, signed: bool = False) -> np.ndarray:
+    """The *width*-bit lanes of a u32 value, lane 0 first, zero- or
+    (*signed*) sign-extended to int64: shape ``(lanes,)`` for a scalar,
+    ``(N, lanes)`` for a per-iteration array.  An array's byte and
+    halfword lanes are read through a typed view of its words, the rest
+    shifted out."""
     if isinstance(value, np.ndarray):
+        views = _LANE_VIEWS.get(width)
+        if views is not None:
+            words = value.astype("<u4")
+            return words.view(views[signed]).reshape(
+                len(words), 32 // width).astype(np.int64)
         value = value[:, None]
-    return (value >> _LANE_SHIFTS[width]) & ((1 << width) - 1)
+    lanes = (value >> _LANE_SHIFTS[width]) & ((1 << width) - 1)
+    if signed:
+        sign_bit = 1 << (width - 1)
+        lanes = (lanes ^ sign_bit) - sign_bit
+    return lanes
 
 
 def join_lanes(lanes: np.ndarray, width: int) -> Value:
-    """Inverse of :func:`split_lanes`; a scalar comes back as an ``int``."""
+    """Inverse of :func:`split_lanes` (for lanes within *width* bits); a
+    scalar comes back as an ``int``."""
+    views = _LANE_VIEWS.get(width)
+    if views is not None and lanes.ndim == 2:
+        return lanes.astype(views[0], order="C").view("<u4").reshape(-1).astype(
+            np.int64)
     word = (lanes << _LANE_SHIFTS[width]).sum(axis=-1)
     return word if word.ndim else int(word)
 

@@ -76,8 +76,7 @@ def run_both(source, *, isa="xpulpnn", regs=None, mem=None,
     program, by default over :func:`region_map`); assert bit- and
     cycle-identical outcomes (including identical exceptions and region
     tables) and return ``(interp_cpu, block_cpu, plain_cpu)``.  The
-    third, unprofiled block-engine run must match too (its translated
-    blocks are not split at region boundaries)."""
+    third, unprofiled block-engine run must match too."""
     program = assemble(source, isa=isa)
     kw = dict(isa=isa, regs=regs, mem=mem,
               max_instructions=max_instructions)

@@ -257,6 +257,43 @@ def _insert_chain(lanes):
     return lines
 
 
+def test_tree_leaf_regions_enter_in_iteration_order():
+    """Two compare-tree leaves in regions of their own, which the first
+    iteration does not reach: the plan enters them in the order later
+    iterations first reach them (leaf 3 in the second, leaf 1 in the
+    third), not in leaf or address order."""
+    from repro.asm import assemble
+    from repro.core import RegionCounters
+
+    lines = ["li t5, 3", "head:",
+             "lh t1, 0(s2)", "blt t1, a0, r0",
+             "lh t1, 2(s2)", "blt t1, a0, r1", "addi a4, zero, 0", "j merge",
+             "r1:", "addi a4, zero, 1", "j merge",
+             "r0:", "lh t1, 4(s2)", "blt t1, a0, r2", "addi a4, zero, 2",
+             "j merge",
+             "r2:", "addi a4, zero, 3", "j merge",
+             "merge:", "p.sb a4, 1(s5!)", "addi s2, s2, 6",
+             "addi t5, t5, -1", "bne t5, zero, head", "ebreak"]
+    source = "\n".join(lines) + "\n"
+    labels = assemble(source).labels
+
+    def leaf_regions(program):
+        return RegionCounters(region_map={
+            ins.addr: name for ins in program.instructions
+            for name, lo, hi in (("late_a", "r1", "r0"),
+                                 ("late_b", "r2", "merge"))
+            if labels[lo] <= ins.addr < labels[hi]})
+
+    thresholds = [20, 20, 0, 5, 0, 5, 20, 5, 0]     # per iteration: 0, 3, 1
+    _, block, plain = run_both(
+        source, regs={"a0": 10, "s2": 0x3000, "s5": 0x4000},
+        mem={0x3000: b"".join(t.to_bytes(2, "little") for t in thresholds)},
+        profile=leaf_regions)
+    assert plain.engine_stats["fused_dispatches"] == 1
+    assert block.engine_stats["fused_dispatches"] == 1
+    assert block.regions.regions == ["other", "late_b", "late_a"]
+
+
 class TestUnpackEdgeCases:
     """The insert-chain and store-interleave legality rules."""
 
@@ -333,7 +370,7 @@ def _nest(outer=3, count=4, prefix=NEST_PREFIX, inner=NEST_INNER,
           tail=NEST_TAIL, setup="lp.setupi", **kw):
     """Run a filter-loop nest on both engines; returns the unprofiled
     block core's engine stats (and the profiled core's, whose region
-    partition splits the program in half)."""
+    table cuts the program in half)."""
     lines = [f"lp.setupi 1, {outer}, end1", *prefix,
              f"{setup} 0, {count}, end0", *inner, "end0:", *tail, "end1:",
              "ebreak"]
@@ -409,11 +446,42 @@ class TestLoopNests:
         assert stats["side_exits"] == {"mem-alias": 2}
 
     def test_region_boundary_inside_nest(self):
-        """The profiled run's partition cuts the body: it side-exits
-        there and still matches; the unprofiled run fuses."""
+        """The profiled run's table cuts the body in half: the nest
+        fuses all the same, charges each half its share and matches the
+        interpreter's per-region counters."""
         stats, profiled = _nest()
         assert stats["nest_dispatches"] == 1
-        assert profiled["side_exits"]["region"] == 2
+        assert profiled["nest_dispatches"] == 1
+        assert profiled["side_exits"] == {}
+
+    def test_profiled_run_reuses_the_plain_translation(self):
+        """A region table does not enter the block map's key: a profiled
+        run after a plain run of the same program translates nothing."""
+        from repro.asm import assemble
+        from repro.core import RegionCounters
+        from repro.isa.registers import parse_register
+
+        lines = ["lp.setupi 1, 3, end1", *NEST_PREFIX,
+                 "lp.setupi 0, 4, end0", *NEST_INNER, "end0:", *NEST_TAIL,
+                 "end1:", "ebreak"]
+        program = assemble("\n".join(lines) + "\n")
+        half = program.instructions[:len(program.instructions) // 2]
+        runs = []
+        for table in (None, RegionCounters(
+                region_map={ins.addr: "head" for ins in half})):
+            cpu = Cpu()
+            cpu.regions = table
+            for name, value in NEST_REGS.items():
+                cpu.regs[parse_register(name)] = value
+            for addr, data in NEST_MEM.items():
+                cpu.mem.write_bytes(addr, data)
+            cpu.run_program(program)
+            runs.append(cpu)
+        plain, profiled = runs
+        assert plain.engine_stats["blocks_translated"] > 0
+        assert profiled.engine_stats["blocks_translated"] == 0
+        assert profiled.engine_stats["nest_dispatches"] == 1
+        assert profiled.regions.total().snapshot() == plain.perf.snapshot()
 
     def test_spill_slot_forwards(self):
         """The 2-bit conv's spill: a store and a reload of one slot per

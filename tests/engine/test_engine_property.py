@@ -742,3 +742,145 @@ def test_interleaved_stores_parity(body, count, s1_offset, regs, mem):
        s1_offset=st.integers(0, 3), regs=initial_regs(), mem=initial_mem())
 def test_interleaved_stores_parity_deep(body, count, s1_offset, regs, mem):
     _check_interleave(body, count, s1_offset, regs, mem)
+
+
+# ---------------------------------------------------------------------------
+# Region cuts
+# ---------------------------------------------------------------------------
+
+#: Region names a drawn map gives its spans; ``other`` is the table's
+#: default region, so an unmarked span and a marked one can share it.
+CUT_REGIONS = ("dotprod", "quant", "other")
+#: The regions of compare-tree leaves cut out on their own: iterations
+#: after the first may enter them first, in either order.
+LEAF_REGIONS = ("leaf0", "leaf1")
+
+
+@st.composite
+def cut_program(draw):
+    """A hardware loop, a loop nest or a software counted loop with a
+    random region map: ``(kind, source, cuts)``, *cuts* the sorted
+    ``(instruction index, region)`` pairs where a region starts.  One
+    cut falls inside the loop's body, up to three anywhere; a cut falls
+    more often at a label (an inner body's start or end, a compare
+    tree's branch targets and merge, the loop head), at a branch (a
+    tree node or the latch) and right after an ``lp.setup`` (inside an
+    ``lp0`` body)."""
+    from repro.asm import assemble
+
+    kind = draw(st.sampled_from(("loop", "nest", "counted")))
+    if kind == "loop":
+        source = _assemble_lines(single_loop(
+            draw(body_ops(min_size=3, max_size=8)), draw(st.integers(2, 7)),
+            draw(st.integers(0, 1))))
+    elif kind == "nest":
+        source = draw(nest_sources)
+    else:
+        source = draw(counted_program())
+    program = assemble(source)
+    instrs = program.instructions
+    index = {ins.addr: i for i, ins in enumerate(instrs)}
+    marked = ({index[addr] for addr in program.labels.values()
+               if addr in index}
+              | {i for i, ins in enumerate(instrs)
+                 if ins.spec.timing == "branch"}
+              | {i + 1 for i, ins in enumerate(instrs)
+                 if ins.spec.mnemonic.startswith("lp.setup")})
+    lo, hi = (index[addr] for addr in _loop_body(kind, program))
+
+    def position(first, last):
+        inside = sorted(i for i in marked if first <= i <= last)
+        anywhere = st.integers(first, last)
+        return st.one_of(st.sampled_from(inside), anywhere) if inside \
+            else anywhere
+
+    cuts = draw(st.dictionaries(position(1, len(instrs) - 1),
+                                st.sampled_from(CUT_REGIONS), max_size=3))
+    if hi - lo > 1:
+        cuts[draw(position(lo + 1, hi - 1))] = draw(
+            st.sampled_from(CUT_REGIONS))
+    subtrees = sorted(index[addr] for label, addr
+                      in program.labels.items() if "_r" in label)
+    if subtrees:
+        # Right subtrees alone in their regions, up to the next label.
+        for name, at in zip(LEAF_REGIONS, draw(st.lists(
+                st.sampled_from(subtrees), max_size=2, unique=True))):
+            after = min(i for i in marked if i > at)
+            cuts.setdefault(after, draw(st.sampled_from(CUT_REGIONS)))
+            cuts[at] = name
+    return kind, source, sorted(cuts.items())
+
+
+def _loop_body(kind, program):
+    """The addresses ``[lo, hi)`` of the body of *program*'s loop (a
+    :func:`cut_program` of *kind*): a counted loop's from its head
+    through the latch, a hardware loop's or nest's after its setup."""
+    labels = program.labels
+    if kind == "counted":
+        return labels["head"], program.instructions[-1].addr
+    return (program.instructions[1].addr,
+            labels["end1" if "end1" in labels else "end0"])
+
+
+def _cut_table(cuts):
+    """The *profile* argument of :func:`~tests.engine.conftest.run_both`
+    for *cuts*: each cut's region runs to the next cut, the instructions
+    before the first are in the default region."""
+    from repro.core import RegionCounters
+
+    def profile(program):
+        instrs = program.instructions
+        bounds = [i for i, _ in cuts] + [len(instrs)]
+        return RegionCounters(region_map={
+            ins.addr: name for (lo, name), hi in zip(cuts, bounds[1:])
+            for ins in instrs[lo:hi]})
+
+    return profile
+
+
+def _fused_across_a_cut(kind, source, cpu) -> bool:
+    """Whether the profiled *cpu* ran the program's loop as one plan and
+    the table cuts that loop's body."""
+    stats = cpu.engine_stats
+    if kind == "loop":
+        fused = stats["fused_dispatches"] > 0
+    elif kind == "nest":
+        fused = stats["nest_dispatches"] > 0
+    else:
+        fused = _fused_counted(source, cpu)
+    program = cpu._loaded_program
+    lo, hi = _loop_body(kind, program)
+    table = cpu.regions
+    return fused and len({table.region_of(ins.addr)
+                          for ins in program.instructions
+                          if lo <= ins.addr < hi}) > 1
+
+
+def _check_cuts(case, regs, mem):
+    kind, source, cuts = case
+    _, block, _ = run_both(source, regs=regs, mem=mem,
+                           profile=_cut_table(cuts))
+    return _fused_across_a_cut(kind, source, block)
+
+
+def test_region_cut_parity():
+    """Random region maps over hardware loops, loop nests and counted
+    loops: the profiled block engine charges each region exactly what
+    the interpreter does, with the plain run's translation; some
+    examples run a plan whose body the table cuts."""
+    across = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=cut_program(), regs=nest_regs(), mem=counted_mem())
+    def check(case, regs, mem):
+        across.append(_check_cuts(case, regs, mem))
+
+    check()
+    assert any(across), "no example fused a loop across a region cut"
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(case=cut_program(), regs=nest_regs(), mem=counted_mem())
+def test_region_cut_parity_deep(case, regs, mem):
+    _check_cuts(case, regs, mem)
