@@ -717,7 +717,9 @@ class _Walker:
         terminals = taken.terminals + fall.terminals + [
             end.cost for end in (taken, fall) if end.exit is _HALT]
         if not arms:
-            return _PathEnd(self.zero(), consts, pending, _HALT, terminals)
+            # No path leaves the fork: one halted arm is the walk's own.
+            return _PathEnd(terminals[0], consts, pending, _HALT,
+                            terminals[1:])
         if len(arms) == 1:
             (end,) = arms
             return _PathEnd(end.cost, end.consts, end.pending, end.exit,

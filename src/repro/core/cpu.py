@@ -134,8 +134,9 @@ class Cpu:
     # ------------------------------------------------------------------
 
     def _enter_region(self, name: str) -> None:
-        """Close the open region and open *name*: the next instruction
-        to retire is charged to it."""
+        """Close the open region and open *name*: the interpreter's next
+        retires are charged to it, by their counter deltas (the block
+        engine charges its regions directly, closing the open one)."""
         self._close_region()
         if self._epoch is not None:
             self._epoch.setdefault(name, self.perf.cycles)

@@ -3,16 +3,19 @@
 A :class:`RegionCounters` table pairs a program's pc -> region-name map
 with one :class:`~repro.core.perf.PerfCounters` per region.  Attach it
 to a core (``cpu.regions = RegionCounters(program=...)``) or a cluster
-(``cluster.regions = ...``) and every run charges each region with the
-core's own counter deltas taken as execution moves between regions, so
-the per-region counters sum exactly to the core's end-of-run counters.
+(``cluster.regions = ...``) and every run charges each region what
+retires in it, so the per-region counters sum exactly to the core's
+end-of-run counters.
 
 The table only observes: a program is translated and run the same way
-whether or not one is attached.  The block engine charges each region
-its share of what a translated block or a loop plan retires, split
-where the table's map changes region (:mod:`repro.engine.fastblock`,
-:mod:`repro.engine.nest`), and keeps what it derives from a translation
-under this map in :attr:`RegionCounters.memo`.
+whether or not one is attached.  The interpreter (``Cpu.step``) charges
+each region with the core's own counter deltas taken as execution moves
+between regions.  The block engine charges each region directly, with
+the numbers it charges the core: a translated block's segments, split
+where the table's map changes region (:mod:`repro.engine.fastblock`),
+and a loop plan's one walk, whose one-region case is the core's own
+counters (:mod:`repro.engine.nest`); it keeps what it derives from a
+translation under this map in :attr:`RegionCounters.memo`.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ class RegionCounters:
         self.map: Dict[int, str] = dict(region_map)
         self.default_region = default_region
         #: What the block engine derives from a translated block or loop
-        #: plan under this map (its region cuts, each region's share),
-        #: keyed by the translated object.
+        #: plan under this map (a block's region cuts, keyed by the
+        #: block; a plan's walk, by the plan and its entering load).
         self.memo: Dict[object, object] = {}
         self._counters: Dict[str, PerfCounters] = {}
         self._order: List[str] = []

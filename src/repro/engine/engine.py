@@ -37,8 +37,10 @@ cluster then replays the TCDM bank arbitration over the logs.  A region
 profile (:class:`~repro.core.regions.RegionCounters`) keeps the engine
 on and changes nothing about the translation: the block map is keyed
 on the program and ISA alone, so a profiled run reuses a plain run's
-blocks and loop plans.  Tier A charges each segment to its region and a
-loop plan charges each region its pieces' share.
+blocks and loop plans.  Tier A charges each segment to its region
+directly, and a loop plan charges the core's counters and each region
+by one walk and one charge, the core's counters being the case of one
+region (:mod:`repro.engine.nest`).
 
 Statistics are plain integers during the run and are published to the
 telemetry registry (``engine.*`` counters) when the run ends.

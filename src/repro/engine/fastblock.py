@@ -25,9 +25,11 @@ through can take a hardware-loop back-edge, as on the interpreter.
 With a region profile attached
 (:class:`~repro.core.regions.RegionCounters`) a segment also ends where
 the table's map changes region, and each segment is charged to its own
-region: the cuts are looked up from the table (:func:`_cuts`), never
-stored in the block, so one translation serves observed and unobserved
-runs alike.
+region directly, the same numbers it charges the core, as a loop plan
+charges its regions (the interpreter's open region is closed first):
+the cuts are looked up from the table (:func:`_cuts`), never stored in
+the block, so one translation serves observed and unobserved runs
+alike.
 
 Against a memory that logs its accesses (a cluster core's replay port,
 :mod:`repro.cluster.replay`), the segment also tells the port, before
@@ -76,19 +78,19 @@ def run_block(cpu, block, limit: int, port=None) -> int:
             if stop == idx:
                 cpu.pc = block.addrs[idx]
                 return executed
-        if cuts is not None and region != cpu._region:
-            cpu._enter_region(region)
-        target = _exec_segment(cpu, block, idx, stop, port)
+        counters = None if cuts is None else _enter(cpu, region)
+        target = _exec_segment(cpu, block, idx, stop, port, counters)
         executed += stop - idx
         if target is not None:
             # A taken branch or a jump: the block's last instruction.
-            perf = cpu.perf
-            if block.exit == "jump":
-                perf.cycles += JUMP_PENALTY
-                perf.stall_jump += JUMP_PENALTY
-            else:
-                perf.cycles += BRANCH_TAKEN_PENALTY
-                perf.stall_branch += BRANCH_TAKEN_PENALTY
+            for perf in ((cpu.perf,) if counters is None
+                         else (cpu.perf, counters)):
+                if block.exit == "jump":
+                    perf.cycles += JUMP_PENALTY
+                    perf.stall_jump += JUMP_PENALTY
+                else:
+                    perf.cycles += BRANCH_TAKEN_PENALTY
+                    perf.stall_branch += BRANCH_TAKEN_PENALTY
             cpu.pc = target
             return executed
         if not at_boundary:
@@ -103,11 +105,23 @@ def run_block(cpu, block, limit: int, port=None) -> int:
             cpu.pc = fall_through
             return executed
         cpu.perf.hwloop_backedges += 1
+        if counters is not None:
+            counters.hwloop_backedges += 1
         j = block.addr_index.get(redirect, -1)
         if j < 0:
             cpu.pc = redirect
             return executed
         idx = j
+
+
+def _enter(cpu, name: str):
+    """The counters of region *name*, which the next segment enters: the
+    interpreter's open region is charged up to here, and the region's
+    first-entry clock noted under a cluster's replay."""
+    cpu._close_region()
+    if cpu._epoch is not None:
+        cpu._epoch.setdefault(name, cpu.perf.cycles)
+    return cpu.regions.counters_for(name)
 
 
 def _cuts(regions, block) -> list:
@@ -123,8 +137,10 @@ def _cuts(regions, block) -> list:
     return cuts
 
 
-def _exec_segment(cpu, block, lo: int, hi: int, port=None):
-    """Run ``instrs[lo:hi]`` and charge them; returns what the last one's
+def _exec_segment(cpu, block, lo: int, hi: int, port=None,
+                  counters=None):
+    """Run ``instrs[lo:hi]`` and charge them to the core and, when not
+    None, to their region's *counters*; returns what the last one's
     semantics returned (a control transfer's target, else None)."""
     execs = block.execs
     instrs = block.instrs
@@ -163,34 +179,35 @@ def _exec_segment(cpu, block, lo: int, hi: int, port=None):
         # the fault (the faulting one is charged nothing, exactly like
         # Cpu.step aborting before its timing update) and re-raise with
         # pc parked on the faulting instruction.
-        _flush(cpu, block, lo, i, dyn_mis, dyn_tcdm)
+        _flush(cpu, block, lo, i, dyn_mis, dyn_tcdm, counters)
         raise
     finally:
         if port is not None:
             port.issue_offset = 0
-    _flush(cpu, block, lo, hi, dyn_mis, dyn_tcdm)
+    _flush(cpu, block, lo, hi, dyn_mis, dyn_tcdm, counters)
     return target
 
 
-def _flush(cpu, block, lo: int, hi: int, dyn_mis: int,
-           dyn_tcdm: int) -> None:
+def _flush(cpu, block, lo: int, hi: int, dyn_mis: int, dyn_tcdm: int,
+           counters=None) -> None:
     if hi == lo:
         return
-    perf = cpu.perf
     cycles, load_use = block.price(lo, hi, cpu._pending_load_rd)
-    perf.cycles += cycles + dyn_mis + dyn_tcdm
-    perf.instructions += hi - lo
-    by_class = perf.by_class
+    by_class = cpu.perf.by_class
     if not by_class.keys() >= block.cls_prefix.keys():
         # A class's first retire fixes its place in the counter, as on
         # the interpreter: enter the segment's new classes in its order.
         for cls in block.classes[lo:hi]:
             by_class[cls] += 0
-    for cls, pref in block.cls_prefix.items():
-        delta = pref[hi] - pref[lo]
-        if delta:
-            by_class[cls] += delta
-    perf.stall_load_use += load_use
-    perf.stall_misaligned += dyn_mis
-    perf.stall_tcdm_contention += dyn_tcdm
+    for perf in (cpu.perf,) if counters is None else (cpu.perf, counters):
+        perf.cycles += cycles + dyn_mis + dyn_tcdm
+        perf.instructions += hi - lo
+        by_class = perf.by_class
+        for cls, pref in block.cls_prefix.items():
+            delta = pref[hi] - pref[lo]
+            if delta:
+                by_class[cls] += delta
+        perf.stall_load_use += load_use
+        perf.stall_misaligned += dyn_mis
+        perf.stall_tcdm_contention += dyn_tcdm
     cpu._pending_load_rd = block.pending[hi - 1]

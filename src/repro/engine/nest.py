@@ -45,30 +45,35 @@ iteration: an immediate, or a register the outer body never writes.
 The runs execute over one row of iterations, each inner loop over
 ``rows x cols`` (``cols`` = its trip count) in execution order.
 
-Cycles: each iteration is priced from its pieces with
-:meth:`~repro.engine.blocks.Block.price` — the runs, each ``lp.setup``,
-each inner loop's ``first + steady * (trips - 1)`` — the first after
+Cycles: one walk over an iteration's pieces (:class:`_Walk`) prices
+each with :meth:`~repro.engine.blocks.Block.price` — the runs, each
+``lp.setup``, each inner loop's ``first + steady * (trips - 1)``, a
+counted loop's latch, each compare tree's leaf paths — split where a
+region map changes region.  The core's own counters are the case where
+every pc maps to one region; a region profile
+(:class:`~repro.core.regions.RegionCounters`) maps them by its table, and
+a plan is the same whether or not one is attached.  The walk yields each
+region's share of the iteration, the order and clocks at which it first
+enters each region and timing class, each op's issue clock, each inner
+loop's start clock and each compare tree's entering load; it is cached
+per entering load, on the plan for the core's counters and in the
+table's memo for a profile.  The first iteration is entered after
 whatever retired before the loop, the later ones after the body's own
 last instruction (the hardware-loop back-edge is a pure fetch redirect,
-so a load-use hazard wraps around): ``first + steady * (n - 1)``.  The
-timing is cached per entering load.  A compare tree adds each
-iteration's leaf price (:meth:`LoopPlan.tree_charges`).  Against an
-access-logging memory, every memory op is handed to the port as a
-stream strided in clock and offset, an inner loop's as a 2-D stream
-with one row per outer iteration; a plan with a compare tree is not
-run there (its iterations differ in length).
+so a load-use hazard wraps around): ``first + steady * (n - 1)``.
 
-Regions: a plan is the same whether or not a region profile
-(:class:`~repro.core.regions.RegionCounters`) is attached, and charges
-each region its share (:func:`_attribute`).  The pieces are split where
-the table's map changes region and priced per part with
-:meth:`~repro.engine.blocks.Block.price`; each region's share of one
-iteration is cached in the table per entering load (:func:`_shares`).
-Iteration 0 enters its regions part by part, so each region's
-first-entry clock (under a cluster's replay) and place in the table are
-the interpreter's; the later iterations are charged per region.  A
-misaligned access, a back-edge, a compare tree's leaf path and the
-counted loop's not-taken last latch are charged to their pc's region.
+One charge (:func:`_charge`) books a dispatch, once to the core's
+counters and once more to the table when a profile is attached: the
+first and steady iterations, the back-edges or a counted loop's
+not-taken last latch, each iteration's compare-tree leaf, each
+misaligned access at its pc, and — in the order iteration 0 retires
+them — the timing classes (whose order the energy model sums in) and
+regions it enters first, with each region's first-entry clock under a
+cluster's replay, so both are the interpreter's.  Against an
+access-logging memory, every memory op is handed to the port as a
+stream strided in clock and offset by the walk's clocks, an inner
+loop's as a 2-D stream with one row per outer iteration; a plan with a
+compare tree is not run there (its iterations differ in length).
 """
 
 from __future__ import annotations
@@ -293,37 +298,21 @@ class _Run:
         self.block, self.lo, self.hi, self.first = block, lo, hi, first
         self.handlers: list = []
 
-    def price(self, pending):
-        cycles, stalls = self.block.price(self.lo, self.hi, pending)
-        return cycles, stalls, self.block.pending[self.hi - 1]
-
 
 class _Loop:
     """An inner loop piece: its setup and its body's plan, run *trips*
     times per outer iteration."""
 
-    __slots__ = ("setup", "plan", "trips", "first", "outer_acc", "locals")
+    __slots__ = ("setup", "plan", "trips", "outer_acc", "locals")
 
     def __init__(self, setup, plan: "LoopPlan", trips: int) -> None:
         self.setup = Block([setup])
         self.plan = plan
         self.trips = trips
-        #: the first inner iteration, after the setup (not a load)
-        self.first = plan.timing(None)
         self.outer_acc: frozenset = frozenset()
         inductions = {reg for reg, _ in plan.inductions}
         self.locals = [reg for reg in plan.committed_regs
                        if reg not in inductions]
-
-    def price(self, pending):
-        plan = self.plan
-        cycles, stalls = self.setup.price(0, 1, pending)
-        first, first_stalls = self.first[:2]
-        steady, steady_stalls = plan.steady[:2]
-        again = self.trips - 1
-        return (cycles + first + steady * again,
-                stalls + first_stalls + steady_stalls * again,
-                plan.pending_after)
 
     def accesses(self) -> List[Tuple]:
         """The loop as one op of the outer body (see the module
@@ -341,8 +330,7 @@ class _Loop:
 
 class _Tree:
     """A compare tree piece at body index *index*: its handler runs every
-    iteration's path; its price is per iteration (see
-    :meth:`LoopPlan.tree_charges`)."""
+    iteration's path, each charged its leaf's price."""
 
     __slots__ = ("tree", "index", "handler")
 
@@ -350,9 +338,6 @@ class _Tree:
         self.tree = tree
         self.index = index
         self.handler = tree.handler(index)
-
-    def price(self, pending):
-        return 0, 0, None
 
 
 class _Latch:
@@ -364,19 +349,14 @@ class _Latch:
     def __init__(self, block: Block, k: int) -> None:
         self.block, self.k = block, k
 
-    def price(self, pending):
-        cycles, stalls = self.block.price(self.k, self.k + 1, pending)
-        return cycles + BRANCH_TAKEN_PENALTY, stalls, None
-
 
 class LoopPlan:
     """A compiled loop body for one tuple of inner trip counts."""
 
     __slots__ = (
         "pieces", "counted", "trees", "body_len", "pcs", "invariants",
-        "inductions", "acc_regs", "committed_regs", "row_instructions",
-        "row_backedges", "row_classes", "pending_after", "steady",
-        "inner_loop", "_timing",
+        "inductions", "acc_regs", "committed_regs", "walks",
+        "pending_after", "inner_loop",
     )
 
     def __init__(self, shape: LoopShape, trips: Tuple[int, ...]) -> None:
@@ -440,39 +420,10 @@ class LoopPlan:
         self.acc_regs = sorted(r for r, c in classes.items() if c == "acc")
         self.committed_regs = sorted(
             r for r, c in classes.items() if c in ("induction", "local"))
-
-        # Per iteration, outside the compare trees (charged per leaf).
-        row_classes: Dict[str, int] = {}
-        backedges = instructions = 0
-        for piece in pieces:
-            if isinstance(piece, _Run):
-                run = piece.block.classes[piece.lo:piece.hi]
-            elif isinstance(piece, _Loop):
-                backedges += piece.trips - 1
-                cls = piece.setup.classes[0]
-                row_classes[cls] = row_classes.get(cls, 0) + 1
-                for cls, count in piece.plan.row_classes.items():
-                    row_classes[cls] = (row_classes.get(cls, 0)
-                                        + count * piece.trips)
-                instructions += 1 + piece.plan.row_instructions * piece.trips
-                continue
-            elif isinstance(piece, _Tree):
-                continue
-            else:
-                run = piece.block.classes[piece.k:piece.k + 1]
-            for cls in run:
-                row_classes[cls] = row_classes.get(cls, 0) + 1
-            instructions += len(run)
-        self.row_instructions = instructions
-        self.row_backedges = backedges
-        self.row_classes = row_classes
-        self._timing: Dict[Optional[int], Tuple] = {}
-        pending = None
-        for piece in pieces:
-            pending = piece.price(pending)[2]
-        self.pending_after = pending
-        #: the timing of every iteration after the first
-        self.steady = self.timing(pending)
+        #: one iteration under the core's own counters, per entering load
+        self.walks: Dict[Optional[int], _Walk] = {}
+        #: the load pending after an iteration, which enters the next
+        self.pending_after = _walk(self, None).pending
         #: the lp0 start and end the body's last setup leaves behind
         self.inner_loop = None
         for piece in pieces:
@@ -481,61 +432,152 @@ class LoopPlan:
                 self.inner_loop = (setup.addr + setup.spec.size,
                                    (setup.addr + setup.imm) & MASK32)
 
-    def timing(self, pending: Optional[int]) -> Tuple:
-        """One iteration entered after an instruction that loaded
-        *pending*, outside its compare trees: ``(cycles,
-        load_use_stalls, issue, inner, trees)``, where ``issue[k]`` is the
-        cycle (from the iteration's start) at which straight-line op ``k``
-        issues, ``inner[p]`` the cycle at which loop piece ``p``'s first
-        inner iteration starts and ``trees[t]`` the load pending when
-        compare tree ``t`` is entered."""
-        timing = self._timing.get(pending)
-        if timing is not None:
-            return timing
-        key = pending
-        cycles = stalls = 0
-        issue: List[int] = []
-        inner: Dict[int, int] = {}
-        trees: List[Optional[int]] = []
-        for p, piece in enumerate(self.pieces):
-            if isinstance(piece, _Run):
-                block, lo = piece.block, piece.lo
-                issue += [cycles] + [
-                    cycles + block.price(lo, j, pending)[0]
-                    for j in range(lo + 1, piece.hi)]
-            elif isinstance(piece, _Loop):
-                inner[p] = cycles + piece.setup.price(0, 1, pending)[0]
-            elif isinstance(piece, _Tree):
-                issue.append(cycles)
-                trees.append(pending)
-            piece_cycles, piece_stalls, pending = piece.price(pending)
-            cycles += piece_cycles
-            stalls += piece_stalls
-        timing = self._timing[key] = (cycles, stalls, issue, inner, trees)
-        return timing
 
-    def tree_charges(self, leaves: List[np.ndarray],
-                     timing) -> Tuple[List[int], Dict[str, int]]:
-        """What the compare trees retired when iteration ``i`` reached
-        leaf ``leaves[t][i]`` of tree ``t``, the first iteration entered
-        with *timing*: ``[cycles, load_use_stalls, branch_stalls,
-        jump_stalls, instructions]`` and the count per timing class."""
-        totals = [0] * 5
-        classes: Dict[str, int] = {}
-        for piece, reached, first, steady in zip(
-                self.trees, leaves, timing[4], self.steady[4]):
-            names, table = piece.tree.prices(steady)
-            row = np.bincount(reached, minlength=len(table)) @ table
-            if first != steady:
-                # The first iteration enters the tree after another load.
-                leaf = reached[0]
-                row += piece.tree.prices(first)[1][leaf] - table[leaf]
-            row = row.tolist()
-            for k in range(5):
-                totals[k] += row[k]
-            for cls, count in zip(names, row[5:]):
-                classes[cls] = classes.get(cls, 0) + count
-        return totals, classes
+def _whole_core(addr: int) -> None:
+    """The region map of the core's own counters: one region."""
+    return None
+
+
+def _walk(plan: LoopPlan, pending: Optional[int], table=None) -> "_Walk":
+    """One iteration of *plan* entered after a load of *pending*, its pcs
+    mapped to the regions of *table* (None: the core's own counters);
+    cached on the plan, or in the table's memo."""
+    if table is None:
+        memo, key = plan.walks, pending
+    else:
+        memo, key = table.memo, (plan, pending)
+    walk = memo.get(key)
+    if walk is None:
+        walk = memo[key] = _Walk(plan, pending, table)
+    return walk
+
+
+class _Walk:
+    """The one pricing walk over a plan's pieces (see :func:`_walk`),
+    each piece split where the region map changes and each part priced
+    with :meth:`~repro.engine.blocks.Block.price`.
+
+    *shares* maps each region, in first-entry order, to what the
+    iteration charges it outside its compare trees (an inner loop's
+    back-edges and a latch's taken penalty included); only their cycles
+    and load-use stalls depend on the entering load.  *order* lists, as
+    the iteration retires them, ``(region, clock, classes)`` where it
+    first enters a region or one of the region's timing *classes*, and
+    ``(t, None, None)`` where it enters compare tree ``t``.  *cycles* is
+    the iteration's length outside the trees, ``issue[k]`` the clock at
+    which straight-line op ``k`` issues and ``inner[p]`` the clock at
+    which loop piece ``p``'s first inner iteration starts, all from the
+    iteration's start.  ``trees[t]`` is tree ``t``'s
+    :meth:`~repro.engine.tree.Tree.region_prices` for the load pending
+    when it is entered, *pending* the load the iteration leaves, *back*
+    the region of its back-edge (a counted loop's latch) and *classes*
+    every timing class it can retire."""
+
+    __slots__ = ("shares", "order", "cycles", "issue", "inner", "trees",
+                 "pending", "back", "classes")
+
+    def __init__(self, plan: LoopPlan, pending: Optional[int],
+                 table) -> None:
+        region_of = _whole_core if table is None else table.region_of
+        self.shares: Dict[object, PerfCounters] = {}
+        self.order: List[Tuple] = []
+        self.cycles = 0
+        self.issue: List[int] = []
+        self.inner: Dict[int, int] = {}
+        self.trees: List[Tuple] = []
+        for p, piece in enumerate(plan.pieces):
+            if isinstance(piece, _Run):
+                block, lo, hi = piece.block, piece.lo, piece.hi
+                self.issue += [self.cycles] + [
+                    self.cycles + block.price(lo, j, pending)[0]
+                    for j in range(lo + 1, hi)]
+                for name, a, b in region_spans(block.instrs, lo, hi,
+                                               region_of):
+                    self._part(name, block, a, b, pending if a == lo
+                               else block.pending[a - 1])
+                pending = block.pending[hi - 1]
+            elif isinstance(piece, _Loop):
+                setup = piece.setup
+                self._part(region_of(setup.addr), setup, 0, 1, pending)
+                self.inner[p] = self.cycles
+                loop, trips = piece.plan, piece.trips
+                head = _walk(loop, None, table)
+                rest = _walk(loop, loop.pending_after, table)
+                for name, clock, classes in head.order:
+                    self._enter(name, self.cycles + clock, classes)
+                for (name, share), (_, later) in zip(head.shares.items(),
+                                                     rest.shares.items()):
+                    _add(self.shares[name], share, later, trips)
+                self.shares[head.back].hwloop_backedges += trips - 1
+                self.cycles += head.cycles + rest.cycles * (trips - 1)
+                pending = loop.pending_after
+            elif isinstance(piece, _Tree):
+                # What follows a tree starts at a clock that depends on
+                # its leaf; a plan with a tree never runs against a
+                # logging port, the one reader of the clocks.
+                self.issue.append(self.cycles)
+                self.order.append((len(self.trees), None, None))
+                self.trees.append(piece.tree.region_prices(pending,
+                                                           region_of))
+                pending = None
+            else:
+                block, k = piece.block, piece.k
+                share = self._part(region_of(block.instrs[k].addr), block,
+                                   k, k + 1, pending)
+                share.cycles += BRANCH_TAKEN_PENALTY
+                share.stall_branch += BRANCH_TAKEN_PENALTY
+                self.cycles += BRANCH_TAKEN_PENALTY
+                pending = None
+        self.pending = pending
+        self.back = region_of(plan.pcs[-1] if plan.counted is None
+                              else plan.counted.latch)
+        self.classes = set().union(
+            *(share.by_class for share in self.shares.values()),
+            *(classes for classes, _, _ in self.trees))
+
+    def _enter(self, name, clock: int, classes) -> PerfCounters:
+        """Region *name*'s share, entered at *clock* by a part retiring
+        *classes*; notes in *order* what the part enters first."""
+        share = self.shares.get(name)
+        if share is None:
+            share = self.shares[name] = PerfCounters()
+        new = [cls for cls in dict.fromkeys(classes)
+               if cls not in share.by_class]
+        if new:
+            self.order.append((name, clock, new))
+            for cls in new:
+                share.by_class[cls] += 0
+        return share
+
+    def _part(self, name, block: Block, a: int, b: int,
+              pending: Optional[int]) -> PerfCounters:
+        """Charge ``block.instrs[a:b]``, all in region *name*, entered
+        after a load of *pending*, to the region's share."""
+        classes = block.classes[a:b]
+        share = self._enter(name, self.cycles, classes)
+        cycles, load_use = block.price(a, b, pending)
+        share.cycles += cycles
+        share.stall_load_use += load_use
+        share.instructions += b - a
+        for cls in classes:
+            share.by_class[cls] += 1
+        self.cycles += cycles
+        return share
+
+
+def _add(perf: PerfCounters, first: PerfCounters, steady: PerfCounters,
+         n: int) -> None:
+    """Charge *perf* with *n* iterations: *first*, then *steady* for the
+    rest (two shares of one region, see :class:`_Walk`)."""
+    again = n - 1
+    perf.cycles += first.cycles + steady.cycles * again
+    perf.stall_load_use += first.stall_load_use + steady.stall_load_use * again
+    perf.stall_branch += first.stall_branch * n
+    perf.instructions += first.instructions * n
+    perf.hwloop_backedges += first.hwloop_backedges * n
+    by_class = perf.by_class
+    for cls, count in first.by_class.items():
+        by_class[cls] += count * n
 
 
 def _run_loop(outer, piece: _Loop):
@@ -572,7 +614,8 @@ def _run_loop(outer, piece: _Loop):
         elif isinstance(contribution, np.ndarray):
             row_sum = contribution.reshape(rows, cols).sum(axis=1)
         else:
-            row_sum = contribution * cols
+            # Only the low word matters; an int64 row could not hold it.
+            row_sum = contribution * cols & MASK32
         if reg in piece.outer_acc:
             before = outer.contribs.get(reg)
             outer.contribs[reg] = row_sum if before is None \
@@ -621,234 +664,112 @@ def execute(cpu, plan: LoopPlan, n: int, level: Optional[int] = None,
     commit(cpu, plan, ctx)
 
     perf = cpu.perf
-    start = perf.cycles
+    start, retired = perf.cycles, perf.instructions
     entering = cpu._pending_load_rd
-    timing = plan.timing(entering)
-    first, load_use = timing[:2]
-    steady, steady_load_use = plan.steady[:2]
     if port is not None:
-        _log(port, plan, ctx.log, inners, start, timing, n)
-    if cpu.regions is not None:
-        # The open region is charged up to here; the dispatch charges
-        # each region directly (see _attribute).
-        cpu._close_region()
-    mis_cycles = mis * MISALIGNED_PENALTY
-    cycles = first + steady * (n - 1) + mis_cycles
-    instructions = plan.row_instructions * n
-    classes = {cls: count * n for cls, count in plan.row_classes.items()}
-    if plan.trees:
-        (tree_cycles, tree_load_use, branch, jump,
-         tree_instructions), tree_classes = plan.tree_charges(ctx.leaves,
-                                                               timing)
-        cycles += tree_cycles
-        load_use += tree_load_use
-        instructions += tree_instructions
-        perf.stall_branch += branch
-        perf.stall_jump += jump
-        for cls, count in tree_classes.items():
-            classes[cls] = classes.get(cls, 0) + count
-        if not perf.by_class.keys() >= classes.keys():
-            _enter_classes(perf.by_class, plan, ctx.leaves)
-    if plan.counted is None:
-        perf.hwloop_backedges += n - 1
-        exit_pc = hw.end[level]
-        hw.count[level] = 0
-    else:
-        # Every back-edge branch but the last is taken.
-        cycles -= BRANCH_TAKEN_PENALTY
-        perf.stall_branch += BRANCH_TAKEN_PENALTY * (n - 1)
-        exit_pc = plan.counted.exit
-    perf.cycles += cycles
-    perf.instructions += instructions
-    perf.hwloop_backedges += plan.row_backedges * n
-    perf.stall_load_use += load_use + steady_load_use * (n - 1)
-    perf.stall_misaligned += mis_cycles
-    for cls, count in classes.items():
-        if count:
-            perf.by_class[cls] += count
+        _log(port, plan, ctx.log, inners, start, entering, n)
     cpu._pending_load_rd = plan.pending_after
     if plan.inner_loop is not None:
         hw.count[0] = 0
         hw.start[0], hw.end[0] = plan.inner_loop
-    cpu.pc = exit_pc
     exit_backedge = False
-    if plan.counted is not None:
+    if plan.counted is None:
+        cpu.pc = hw.end[level]
+        hw.count[level] = 0
+    else:
         # The last back-edge branch falls through: a hardware loop
         # ending there takes its back-edge, as on the interpreter.
-        redirect = hw.redirect(exit_pc)
-        if redirect is not None:
-            perf.hwloop_backedges += 1
-            cpu.pc = redirect
-            exit_backedge = True
+        redirect = hw.redirect(plan.counted.exit)
+        exit_backedge = redirect is not None
+        cpu.pc = redirect if exit_backedge else plan.counted.exit
+    charge = (plan, n, entering, start, ctx.leaves,
+              _misaligned(plan, ctx, inners) if mis else (), exit_backedge)
     if cpu.regions is not None:
-        _attribute(cpu, plan, n, ctx, inners, entering, start,
-                   exit_backedge)
-    return instructions
+        # The open region is charged up to here; the dispatch charges
+        # each region directly.
+        cpu._close_region()
+        _charge(cpu, cpu.regions, *charge)
+    _charge(cpu, None, *charge)
+    return perf.instructions - retired
 
 
-def _enter_classes(by_class, plan: LoopPlan, leaves) -> None:
-    """Enter the timing classes of the first iteration into *by_class*
-    in the order it retires them: a class's first retire fixes its place
-    in the counter, as on the interpreter."""
-    reached = iter(leaves)
-    for piece in plan.pieces:
-        if isinstance(piece, _Run):
-            classes = piece.block.classes[piece.lo:piece.hi]
-        elif isinstance(piece, _Loop):
-            classes = piece.setup.classes + list(piece.plan.row_classes)
-        elif isinstance(piece, _Tree):
-            path = piece.tree.paths[int(next(reached)[0])][0]
-            classes = [ins.spec.timing for ins in path]
-        else:
-            classes = piece.block.classes[piece.k:piece.k + 1]
-        for cls in classes:
-            by_class[cls] += 0
-
-
-def _shares(table, plan: LoopPlan, pending: Optional[int]) -> Tuple:
-    """One iteration of *plan* entered after an instruction that loaded
-    *pending*, under the region table *table*: ``(row, order)``.  *row*
-    maps each region to the :class:`PerfCounters` the iteration charges
-    it outside its compare trees (an inner loop's back-edges included);
-    *order* lists the regions as the iteration first enters them,
-    ``(name, clock)`` with the clock from the iteration's start, and
-    ``(t, None)`` where it enters compare tree ``t``.  Cached in the
-    table per plan and load."""
-    key = (plan, pending)
-    shares = table.memo.get(key)
-    if shares is not None:
-        return shares
-    region_of = table.region_of
-    row: Dict[str, PerfCounters] = {}
-    order: List[Tuple] = []
-    seen: set = set()
-
-    def enter(name, clock: int) -> PerfCounters:
-        if name not in seen:
-            seen.add(name)
-            order.append((name, clock))
-        perf = row.get(name)
-        if perf is None:
-            perf = row[name] = PerfCounters()
-        return perf
-
-    def charge(block: Block, a: int, b: int, entering, clock: int) -> int:
-        """Charge ``block.instrs[a:b]``, one region's, entered after
-        *entering*; returns its cycles."""
-        perf = enter(region_of(block.instrs[a].addr), clock)
-        cycles, load_use = block.price(a, b, entering)
-        perf.cycles += cycles
-        perf.stall_load_use += load_use
-        perf.instructions += b - a
-        for cls, pref in block.cls_prefix.items():
-            if pref[b] != pref[a]:
-                perf.by_class[cls] += pref[b] - pref[a]
-        return cycles
-
-    clock = 0
-    trees = 0
-    for piece in plan.pieces:
-        if isinstance(piece, _Run):
-            block = piece.block
-            for _, a, b in region_spans(block.instrs, piece.lo, piece.hi,
-                                        region_of):
-                clock += charge(block, a, b, pending if a == piece.lo
-                                else block.pending[a - 1], clock)
-            pending = block.pending[piece.hi - 1]
-        elif isinstance(piece, _Loop):
-            clock += charge(piece.setup, 0, 1, pending, clock)
-            inner = piece.plan
-            first, first_order = _shares(table, inner, None)
-            for name, at in first_order:
-                enter(name, clock + at)
-            for name, perf in first.items():
-                row[name].merge(perf)
-            again = piece.trips - 1
-            if again:
-                for name, perf in _shares(table, inner,
-                                          inner.pending_after)[0].items():
-                    row[name].merge(perf, again)
-                row[region_of(inner.pcs[-1])].hwloop_backedges += again
-            clock += piece.first[0] + inner.steady[0] * again
-            pending = inner.pending_after
-        elif isinstance(piece, _Tree):
-            # What follows a tree starts at a clock that depends on its
-            # leaf; a plan with a tree never runs against a logging port,
-            # the one reader of the clocks.
-            order.append((trees, None))
-            trees += 1
-            pending = None
-        else:
-            block, k = piece.block, piece.k
-            clock += charge(block, k, k + 1, pending, clock)
-            perf = row[region_of(block.instrs[k].addr)]
-            perf.cycles += BRANCH_TAKEN_PENALTY
-            perf.stall_branch += BRANCH_TAKEN_PENALTY
-            pending = None
-    shares = table.memo[key] = (row, order)
-    return shares
-
-
-def _attribute(cpu, plan: LoopPlan, n: int, ctx, inners,
-               entering: Optional[int], start: int,
-               exit_backedge: bool) -> None:
-    """Charge each region of the core's table its share of the dispatch
-    that ran *n* iterations of *plan*, entered at clock *start* after a
-    load of *entering* (see the module docstring); *exit_backedge* says
-    whether a hardware loop's back-edge fired after a counted loop's
-    last latch."""
-    table = cpu.regions
-    region_of = table.region_of
-    epoch = cpu._epoch
-    order = _shares(table, plan, entering)[1]
-    leaves = ctx.leaves
-    tree_prices = [
-        _tree_prices(table, piece.tree, pending) for piece, pending
-        in zip(plan.trees, plan.timing(entering)[4])]
-    # Iteration 0 enters its regions in body order.
-    for name, clock in order:
-        if clock is None:
-            for region in tree_prices[name][2][int(leaves[name][0])]:
-                table.counters_for(region)
-            continue
-        if epoch is not None:
-            epoch.setdefault(name, start + clock)
-        table.counters_for(name)
-    if plan.trees:
-        _enter_late_regions(table, tree_prices, leaves)
-
-    for name, perf in _totals(table, plan, entering, n):
-        table[name].merge(perf)
-    if exit_backedge:
-        table[region_of(plan.counted.latch)].hwloop_backedges += 1
-
+def _misaligned(plan: LoopPlan, ctx, inners) -> List[Tuple[int, int]]:
+    """``(pc, count)`` for every op of the dispatch that accessed memory
+    misaligned; a compare tree's reads counted per node."""
     misaligned = [(plan.pcs[index], count)
                   for index, count in enumerate(ctx.mis)
-                  if count and index not in ctx.node_mis]
+                  if index not in ctx.node_mis]
     for piece in plan.trees:
         if piece.index in ctx.node_mis:
             misaligned += zip(piece.tree.node_addrs,
                               ctx.node_mis[piece.index].tolist())
     for p, inner in inners:
-        pcs = plan.pieces[p].plan.pcs
-        misaligned += [(pcs[j], count) for j, count in enumerate(inner.mis)
-                       if count]
-    for pc, count in misaligned:
-        if count:
-            perf = table[region_of(pc)]
-            perf.cycles += count * MISALIGNED_PENALTY
-            perf.stall_misaligned += count * MISALIGNED_PENALTY
+        misaligned += zip(plan.pieces[p].plan.pcs, inner.mis)
+    return [(pc, count) for pc, count in misaligned if count]
 
-    for piece, reached, (classes, first_tables, _), pending in zip(
-            plan.trees, leaves, tree_prices, plan.steady[4]):
-        counts = np.bincount(reached, minlength=len(piece.tree.paths))
-        tables = _tree_prices(table, piece.tree, pending)[1]
+
+def _charge(cpu, table, plan: LoopPlan, n: int, entering: Optional[int],
+            start: int, leaves, misaligned, exit_backedge: bool) -> None:
+    """Charge the dispatch that ran *n* iterations of *plan*, entered at
+    clock *start* after a load of *entering*, to each region of *table*,
+    or to the core's own counters as one region when *table* is None:
+    the first iteration and the steady ones, the back-edges (a counted
+    loop's not-taken last latch, and *exit_backedge*: whether a hardware
+    loop's back-edge fired after it), each compare tree's leaves
+    (*leaves*), the *misaligned* ``(pc, count)`` stalls, and the timing
+    classes and regions iteration 0 enters, in the order it retires them
+    (see the module docstring)."""
+    first = _walk(plan, entering, table)
+    steady = _walk(plan, plan.pending_after, table)
+    if table is None:
+        # The core's own counters: the table of one region.
+        counters = entered = {None: cpu.perf}.__getitem__
+        region_of, epoch = _whole_core, None
+        fresh = not cpu.perf.by_class.keys() >= first.classes
+    else:
+        region_of, epoch = table.region_of, cpu._epoch
+        counters, entered = table.__getitem__, table.counters_for
+        fresh = True
+    if fresh:
+        for name, clock, classes in first.order:
+            if clock is None:
+                # Compare tree ``name``, on the path iteration 0 took.
+                parts = first.trees[name][2][int(leaves[name][0])]
+            else:
+                parts = [(name, classes)]
+                if epoch is not None:
+                    epoch.setdefault(name, start + clock)
+            for region, path in parts:
+                by_class = entered(region).by_class
+                for cls in path:
+                    by_class[cls] += 0
+        if table is not None:
+            _enter_late_regions(table, first.trees, leaves)
+
+    for (name, share), (_, later) in zip(first.shares.items(),
+                                         steady.shares.items()):
+        _add(counters(name), share, later, n)
+    back = counters(first.back)
+    if plan.counted is None:
+        back.hwloop_backedges += n - 1
+    else:
+        # Every back-edge branch but the last is taken.
+        back.cycles -= BRANCH_TAKEN_PENALTY
+        back.stall_branch -= BRANCH_TAKEN_PENALTY
+        back.hwloop_backedges += exit_backedge
+    for pc, count in misaligned:
+        perf = counters(region_of(pc))
+        perf.cycles += count * MISALIGNED_PENALTY
+        perf.stall_misaligned += count * MISALIGNED_PENALTY
+    for (classes, first_tables, parts), (_, tables, _), reached in zip(
+            first.trees, steady.trees, leaves):
+        counts = np.bincount(reached, minlength=len(parts))
         leaf = int(reached[0])
         for name, rows in tables.items():
             charged = counts @ rows + first_tables[name][leaf] - rows[leaf]
             if not charged[4]:
                 continue    # only on paths no iteration took
-            perf = table[name]
+            perf = counters(name)
             (cycles, load_use, branch, jump,
              instructions) = charged[:5].tolist()
             perf.cycles += cycles
@@ -861,56 +782,15 @@ def _attribute(cpu, plan: LoopPlan, n: int, ctx, inners,
                     perf.by_class[cls] += count
 
 
-def _totals(table, plan: LoopPlan, entering: Optional[int],
-            n: int) -> List[Tuple[str, PerfCounters]]:
-    """What *n* iterations of *plan* entered after a load of *entering*
-    charge each region outside their compare trees and misaligned
-    accesses: the first iteration's share, the steady one's for the
-    rest, the back-edges between them and a counted loop's not-taken
-    last latch.  Cached in the table."""
-    key = (plan, entering, n)
-    totals = table.memo.get(key)
-    if totals is None:
-        region_of = table.region_of
-        charged = {name: perf.copy() for name, perf
-                   in _shares(table, plan, entering)[0].items()}
-        for name, perf in _shares(table, plan,
-                                  plan.pending_after)[0].items():
-            charged[name].merge(perf, n - 1)
-        if plan.counted is None:
-            charged[region_of(plan.pcs[-1])].hwloop_backedges += n - 1
-        else:
-            latch = charged[region_of(plan.counted.latch)]
-            latch.cycles -= BRANCH_TAKEN_PENALTY
-            latch.stall_branch -= BRANCH_TAKEN_PENALTY
-        totals = table.memo[key] = list(charged.items())
-    return totals
-
-
-def _tree_prices(table, tree: Tree, pending: Optional[int]) -> Tuple:
-    """*tree*'s leaf paths entered after a load of *pending*, split by
-    the regions of *table*: ``(classes, {region: prices}, regions)``
-    (:meth:`~repro.engine.tree.Tree.region_prices`), *regions* listing
-    each leaf's regions in path order.  Cached in the table."""
-    key = (tree, pending)
-    prices = table.memo.get(key)
-    if prices is None:
-        classes, tables = tree.region_prices(pending, table.region_of)
-        regions = [list(dict.fromkeys(table.region_of(ins.addr)
-                                      for ins in instrs))
-                   for instrs, _ in tree.paths]
-        prices = table.memo[key] = (classes, tables, regions)
-    return prices
-
-
-def _enter_late_regions(table, tree_prices, leaves) -> None:
+def _enter_late_regions(table, trees, leaves) -> None:
     """Enter, in the order the interpreter first reaches them, the
     regions of leaf paths no iteration before has entered (the first
     iteration's leaves are entered in body order)."""
     late: Dict[str, Tuple[int, int, int]] = {}
-    for t, ((_, _, regions), reached) in enumerate(zip(tree_prices, leaves)):
+    for t, ((_, _, parts), reached) in enumerate(zip(trees, leaves)):
         for leaf in np.unique(reached).tolist():
-            for k, name in enumerate(regions[leaf]):
+            regions = dict.fromkeys(name for name, _ in parts[leaf])
+            for k, name in enumerate(regions):
                 if name not in table:
                     when = (int(np.argmax(reached == leaf)), t, k)
                     if name not in late or when < late[name]:
@@ -919,37 +799,40 @@ def _enter_late_regions(table, tree_prices, leaves) -> None:
         table.counters_for(name)
 
 
-def _log(port, plan: LoopPlan, log, inners, start: int, timing,
-         n: int) -> None:
+def _log(port, plan: LoopPlan, log, inners, start: int,
+         entering: Optional[int], n: int) -> None:
     """Hand *port* every access of the dispatch with its stall-free
-    issue clock.  Iteration 0 starts at *start* with *timing*; iteration
-    ``r >= 1`` at ``start + first + steady * (r - 1)`` with
-    :attr:`LoopPlan.steady`.  An inner loop's accesses follow the same
-    rule from their loop's start in each outer iteration, one 2-D
-    stream per op for the outer iterations after the first."""
-    first, _, issue0, inner0 = timing[:4]
-    steady, _, issue, inner = plan.steady[:4]
-    after = start + first - steady
+    issue clock.  Iteration 0 starts at *start*, entered after a load of
+    *entering*; iteration ``r >= 1`` at ``start + first + steady * (r -
+    1)``, clocked by the plan's walks.  An inner loop's accesses follow
+    the same rule from their loop's start in each outer iteration, one
+    2-D stream per op for the outer iterations after the first."""
+    first = _walk(plan, entering)
+    steady = _walk(plan, plan.pending_after)
+    after = start + first.cycles - steady.cycles
     pcs = plan.pcs
     for index, offset, delta, size, write, _ in log:
-        port.log_stream(n, start + issue0[index], after + issue[index],
-                        steady, offset, delta, size, write, pcs[index])
+        port.log_stream(n, start + first.issue[index],
+                        after + steady.issue[index], steady.cycles, offset,
+                        delta, size, write, pcs[index])
     for p, ctx in inners:
         piece = plan.pieces[p]
         loop, cols = piece.plan, piece.trips
-        again, _, leads = loop.steady[:3]
-        leads0 = piece.first[2]
-        row0 = start + inner0[p]
-        row1 = start + first + inner[p]
-        body = piece.first[0] - again
+        head = _walk(loop, None)
+        rest = _walk(loop, loop.pending_after)
+        again = rest.cycles
+        row0 = start + first.inner[p]
+        row1 = start + first.cycles + steady.inner[p]
+        body = head.cycles - again
         for j, offset, delta, size, write, row_delta in ctx.log:
             if isinstance(offset, np.ndarray):
-                head, tail = offset[:cols], offset[cols:]
+                head_offset, tail = offset[:cols], offset[cols:]
             else:
-                head, tail = offset, offset + row_delta
+                head_offset, tail = offset, offset + row_delta
             pc = loop.pcs[j]
-            port.log_stream(cols, row0 + leads0[j], row0 + body + leads[j],
-                            again, head, delta, size, write, pc)
-            port.log_stream(cols, row1 + leads0[j], row1 + body + leads[j],
-                            again, tail, delta, size, write, pc,
-                            n - 1, steady, row_delta)
+            port.log_stream(cols, row0 + head.issue[j],
+                            row0 + body + rest.issue[j], again, head_offset,
+                            delta, size, write, pc)
+            port.log_stream(cols, row1 + head.issue[j],
+                            row1 + body + rest.issue[j], again, tail, delta,
+                            size, write, pc, n - 1, steady.cycles, row_delta)

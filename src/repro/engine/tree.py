@@ -24,14 +24,16 @@ writes ``s`` (the threshold its path loaded last) and ``out`` (its
 leaf's immediate).  :meth:`Tree.handler` walks every iteration's path
 level by level, one gather per level, as the batch ``pv.qnt`` handler
 does, and records the leaf each iteration reached.  Each leaf's path is
-priced once per entering load with
-:meth:`~repro.engine.blocks.Block.price` — every ``lh``→``blt`` load-use
-stall included — plus :data:`~repro.core.timing.BRANCH_TAKEN_PENALTY`
-per taken branch and :data:`~repro.core.timing.JUMP_PENALTY` for the
-leaf's jump (:meth:`Tree.prices`); the plan charges every iteration its
-leaf's price.  Under a region profile each path is priced per region it
-crosses (:meth:`Tree.region_prices`), and a node's misaligned threshold
-reads are counted per node, so each region is charged its share.
+priced per entering load with :meth:`~repro.engine.blocks.Block.price`
+— every ``lh``→``blt`` load-use stall included — plus
+:data:`~repro.core.timing.BRANCH_TAKEN_PENALTY` per taken branch and
+:data:`~repro.core.timing.JUMP_PENALTY` for the leaf's jump, split
+where a region map changes region (:meth:`Tree.region_prices`).  The
+plan's one pricing walk prices the tree this way for the core's own
+counters (every pc in one region) and for a region table, and one
+charge gives every iteration its leaf's price (:mod:`repro.engine.nest`);
+a node's misaligned threshold reads are counted per node, so each
+region is charged its share.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ class Tree:
     __slots__ = ("addr", "merge", "scratch", "out", "base", "act", "size",
                  "signed", "compare", "signed_compare", "scratch_first",
                  "offsets", "taken", "fall", "imms", "paths", "depth",
-                 "full_depth", "max_len", "lo", "hi", "node_addrs", "_key",
-                 "_prices")
+                 "full_depth", "max_len", "lo", "hi", "node_addrs", "_key")
 
     def __init__(self, imem: dict, addr: int) -> None:
         self.addr = addr
@@ -76,7 +77,6 @@ class Tree:
         self.imms: List[int] = []
         #: per leaf: (instructions on its path, taken branches)
         self.paths: List[Tuple[list, int]] = []
-        self._prices: Dict[Optional[int], Tuple] = {}
         first = imem.get(addr)
         if first is None or not first.spec.fusion \
                 or first.spec.fusion[0] != "load_imm":
@@ -180,33 +180,27 @@ class Tree:
         return [("r", self.act), ("r", self.base),
                 ("w", self.scratch, "plain"), ("w", self.out, "plain")]
 
-    def prices(self, pending: Optional[int]) -> Tuple[List[str],
-                                                      np.ndarray]:
+    def region_prices(self, pending: Optional[int], region_of) -> Tuple:
         """Each leaf's path entered after an instruction that loaded
-        *pending*: ``(classes, table)`` where row ``leaf`` of *table*
-        holds its cycles, load-use stalls, taken-branch stalls, jump
-        stalls, instructions and then its count of each timing class in
-        *classes*."""
-        prices = self._prices.get(pending)
-        if prices is None:
-            classes, tables = self.region_prices(pending, lambda addr: None)
-            prices = self._prices[pending] = (classes, tables[None])
-        return prices
-
-    def region_prices(self, pending: Optional[int],
-                      region_of) -> Tuple[List[str], Dict[object, np.ndarray]]:
-        """:meth:`prices` split by region: ``(classes, {region: table})``,
-        where row ``leaf`` of a region's table holds what the part of
-        that leaf's path *region_of* maps to the region retires."""
+        *pending*, split by the regions *region_of* maps its pcs to:
+        ``(classes, {region: table}, parts)``, where row ``leaf`` of a
+        region's table holds what that leaf's path retires in the region
+        — cycles, load-use stalls, taken-branch stalls, jump stalls,
+        instructions, then its count of each timing class in *classes* —
+        and ``parts[leaf]`` lists the path's ``(region, classes)`` runs
+        in path order."""
         classes: List[str] = []
         for instrs, _ in self.paths:
             for ins in instrs:
                 if ins.spec.timing not in classes:
                     classes.append(ins.spec.timing)
         tables: Dict[object, np.ndarray] = {}
+        parts: List[List[Tuple]] = []
         for leaf, (instrs, _) in enumerate(self.paths):
             block = Block(instrs)
+            parts.append([])
             for name, a, b in region_spans(instrs, 0, block.n, region_of):
+                parts[leaf].append((name, block.classes[a:b]))
                 cycles, load_use = block.price(
                     a, b, pending if a == 0 else block.pending[a - 1])
                 branch = BRANCH_TAKEN_PENALTY * sum(
@@ -223,7 +217,7 @@ class Tree:
                                     jump, b - a)
                 for cls, pref in block.cls_prefix.items():
                     table[leaf, 5 + classes.index(cls)] += pref[b] - pref[a]
-        return classes, tables
+        return classes, tables, parts
 
     def handler(self, index: int):
         """The batch handler of the tree at body index *index*: it sets

@@ -239,6 +239,18 @@ class TestCostSemantics:
         assert report.stalls["stall_branch"] == Interval(0, 2)
         assert not report.exact and report.bounded
 
+    def test_fork_whose_arms_both_halt(self):
+        # Not-taken: beq(1) + ebreak(1) = 2.
+        # Taken:     beq(1+2) + ebreak(1) = 4.
+        report = analyze_cost(assemble("""
+            beq  a0, zero, out
+            ebreak
+        out:
+            ebreak
+        """))
+        assert report.cycles == Interval(2, 4)
+        assert report.instructions == Interval.exact(2)
+
     def test_known_branch_condition_stays_exact(self):
         report = analyze_cost(assemble("""
             addi a0, zero, 0

@@ -104,6 +104,8 @@ def cluster_state(cluster, run, error):
              cpu._pending_load_rd)
             for cpu in cluster.cores
         ],
+        # The order the energy model sums each core's timing classes in.
+        "class_order": [list(cpu.perf.by_class) for cpu in cluster.cores],
         "barriers": cluster.event_unit.barriers_completed,
         "conflicts_by_bank": list(cluster.tcdm.conflicts_by_bank),
         "accesses": (None if cluster.access_trace is None

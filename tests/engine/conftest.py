@@ -31,6 +31,8 @@ def state_of(cpu):
         "pc": cpu.pc,
         "regs": list(cpu.regs),
         "perf": cpu.perf.snapshot(),
+        # The order the energy model sums the timing classes in.
+        "class_order": list(cpu.perf.by_class),
         "regions": None if cpu.regions is None else [
             (name, cpu.regions[name].snapshot())
             for name in cpu.regions.regions],

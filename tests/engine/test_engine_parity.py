@@ -445,6 +445,18 @@ class TestLoopNests:
                          tail=["p.sw a0, 4(s3!)"])
         assert stats["side_exits"] == {"mem-alias": 2}
 
+    def test_scalar_square_row_sum_wraps(self):
+        """Every column of the inner loop adds the square of one loaded
+        word: a row's sum outgrows int64 and wraps to the accumulator's
+        word, as on the interpreter."""
+        source = "\n".join([
+            "lp.setupi 1, 3, end1", "p.lw a0, 4(s2!)", "lp.setupi 0, 4, end0",
+            "lw a2, 0(s0)", "p.mac a0, a2, a2", "end0:", "p.sw a0, 4(s1!)",
+            "end1:", "ebreak"]) + "\n"
+        _, _, plain = run_both(source, regs=NEST_REGS,
+                               mem={0x1000: bytes([0, 0, 0, 0x80])})
+        assert plain.engine_stats["nest_dispatches"] == 1
+
     def test_region_boundary_inside_nest(self):
         """The profiled run's table cuts the body in half: the nest
         fuses all the same, charges each half its share and matches the
