@@ -433,8 +433,6 @@ class Cluster:
                 detail[key] = detail.get(key, 0) + 1
             executed = self._schedule_epoch(executed, max_instructions)
 
-        for cpu in cores:
-            cpu._close_region()
         if self.tracer is not None:
             for cpu in cores:
                 self.tracer.on_halt(cpu)
@@ -531,7 +529,6 @@ class Cluster:
             perf = core.perf
             # Parked time belongs to the barrier, not to the region the
             # core arrived from.
-            core._close_region()
             perf.idle_cycles += release - when
             perf.cycles = release
             if core.regions is not None:

@@ -218,8 +218,6 @@ def replay_epoch(cluster, budget: int) -> Tuple[int, Optional[str]]:
     tables = list({id(cpu.regions): cpu.regions for cpu in cores
                    if cpu.regions is not None}.values())
     data = cluster.tcdm.mem._data
-    for cpu in cores:
-        cpu._close_region()
     saved_bytes = bytes(data)
     saved_cores = [cpu.checkpoint() for cpu in cores]
     saved_tables = [table.checkpoint() for table in tables]
@@ -289,7 +287,6 @@ def _run_slice(cpu, port: EpochPort, left: int) -> int:
             raise Rollback("budget")
         port.arriving = True
         cpu.step()
-        cpu._close_region()
     except Rollback:
         raise
     except ProvisionalClock:

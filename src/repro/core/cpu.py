@@ -96,11 +96,14 @@ class Cpu:
 
         #: Region profile (:class:`~repro.core.regions.RegionCounters`)
         #: charged by every run while attached; None keeps the hot path
-        #: to one check per retired instruction.
+        #: to one check per retired instruction.  Every retire path
+        #: charges its region directly, the numbers it charges ``perf``.
         self.regions: Optional[RegionCounters] = None
+        #: The region :meth:`step` last charged and its counters; dropped
+        #: wherever the table can change under them (a run's start,
+        #: :meth:`reset`, :meth:`restore`).
         self._region: Optional[str] = None
         self._region_acc: Optional[PerfCounters] = None
-        self._region_mark: Optional[PerfCounters] = None
         #: While a cluster replays an epoch on this core: the stall-free
         #: clock at which the core first entered each region.  Not None
         #: also marks ``perf.cycles`` as provisional (TCDM stalls come
@@ -133,23 +136,13 @@ class Cpu:
     # Region profile
     # ------------------------------------------------------------------
 
-    def _enter_region(self, name: str) -> None:
-        """Close the open region and open *name*: the interpreter's next
-        retires are charged to it, by their counter deltas (the block
-        engine charges its regions directly, closing the open one)."""
-        self._close_region()
+    def region_counters(self, name: str) -> PerfCounters:
+        """The counters of region *name*, which the next retires enter;
+        under a cluster's replay the region's first-entry clock is
+        noted."""
         if self._epoch is not None:
             self._epoch.setdefault(name, self.perf.cycles)
-        self._region = name
-        self._region_acc = self.regions.counters_for(name)
-        self._region_mark = self.perf.copy()
-
-    def _close_region(self) -> None:
-        """Charge the open region with the counters accrued since it
-        was entered."""
-        if self._region is not None:
-            self._region_acc.merge(self.perf.delta_since(self._region_mark))
-            self._region = None
+        return self.regions.counters_for(name)
 
     # ------------------------------------------------------------------
     # Program loading
@@ -331,6 +324,7 @@ class Cpu:
         self.perf.merge(perf)
         self._csrs.clear()
         self._csrs.update(csrs)
+        self._region = None
 
     def reset(self, pc: int = 0) -> None:
         self.regs = RegisterFile()
@@ -366,7 +360,8 @@ class Cpu:
         if regions is not None:
             name = regions.map.get(pc, regions.default_region)
             if name != self._region:
-                self._enter_region(name)
+                self._region = name
+                self._region_acc = self.region_counters(name)
 
         self._misaligned = 0
         self._extra_stalls = 0
@@ -391,6 +386,8 @@ class Cpu:
                 redirect = hw.redirect(next_pc)
                 if redirect is not None:
                     perf.hwloop_backedges += 1
+                    if regions is not None:
+                        self._region_acc.hwloop_backedges += 1
                     if tracer is not None:
                         tracer.on_hwloop(self, pc, redirect)
                     next_pc = redirect
@@ -412,7 +409,8 @@ class Cpu:
         misaligned = self._misaligned * MISALIGNED_PENALTY
         extra = self._extra_stalls
         tcdm = self._tcdm_stalls
-        perf.cycles += base + branch + jump + load_use + misaligned + extra + tcdm
+        cycles = base + branch + jump + load_use + misaligned + extra + tcdm
+        perf.cycles += cycles
         perf.instructions += 1
         perf.by_class[cls] += 1
         if load_use:
@@ -425,6 +423,16 @@ class Cpu:
             perf.stall_misaligned += misaligned + extra
         if tcdm:
             perf.stall_tcdm_contention += tcdm
+        if regions is not None:
+            region = self._region_acc
+            region.cycles += cycles
+            region.instructions += 1
+            region.by_class[cls] += 1
+            region.stall_load_use += load_use
+            region.stall_branch += branch
+            region.stall_jump += jump
+            region.stall_misaligned += misaligned + extra
+            region.stall_tcdm_contention += tcdm
         if tracer is not None:
             tracer.on_retire(self, pc, ins, StepTiming(
                 base, branch, jump, load_use, misaligned))
@@ -455,31 +463,29 @@ class Cpu:
         if entry is not None:
             self.pc = entry
         self._halted = None
-        try:
-            if (
-                self.engine == "block"
-                and self._tracer is None
-                and (type(self.mem) is Memory
-                     or getattr(self.mem, "logs_accesses", False))
-            ):
-                from ..engine.engine import BlockEngine
+        self._region = None
+        if (
+            self.engine == "block"
+            and self._tracer is None
+            and (type(self.mem) is Memory
+                 or getattr(self.mem, "logs_accesses", False))
+        ):
+            from ..engine.engine import BlockEngine
 
-                if self._block_engine is None:
-                    self._block_engine = BlockEngine()
-                return self._block_engine.run(self, max_instructions)
-            step = self.step
-            for _ in range(max_instructions):
-                step()
-                if self._halted is not None:
-                    if self._tracer is not None:
-                        self._tracer.on_halt(self)
-                    return self.perf
-            raise SimError(
-                f"program did not halt within {max_instructions} "
-                f"instructions (pc={self.pc:#010x})"
-            )
-        finally:
-            self._close_region()
+            if self._block_engine is None:
+                self._block_engine = BlockEngine()
+            return self._block_engine.run(self, max_instructions)
+        step = self.step
+        for _ in range(max_instructions):
+            step()
+            if self._halted is not None:
+                if self._tracer is not None:
+                    self._tracer.on_halt(self)
+                return self.perf
+        raise SimError(
+            f"program did not halt within {max_instructions} "
+            f"instructions (pc={self.pc:#010x})"
+        )
 
     def run_program(self, program, **kwargs) -> PerfCounters:
         """Convenience: load, reset perf, and run a linked program."""

@@ -20,7 +20,6 @@ class PerfCounters:
     cycles: int = 0
     instructions: int = 0
     by_class: Counter = field(default_factory=Counter)
-    by_mnemonic: Counter = field(default_factory=Counter)
     stall_load_use: int = 0
     stall_branch: int = 0
     stall_jump: int = 0
@@ -45,7 +44,6 @@ class PerfCounters:
         for name in self._SCALARS:
             setattr(self, name, 0)
         self.by_class.clear()
-        self.by_mnemonic.clear()
 
     @property
     def total_stalls(self) -> int:
@@ -78,7 +76,6 @@ class PerfCounters:
         """Full machine-readable view (JSON-friendly nested dicts)."""
         data: Dict = {name: getattr(self, name) for name in self._SCALARS}
         data["by_class"] = dict(sorted(self.by_class.items()))
-        data["by_mnemonic"] = dict(sorted(self.by_mnemonic.items()))
         return data
 
     @classmethod
@@ -92,8 +89,6 @@ class PerfCounters:
         perf = cls(**{name: int(data.get(name, 0)) for name in cls._SCALARS})
         perf.by_class = Counter({
             str(k): int(v) for k, v in data.get("by_class", {}).items()})
-        perf.by_mnemonic = Counter({
-            str(k): int(v) for k, v in data.get("by_mnemonic", {}).items()})
         return perf
 
     def merge(self, other: "PerfCounters", times: int = 1) -> "PerfCounters":
@@ -110,30 +105,16 @@ class PerfCounters:
                     getattr(self, name) + getattr(other, name) * times)
         if times == 1:
             self.by_class.update(other.by_class)
-            self.by_mnemonic.update(other.by_mnemonic)
         else:
-            for mine, theirs in ((self.by_class, other.by_class),
-                                 (self.by_mnemonic, other.by_mnemonic)):
-                for key, count in theirs.items():
-                    mine[key] += count * times
+            for key, count in other.by_class.items():
+                self.by_class[key] += count * times
         return self
-
-    def delta_since(self, other: "PerfCounters") -> "PerfCounters":
-        """Counters accumulated since *other* was snapshotted."""
-        delta = PerfCounters(**{
-            name: getattr(self, name) - getattr(other, name)
-            for name in self._SCALARS
-        })
-        delta.by_class = self.by_class - other.by_class
-        delta.by_mnemonic = self.by_mnemonic - other.by_mnemonic
-        return delta
 
     def copy(self) -> "PerfCounters":
         clone = PerfCounters(**{
             name: getattr(self, name) for name in self._SCALARS
         })
         clone.by_class = Counter(self.by_class)
-        clone.by_mnemonic = Counter(self.by_mnemonic)
         return clone
 
     def __repr__(self) -> str:

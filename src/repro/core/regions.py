@@ -5,17 +5,17 @@ with one :class:`~repro.core.perf.PerfCounters` per region.  Attach it
 to a core (``cpu.regions = RegionCounters(program=...)``) or a cluster
 (``cluster.regions = ...``) and every run charges each region what
 retires in it, so the per-region counters sum exactly to the core's
-end-of-run counters.
+counters after every retire.
 
 The table only observes: a program is translated and run the same way
-whether or not one is attached.  The interpreter (``Cpu.step``) charges
-each region with the core's own counter deltas taken as execution moves
-between regions.  The block engine charges each region directly, with
-the numbers it charges the core: a translated block's segments, split
-where the table's map changes region (:mod:`repro.engine.fastblock`),
-and a loop plan's one walk, whose one-region case is the core's own
-counters (:mod:`repro.engine.nest`); it keeps what it derives from a
-translation under this map in :attr:`RegionCounters.memo`.
+whether or not one is attached.  Every retire path charges its region
+directly, with the numbers it charges the core: the interpreter
+(``Cpu.step``) each instruction, the block engine a translated block's
+segments, split where the table's map changes region
+(:mod:`repro.engine.fastblock`), and a loop plan's one walk, whose
+one-region case is the core's own counters (:mod:`repro.engine.nest`).
+The engine keeps what it derives from a translation under this map in
+:attr:`RegionCounters.memo`.
 """
 
 from __future__ import annotations

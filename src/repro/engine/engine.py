@@ -37,10 +37,11 @@ cluster then replays the TCDM bank arbitration over the logs.  A region
 profile (:class:`~repro.core.regions.RegionCounters`) keeps the engine
 on and changes nothing about the translation: the block map is keyed
 on the program and ISA alone, so a profiled run reuses a plain run's
-blocks and loop plans.  Tier A charges each segment to its region
-directly, and a loop plan charges the core's counters and each region
-by one walk and one charge, the core's counters being the case of one
-region (:mod:`repro.engine.nest`).
+blocks and loop plans.  Each retire path charges its region directly,
+with the numbers it charges the core: an interpreter step each
+instruction, tier A each segment, and a loop plan the core's counters
+and each region by one walk and one charge, the core's counters being
+the case of one region (:mod:`repro.engine.nest`).
 
 Statistics are plain integers during the run and are published to the
 telemetry registry (``engine.*`` counters) when the run ends.

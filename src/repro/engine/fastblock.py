@@ -25,11 +25,10 @@ through can take a hardware-loop back-edge, as on the interpreter.
 With a region profile attached
 (:class:`~repro.core.regions.RegionCounters`) a segment also ends where
 the table's map changes region, and each segment is charged to its own
-region directly, the same numbers it charges the core, as a loop plan
-charges its regions (the interpreter's open region is closed first):
-the cuts are looked up from the table (:func:`_cuts`), never stored in
-the block, so one translation serves observed and unobserved runs
-alike.
+region directly, the same numbers it charges the core, as the
+interpreter and a loop plan charge theirs: the cuts are looked up from
+the table (:func:`_cuts`), never stored in the block, so one
+translation serves observed and unobserved runs alike.
 
 Against a memory that logs its accesses (a cluster core's replay port,
 :mod:`repro.cluster.replay`), the segment also tells the port, before
@@ -78,7 +77,7 @@ def run_block(cpu, block, limit: int, port=None) -> int:
             if stop == idx:
                 cpu.pc = block.addrs[idx]
                 return executed
-        counters = None if cuts is None else _enter(cpu, region)
+        counters = None if cuts is None else cpu.region_counters(region)
         target = _exec_segment(cpu, block, idx, stop, port, counters)
         executed += stop - idx
         if target is not None:
@@ -112,16 +111,6 @@ def run_block(cpu, block, limit: int, port=None) -> int:
             cpu.pc = redirect
             return executed
         idx = j
-
-
-def _enter(cpu, name: str):
-    """The counters of region *name*, which the next segment enters: the
-    interpreter's open region is charged up to here, and the region's
-    first-entry clock noted under a cluster's replay."""
-    cpu._close_region()
-    if cpu._epoch is not None:
-        cpu._epoch.setdefault(name, cpu.perf.cycles)
-    return cpu.regions.counters_for(name)
 
 
 def _cuts(regions, block) -> list:

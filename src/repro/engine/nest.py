@@ -62,14 +62,14 @@ whatever retired before the loop, the later ones after the body's own
 last instruction (the hardware-loop back-edge is a pure fetch redirect,
 so a load-use hazard wraps around): ``first + steady * (n - 1)``.
 
-One charge (:func:`_charge`) books a dispatch, once to the core's
-counters and once more to the table when a profile is attached: the
-first and steady iterations, the back-edges or a counted loop's
-not-taken last latch, each iteration's compare-tree leaf, each
-misaligned access at its pc, and — in the order iteration 0 retires
-them — the timing classes (whose order the energy model sums in) and
-regions it enters first, with each region's first-entry clock under a
-cluster's replay, so both are the interpreter's.  Against an
+One charge (:func:`_charge`) books a dispatch directly, as every retire
+path does, once to the core's counters and once more to the table when
+a profile is attached: the first and steady iterations, the back-edges
+or a counted loop's not-taken last latch, each iteration's compare-tree
+leaf, each misaligned access at its pc, and — in the order iteration 0
+retires them — the timing classes (whose order the energy model sums
+in) and regions it enters first, with each region's first-entry clock
+under a cluster's replay, so both are the interpreter's.  Against an
 access-logging memory, every memory op is handed to the port as a
 stream strided in clock and offset by the walk's clocks, an inner
 loop's as a 2-D stream with one row per outer iteration; a plan with a
@@ -685,9 +685,6 @@ def execute(cpu, plan: LoopPlan, n: int, level: Optional[int] = None,
     charge = (plan, n, entering, start, ctx.leaves,
               _misaligned(plan, ctx, inners) if mis else (), exit_backedge)
     if cpu.regions is not None:
-        # The open region is charged up to here; the dispatch charges
-        # each region directly.
-        cpu._close_region()
         _charge(cpu, cpu.regions, *charge)
     _charge(cpu, None, *charge)
     return perf.instructions - retired
@@ -721,14 +718,13 @@ def _charge(cpu, table, plan: LoopPlan, n: int, entering: Optional[int],
     (see the module docstring)."""
     first = _walk(plan, entering, table)
     steady = _walk(plan, plan.pending_after, table)
-    if table is None:
-        # The core's own counters: the table of one region.
-        counters = entered = {None: cpu.perf}.__getitem__
+    # The core's own counters are the table of one region.
+    core = cpu.perf if table is None else None
+    if core is not None:
         region_of, epoch = _whole_core, None
-        fresh = not cpu.perf.by_class.keys() >= first.classes
+        fresh = not core.by_class.keys() >= first.classes
     else:
         region_of, epoch = table.region_of, cpu._epoch
-        counters, entered = table.__getitem__, table.counters_for
         fresh = True
     if fresh:
         for name, clock, classes in first.order:
@@ -740,16 +736,16 @@ def _charge(cpu, table, plan: LoopPlan, n: int, entering: Optional[int],
                 if epoch is not None:
                     epoch.setdefault(name, start + clock)
             for region, path in parts:
-                by_class = entered(region).by_class
+                by_class = (core or table.counters_for(region)).by_class
                 for cls in path:
                     by_class[cls] += 0
-        if table is not None:
+        if core is None:
             _enter_late_regions(table, first.trees, leaves)
 
     for (name, share), (_, later) in zip(first.shares.items(),
                                          steady.shares.items()):
-        _add(counters(name), share, later, n)
-    back = counters(first.back)
+        _add(core or table[name], share, later, n)
+    back = core or table[first.back]
     if plan.counted is None:
         back.hwloop_backedges += n - 1
     else:
@@ -758,7 +754,7 @@ def _charge(cpu, table, plan: LoopPlan, n: int, entering: Optional[int],
         back.stall_branch -= BRANCH_TAKEN_PENALTY
         back.hwloop_backedges += exit_backedge
     for pc, count in misaligned:
-        perf = counters(region_of(pc))
+        perf = core or table[region_of(pc)]
         perf.cycles += count * MISALIGNED_PENALTY
         perf.stall_misaligned += count * MISALIGNED_PENALTY
     for (classes, first_tables, parts), (_, tables, _), reached in zip(
@@ -769,7 +765,7 @@ def _charge(cpu, table, plan: LoopPlan, n: int, entering: Optional[int],
             charged = counts @ rows + first_tables[name][leaf] - rows[leaf]
             if not charged[4]:
                 continue    # only on paths no iteration took
-            perf = counters(name)
+            perf = core or table[name]
             (cycles, load_use, branch, jump,
              instructions) = charged[:5].tolist()
             perf.cycles += cycles

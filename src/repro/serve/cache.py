@@ -42,7 +42,7 @@ from .jobs import ServeError
 
 #: Bump when the entry layout or any runner's payload semantics change;
 #: part of every cache key, so old entries simply miss.
-CACHE_SCHEMA = "repro-cache/1"
+CACHE_SCHEMA = "repro-cache/2"
 
 #: Environment override for the cache root.
 CACHE_ENV = "REPRO_CACHE_DIR"

@@ -60,7 +60,6 @@ def min_clock_run(self, entry=None, max_instructions=200_000_000):
                     perf = core.perf
                     # Parked time belongs to the barrier, not to the
                     # region the core arrived from.
-                    core._close_region()
                     perf.idle_cycles += release - when
                     perf.cycles = release
                     if core.regions is not None:
@@ -72,8 +71,6 @@ def min_clock_run(self, entry=None, max_instructions=200_000_000):
                         self.tracer.on_barrier(core_id, when, release)
                 parked.clear()
 
-    for cpu in cores:
-        cpu._close_region()
     if self.tracer is not None:
         for cpu in cores:
             self.tracer.on_halt(cpu)

@@ -7,7 +7,10 @@ together with the timing model's own per-instruction method
 :class:`~repro.core.timing.StepTiming`, builds the source-register
 tuple, and asks the hardware-loop controller for a redirect.  The lean
 :meth:`Cpu.step` must reach exactly the state this one reaches and hand
-a tracer the same per-retire breakdown.
+a tracer the same per-retire breakdown.  An attached region profile is
+charged from the same :class:`~repro.core.timing.StepTiming`, its region
+looked up in the table on every retire, so the region tables it leaves
+check the core's own region charging rather than reuse it.
 
 :func:`use_reference_step` patches the oracle onto one core; the cluster
 scheduler and the block engine both step through ``cpu.step``, so every
@@ -58,11 +61,13 @@ def reference_step(self) -> None:
         if self.pc in self._illegal:
             raise TrapError("illegal instruction", self.pc)
         raise TrapError("instruction fetch fault", self.pc)
+    charged = [self.perf]
     regions = self.regions
     if regions is not None:
         name = regions.map.get(self.pc, regions.default_region)
-        if name != self._region:
-            self._enter_region(name)
+        if self._epoch is not None:
+            self._epoch.setdefault(name, self.perf.cycles)
+        charged.append(regions.counters_for(name))
 
     self._misaligned = 0
     self._extra_stalls = 0
@@ -77,7 +82,8 @@ def reference_step(self) -> None:
                     else self.hwloops.redirect(fall_through))
         if redirect is not None:
             next_pc = redirect
-            self.perf.hwloop_backedges += 1
+            for perf in charged:
+                perf.hwloop_backedges += 1
             if self._tracer is not None:
                 self._tracer.on_hwloop(self, self.pc, redirect)
         else:
@@ -85,15 +91,15 @@ def reference_step(self) -> None:
 
     timing = timing_step(self, ins, taken, self._misaligned)
     step_extra = self._extra_stalls + self._tcdm_stalls
-    perf = self.perf
-    perf.cycles += timing.total + step_extra
-    perf.instructions += 1
-    perf.by_class[ins.spec.timing] += 1
-    perf.stall_load_use += timing.load_use_stall
-    perf.stall_branch += timing.branch_stall
-    perf.stall_jump += timing.jump_stall
-    perf.stall_misaligned += timing.misaligned_stall + self._extra_stalls
-    perf.stall_tcdm_contention += self._tcdm_stalls
+    for perf in charged:
+        perf.cycles += timing.total + step_extra
+        perf.instructions += 1
+        perf.by_class[ins.spec.timing] += 1
+        perf.stall_load_use += timing.load_use_stall
+        perf.stall_branch += timing.branch_stall
+        perf.stall_jump += timing.jump_stall
+        perf.stall_misaligned += timing.misaligned_stall + self._extra_stalls
+        perf.stall_tcdm_contention += self._tcdm_stalls
     if self._tracer is not None:
         self._tracer.on_retire(self, self.pc, ins, timing)
     self.pc = next_pc

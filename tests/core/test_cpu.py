@@ -44,12 +44,6 @@ class TestExecution:
         run_asm(cpu, "nop\nnop\nnop\nebreak")
         assert cpu.perf.instructions == 4
 
-    def test_by_mnemonic_optional(self, cpu):
-        # The core never fills the per-mnemonic table; only counters
-        # rebuilt from payloads (PerfCounters.from_dict) carry one.
-        run_asm(cpu, "nop\nnop\nebreak")
-        assert not cpu.perf.by_mnemonic
-
     def test_trace_hook(self, cpu):
         seen = []
 
@@ -91,14 +85,6 @@ class TestMaterialize:
 
 
 class TestPerfDelta:
-    def test_delta_since(self, cpu):
-        run_asm(cpu, "nop\nnop\nebreak")
-        snapshot = cpu.perf.copy()
-        cpu.reset()
-        run_asm(cpu, "nop\nnop\nnop\nnop\nebreak")
-        delta = cpu.perf.delta_since(snapshot)
-        assert delta.instructions == 2
-
     def test_ipc(self, cpu):
         run_asm(cpu, "nop\nnop\nebreak")
         assert cpu.perf.ipc == pytest.approx(1.0)

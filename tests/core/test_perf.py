@@ -1,4 +1,4 @@
-"""PerfCounters arithmetic: delta/merge/copy edge cases."""
+"""PerfCounters arithmetic: merge/copy edge cases."""
 
 from collections import Counter
 
@@ -9,52 +9,9 @@ def _sample(**overrides):
     perf = PerfCounters(cycles=100, instructions=80, stall_load_use=5,
                         stall_branch=3, idle_cycles=10, hwloop_backedges=2)
     perf.by_class.update({"alu": 60, "load": 20})
-    perf.by_mnemonic.update({"addi": 50, "lw": 20, "add": 10})
     for name, value in overrides.items():
         setattr(perf, name, value)
     return perf
-
-
-class TestDeltaSince:
-    def test_delta_of_empty_counters_is_empty(self):
-        delta = PerfCounters().delta_since(PerfCounters())
-        assert delta.cycles == 0
-        assert delta.instructions == 0
-        assert delta.by_class == Counter()
-        assert delta.total_stalls == 0
-
-    def test_delta_against_own_copy_is_zero(self):
-        perf = _sample()
-        delta = perf.delta_since(perf.copy())
-        assert delta.cycles == 0
-        assert delta.by_class == Counter()
-        assert delta.by_mnemonic == Counter()
-
-    def test_delta_tracks_growth(self):
-        before = _sample().copy()
-        after = _sample(cycles=150, instructions=120)
-        after.by_class["alu"] += 30
-        delta = after.delta_since(before)
-        assert delta.cycles == 50
-        assert delta.instructions == 40
-        assert delta.by_class == Counter({"alu": 30})
-
-    def test_counter_subtraction_never_goes_negative(self):
-        # Counter subtraction drops non-positive entries, so a class that
-        # somehow shrank (e.g. counters reset mid-window) reads 0, not -n.
-        before = _sample()
-        after = PerfCounters(cycles=200)
-        delta = after.delta_since(before)
-        assert delta.by_class["alu"] == 0
-        assert delta.by_mnemonic["addi"] == 0
-        assert all(v > 0 for v in delta.by_class.values())
-
-    def test_idle_cycles_delta(self):
-        before = _sample()
-        after = _sample(cycles=130, idle_cycles=25)
-        delta = after.delta_since(before)
-        assert delta.idle_cycles == 15
-        assert delta.active_cycles == 30 - 15
 
 
 class TestMerge:
@@ -67,7 +24,7 @@ class TestMerge:
     def test_merge_into_empty_copies_everything(self):
         merged = PerfCounters().merge(_sample())
         assert merged.cycles == 100
-        assert merged.by_mnemonic["addi"] == 50
+        assert merged.by_class["alu"] == 60
         assert merged.hwloop_backedges == 2
 
     def test_merge_sums_idle_and_stalls(self):
@@ -90,10 +47,8 @@ class TestCopy:
         perf = _sample()
         clone = perf.copy()
         clone.by_class["alu"] += 1
-        clone.by_mnemonic["addi"] += 1
         clone.cycles += 5
         assert perf.by_class["alu"] == 60
-        assert perf.by_mnemonic["addi"] == 50
         assert perf.cycles == 100
 
     def test_copy_of_empty(self):
@@ -106,4 +61,4 @@ class TestCopy:
         perf = _sample()
         perf.reset()
         assert perf.snapshot() == PerfCounters().snapshot()
-        assert perf.by_mnemonic == Counter()
+        assert perf.by_class == Counter()

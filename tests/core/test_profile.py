@@ -32,13 +32,10 @@ class TestMerge:
     def test_merges_class_and_mnemonic_counters(self):
         a = PerfCounters()
         a.by_class.update({"alu": 5, "load": 2})
-        a.by_mnemonic.update({"addi": 5})
         b = PerfCounters()
         b.by_class.update({"alu": 3, "mul": 1})
-        b.by_mnemonic.update({"addi": 1, "p.lw": 2})
         a.merge(b)
         assert a.by_class == {"alu": 8, "load": 2, "mul": 1}
-        assert a.by_mnemonic == {"addi": 6, "p.lw": 2}
 
     def test_merge_preserves_other(self):
         a = _counters(cycles=10)
@@ -66,13 +63,11 @@ class TestToDict:
         perf = _counters(cycles=42, instructions=30,
                          stall_tcdm_contention=4, idle_cycles=6)
         perf.by_class.update({"alu": 20, "load": 10})
-        perf.by_mnemonic.update({"addi": 20, "p.lw": 10})
         data = perf.to_dict()
         assert data["cycles"] == 42
         assert data["stall_tcdm_contention"] == 4
         assert data["idle_cycles"] == 6
         assert data["by_class"] == {"alu": 20, "load": 10}
-        assert data["by_mnemonic"] == {"addi": 20, "p.lw": 10}
 
     def test_json_serializable(self):
         perf = _counters(cycles=1, instructions=1)
